@@ -16,10 +16,10 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
-import jsonschema
 
 from . import cs as cs_mod
 from . import kinetics
@@ -36,55 +36,41 @@ from .recon import (
     secret_train,
 )
 
+RUN_KEYS = ("seed", "phantom", "mask", "method", "output_dir", "method_params")  # the last is optional
+# phantom directory: file stem -> PhantomTruth array (labels are stored as float64)
+PHANTOM_FILES = {"ref_images": "ref_images", "ktrans": "ktrans_map", "vp": "vp_map", "aif": "aif",
+                 "aif_signal": "aif_signal", "labels": "region_labels"}
 METRICS_HEADER = ["method", "accel", "phantom_id", "frame", "psnr", "ssim", "nrmse"]
 
-RUN_CONFIG_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["seed", "phantom", "mask", "method", "output_dir"],
-    "properties": {
-        "seed": {"type": "integer"},
-        "phantom": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "h": {"type": "integer"},
-                "w": {"type": "integer"},
-                "t": {"type": "integer"},
-                "dt": {"type": "number"},
-                "n_tissue_regions": {"type": "integer"},
-                "ktrans_range": {"type": "array", "items": {"type": "number"}, "minItems": 2, "maxItems": 2},
-                "vp_range": {"type": "array", "items": {"type": "number"}, "minItems": 2, "maxItems": 2},
-                "noise_sigma": {"type": "number"},
-                "seed": {"type": "integer"},
-            },
-        },
-        "mask": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["accel", "seed"],
-            "properties": {
-                "accel": {
-                    "anyOf": [
-                        {"type": "number"},
-                        {"type": "array", "items": {"type": "number"}, "minItems": 1},
-                    ]
-                },
-                "seed": {"type": "integer"},
-            },
-        },
-        "method": {"enum": ["zf", "cs", "modl", "secret"]},
-        "method_params": {"type": "object"},
-        "output_dir": {"type": "string"},
-    },
+# Accepted pipeline method_params keys, per method: key -> config field
+# (None: a pretrained weight file, read instead of training). Every default
+# lives in the config dataclass.
+METHOD_PARAMS = {
+    "zf": (None, {}),
+    "cs": (cs_mod.CsConfig, {"l1": "lambda1", "l2": "lambda2", "iters": "max_iters", "tol": "tol"}),
+    "secret": (SecretConfig, {"epochs": "epochs", "lr": "lr", "weights": None}),
+    "modl": (ModlConfig, {"K": "K", "lambda": "lam", "epochs": "epochs", "lr": "lr", "weights": None}),
 }
+# The pipeline trains on the one measurement it reconstructs, for fewer
+# epochs than the library defaults.
+PIPELINE_OVERRIDES = {"secret": {"epochs": 30}, "modl": {"epochs": 10}}
+
+
+class ConfigError(ValueError):
+    """A malformed run config or environment setting."""
 
 
 def worker_count() -> int:
     cap = os.environ.get("KTSECRET_THREADS")
-    if cap:
-        return max(1, int(cap))
-    return max(1, os.cpu_count() or 1)
+    if not cap:
+        return max(1, os.cpu_count() or 1)
+    try:
+        n = int(cap)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise ConfigError(f"KTSECRET_THREADS must be an integer >= 1, got {cap!r}")
+    return n
 
 
 def write_pgm(path, image: np.ndarray, lo: float | None = None, hi: float | None = None) -> None:
@@ -107,7 +93,7 @@ def save_mask(path, mask: SamplingMask, seed: int) -> None:
 def load_mask(path) -> SamplingMask:
     bits = load_tensor(path)
     meta = json.loads(Path(str(path) + ".json").read_text())
-    return SamplingMask(bits=bits.astype(np.uint8), accel_nominal=float(meta["accel"]))
+    return SamplingMask(bits=bits, accel_nominal=float(meta["accel"]))
 
 
 def load_ktdata(data_path, mask_path) -> KtData:
@@ -116,26 +102,15 @@ def load_ktdata(data_path, mask_path) -> KtData:
 
 def save_phantom(out_dir: Path, spec: PhantomSpec, truth: PhantomTruth) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
-    save_tensor(out_dir / "ref_images.ktsr", truth.ref_images)
-    save_tensor(out_dir / "ktrans.ktsr", truth.ktrans_map)
-    save_tensor(out_dir / "vp.ktsr", truth.vp_map)
-    save_tensor(out_dir / "aif.ktsr", truth.aif)
-    save_tensor(out_dir / "aif_signal.ktsr", truth.aif_signal)
-    save_tensor(out_dir / "labels.ktsr", truth.region_labels.astype(np.float64))
+    for stem, name in PHANTOM_FILES.items():
+        save_tensor(out_dir / f"{stem}.ktsr", getattr(truth, name))
     (out_dir / "spec.json").write_text(json.dumps(spec.__dict__, indent=2))
 
 
 def load_phantom(out_dir: Path) -> PhantomTruth:
-    spec = json.loads((out_dir / "spec.json").read_text())
-    return PhantomTruth(
-        ref_images=load_tensor(out_dir / "ref_images.ktsr"),
-        ktrans_map=load_tensor(out_dir / "ktrans.ktsr"),
-        vp_map=load_tensor(out_dir / "vp.ktsr"),
-        aif=load_tensor(out_dir / "aif.ktsr"),
-        aif_signal=load_tensor(out_dir / "aif_signal.ktsr"),
-        region_labels=load_tensor(out_dir / "labels.ktsr").astype(np.int64),
-        dt=float(spec["dt"]),
-    )
+    arrays = {name: load_tensor(out_dir / f"{stem}.ktsr") for stem, name in PHANTOM_FILES.items()}
+    arrays["region_labels"] = arrays["region_labels"].astype(np.int64)
+    return PhantomTruth(**arrays, dt=float(json.loads((out_dir / "spec.json").read_text())["dt"]))
 
 
 def append_metrics(csv_path: Path, method: str, accel: float, phantom_id: str,
@@ -149,6 +124,13 @@ def append_metrics(csv_path: Path, method: str, accel: float, phantom_id: str,
             writer.writerow([method, accel, phantom_id, i,
                              report.psnr_frames[i], report.ssim_frames[i], report.nrmse_frames[i]])
         writer.writerow([method, accel, phantom_id, "mean", report.psnr, report.ssim, report.nrmse])
+
+
+def write_convergence(path, log) -> None:
+    with open(path, "w", newline="") as f:
+        writer = csv.writer(f)
+        writer.writerow(["iteration", "objective"])
+        writer.writerows(enumerate(log.objective))
 
 
 def write_trainlog(path, log) -> None:
@@ -210,36 +192,30 @@ def cmd_recon_cs(args) -> int:
     cfg = cs_mod.CsConfig(lambda1=args.l1, lambda2=args.l2, max_iters=args.iters, tol=args.tol)
     s, log = cs_mod.cs_reconstruct(d_u, cfg)
     save_tensor(args.out, s)
-    with open(Path(args.out).with_suffix(".convergence.csv"), "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["iteration", "objective"])
-        writer.writerows(enumerate(log.objective))
+    write_convergence(Path(args.out).with_suffix(".convergence.csv"), log)
     if log.line_search_failed:
         print("warning: line search stalled; returned best iterate", file=sys.stderr)
     return 0
 
 
-def cmd_train_secret(args) -> int:
-    dataset = _load_dataset(args.data_dir, supervised=False)
-    frames = dataset[0].samples.shape[0]
-    net_cfg = NetConfig(frames=frames)
-    cfg = SecretConfig(epochs=args.epochs, lr=args.lr, batch=args.batch, seed=args.seed)
-    params, log = secret_train(dataset, cfg, net_cfg)
+def _train(args, train_fn, cfg, supervised: bool) -> int:
+    dataset = _load_dataset(args.data_dir, supervised)
+    d_u = dataset[0][0] if supervised else dataset[0]
+    net_cfg = NetConfig(frames=d_u.samples.shape[0])
+    params, log = train_fn(dataset, cfg, net_cfg)
     save_params(args.weights, params, net_cfg)
     write_trainlog(Path(str(args.weights) + ".trainlog.csv"), log)
     return 0
+
+
+def cmd_train_secret(args) -> int:
+    cfg = SecretConfig(epochs=args.epochs, lr=args.lr, batch=args.batch, seed=args.seed)
+    return _train(args, secret_train, cfg, supervised=False)
 
 
 def cmd_train_modl(args) -> int:
-    dataset = _load_dataset(args.data_dir, supervised=True)
-    frames = dataset[0][0].samples.shape[0]
-    net_cfg = NetConfig(frames=frames)
-    cfg = ModlConfig(K=args.K, lam=getattr(args, "lambda"), epochs=args.epochs,
-                     lr=args.lr, seed=args.seed)
-    params, log = modl_train(dataset, cfg, net_cfg)
-    save_params(args.weights, params, net_cfg)
-    write_trainlog(Path(str(args.weights) + ".trainlog.csv"), log)
-    return 0
+    cfg = ModlConfig(K=args.K, lam=getattr(args, "lambda"), epochs=args.epochs, lr=args.lr, seed=args.seed)
+    return _train(args, modl_train, cfg, supervised=True)
 
 
 def cmd_recon_nn(args) -> int:
@@ -306,49 +282,97 @@ def cmd_profile(args) -> int:
 
 # ------------------------------------------------------------------- pipeline
 
-def _reconstruct(method: str, d_u: KtData, truth: PhantomTruth, params_cfg: dict, seed: int):
+def _typed(value, default) -> bool:
+    """Whether a JSON value has the type of a config default (a list for a tuple)."""
+    if isinstance(default, tuple):
+        return isinstance(value, list) and len(value) == len(default) and all(_typed(v, 0.0) for v in value)
+    return not isinstance(value, bool) and isinstance(value, int if isinstance(default, int) else (int, float))
+
+
+def _check(ok, where: str, value) -> None:
+    if not ok:
+        raise ConfigError(f"{where}: invalid value {value!r}")
+
+
+def _check_keys(obj, where: str, allowed, required=()) -> None:
+    _check(isinstance(obj, dict), where, obj)
+    unknown = [key for key in obj if key not in allowed]
+    missing = [key for key in required if key not in obj]
+    if unknown or missing:
+        raise ConfigError(f"{where}: unknown keys {unknown}, missing keys {missing}")
+
+
+def _build(cls, values, where: str, names=None, **fixed):
+    """cls(**fixed, **values), with config keys renamed to fields by names
+    (default: the field names); each value must have its field default's type."""
+    defaults = {f.name: f.default for f in fields(cls)}
+    names = names or {name: name for name in defaults}
+    _check_keys(values, where, names)
+    for key, value in values.items():
+        _check(_typed(value, defaults[names[key]]), f"{where}.{key}", value)
+        fixed[names[key]] = tuple(value) if isinstance(value, list) else value
+    try:
+        return cls(**fixed)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
+def _method_config(method: str, params, seed: int):
+    """(config dataclass or None, weights path or None) from method_params."""
+    cls, names = METHOD_PARAMS[method]
+    _check_keys(params, "method_params", names)
+    weights = params.get("weights")
+    _check(weights is None or isinstance(weights, str), "method_params.weights", weights)
+    if cls is None:
+        return None, None
+    fixed = dict(PIPELINE_OVERRIDES.get(method, {}))
+    if hasattr(cls, "seed"):  # the learned methods initialise from the run seed
+        fixed["seed"] = seed
+    return _build(cls, {k: v for k, v in params.items() if names[k]}, "method_params", names, **fixed), weights
+
+
+def _parse_config(config):
+    """Checks a run config; returns (PhantomSpec, accels, method config, weights)."""
+    _check_keys(config, "config", RUN_KEYS, RUN_KEYS[:-1])
+    _check(_typed(config["seed"], 0), "seed", config["seed"])
+    _check(isinstance(config["output_dir"], str), "output_dir", config["output_dir"])
+    spec = _build(PhantomSpec, config["phantom"], "phantom")
+    mask = config["mask"]
+    _check_keys(mask, "mask", ("accel", "seed"), ("accel", "seed"))
+    accels = mask["accel"] if isinstance(mask["accel"], list) else [mask["accel"]]
+    _check(accels and all(_typed(a, 0.0) and a >= 1 for a in accels), "mask.accel", mask["accel"])
+    _check(_typed(mask["seed"], 0), "mask.seed", mask["seed"])
+    _check(config["method"] in METHOD_PARAMS, "method", config["method"])
+    return (spec, accels) + _method_config(config["method"], config.get("method_params", {}), config["seed"])
+
+
+def _reconstruct(method: str, d_u: KtData, truth: PhantomTruth, cfg, weights):
     if method == "zf":
         return adjoint(d_u), None
     if method == "cs":
-        cfg = cs_mod.CsConfig(
-            lambda1=params_cfg.get("l1", 1e-3), lambda2=params_cfg.get("l2", 5e-3),
-            max_iters=params_cfg.get("iters", 100), tol=params_cfg.get("tol", 1e-6))
         return cs_mod.cs_reconstruct(d_u, cfg)
-    net_cfg = NetConfig(frames=d_u.samples.shape[0])
-    if method == "secret":
-        if "weights" in params_cfg:
-            params, net_cfg = load_params(params_cfg["weights"])
-        else:
-            cfg = SecretConfig(epochs=params_cfg.get("epochs", 30),
-                               lr=params_cfg.get("lr", 1e-4), seed=seed)
+    if weights is not None:
+        params, net_cfg = load_params(weights)
+    else:
+        net_cfg = NetConfig(frames=d_u.samples.shape[0])
+        if method == "secret":
             params, _ = secret_train([d_u], cfg, net_cfg)
-        return secret_infer(d_u, params, net_cfg), None
-    if method == "modl":
-        mcfg = ModlConfig(K=params_cfg.get("K", 1), lam=params_cfg.get("lambda", 0.05),
-                          epochs=params_cfg.get("epochs", 10),
-                          lr=params_cfg.get("lr", 1e-4), seed=seed)
-        if "weights" in params_cfg:
-            params, net_cfg = load_params(params_cfg["weights"])
         else:
-            params, _ = modl_train([(d_u, truth.ref_images)], mcfg, net_cfg)
-        return modl_forward(adjoint(d_u), d_u, params, mcfg, net_cfg), None
-    raise ValueError(f"unknown method {method!r}")
+            params, _ = modl_train([(d_u, truth.ref_images)], cfg, net_cfg)
+    if method == "secret":
+        return secret_infer(d_u, params, net_cfg), None
+    return modl_forward(adjoint(d_u), d_u, params, cfg, net_cfg), None
 
 
 def run_pipeline(config: dict) -> int:
-    jsonschema.validate(config, RUN_CONFIG_SCHEMA)
+    spec, accels, cfg, weights = _parse_config(config)
+    workers = min(worker_count(), len(accels))
     out_dir = Path(config["output_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     seed = config["seed"]
-    spec = PhantomSpec(**{k: tuple(v) if isinstance(v, list) else v
-                          for k, v in config["phantom"].items()})
     truth = synthesize(spec)
     save_phantom(out_dir / "phantom", spec, truth)
     method = config["method"]
-    params_cfg = config.get("method_params", {})
-    accels = config["mask"]["accel"]
-    if not isinstance(accels, list):
-        accels = [accels]
 
     def run_one(accel):
         sub = out_dir / f"R{accel:g}"
@@ -357,15 +381,12 @@ def run_pipeline(config: dict) -> int:
         save_mask(sub / "mask.ktsr", mask, config["mask"]["seed"])
         d_u = corrupt(truth, mask, spec.noise_sigma, seed)
         save_tensor(sub / "data.ktsr", d_u.samples)
-        recon, cs_log = _reconstruct(method, d_u, truth, params_cfg, seed)
+        recon, cs_log = _reconstruct(method, d_u, truth, cfg, weights)
         save_tensor(sub / "recon.ktsr", recon)
         zf = adjoint(d_u)
         save_tensor(sub / "recon_zf.ktsr", zf)
         if cs_log is not None:
-            with open(sub / "convergence.csv", "w", newline="") as f:
-                writer = csv.writer(f)
-                writer.writerow(["iteration", "objective"])
-                writer.writerows(enumerate(cs_log.objective))
+            write_convergence(sub / "convergence.csv", cs_log)
         report = kinetics.evaluate_series(recon, truth.ref_images)
         # figure-style panel: reference / zero-filled / method / |error| x 5
         mid = spec.t // 2
@@ -380,7 +401,7 @@ def run_pipeline(config: dict) -> int:
                   np.hstack([truth.ktrans_map, np.nan_to_num(pmap.ktrans)]), lo=0.0, hi=hi)
         return accel, report
 
-    with ThreadPoolExecutor(max_workers=min(worker_count(), len(accels))) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         results = list(pool.map(run_one, accels))
     metrics_path = out_dir / "metrics.csv"
     if metrics_path.exists():
@@ -404,7 +425,14 @@ def build_parser() -> argparse.ArgumentParser:
                                      description="Dynamic (k,t)-space reconstruction toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("phantom", help="generate a synthetic dynamic phantom")
+    def command(name: str, func, summary: str, seed=0):
+        """A subcommand; every one takes --seed."""
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("--seed", type=int, default=seed)
+        p.set_defaults(func=func)
+        return p
+
+    p = command("phantom", cmd_phantom, "generate a synthetic dynamic phantom")
     p.add_argument("--out", required=True)
     p.add_argument("--h", type=int, default=64)
     p.add_argument("--w", type=int, default=64)
@@ -414,103 +442,79 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ktrans-range", type=float, nargs=2, default=[0.1, 0.6])
     p.add_argument("--vp-range", type=float, nargs=2, default=[0.02, 0.15])
     p.add_argument("--noise", type=float, default=0.0)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_phantom)
 
-    p = sub.add_parser("mask", help="generate a golden-angle radial (k,t) mask")
+    p = command("mask", cmd_mask, "generate a golden-angle radial (k,t) mask")
     p.add_argument("--out", required=True)
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--h", type=int, required=True)
     p.add_argument("--w", type=int, required=True)
     p.add_argument("--accel", type=float, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_mask)
 
-    p = sub.add_parser("corrupt", help="undersample phantom k-space with noise")
+    p = command("corrupt", cmd_corrupt, "undersample phantom k-space with noise")
     p.add_argument("--phantom", required=True)
     p.add_argument("--mask", required=True)
     p.add_argument("--noise", type=float, default=0.0)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_corrupt)
 
-    p = sub.add_parser("recon-zf", help="zero-filled reconstruction")
+    p = command("recon-zf", cmd_recon_zf, "zero-filled reconstruction")
     p.add_argument("--data", required=True)
     p.add_argument("--mask", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_recon_zf)
 
-    p = sub.add_parser("recon-cs", help="compressed-sensing reconstruction")
+    p = command("recon-cs", cmd_recon_cs, "compressed-sensing reconstruction")
     p.add_argument("--data", required=True)
     p.add_argument("--mask", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--l1", type=float, default=1e-3)
-    p.add_argument("--l2", type=float, default=5e-3)
-    p.add_argument("--iters", type=int, default=100)
-    p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_recon_cs)
+    p.add_argument("--l1", type=float, default=cs_mod.CsConfig.lambda1)
+    p.add_argument("--l2", type=float, default=cs_mod.CsConfig.lambda2)
+    p.add_argument("--iters", type=int, default=cs_mod.CsConfig.max_iters)
+    p.add_argument("--tol", type=float, default=cs_mod.CsConfig.tol)
 
-    p = sub.add_parser("train-secret", help="self-supervised training (no references)")
+    p = command("train-secret", cmd_train_secret, "self-supervised training (no references)")
     p.add_argument("--data-dir", required=True)
     p.add_argument("--weights", required=True)
-    p.add_argument("--epochs", type=int, default=100)
-    p.add_argument("--lr", type=float, default=1e-4)
-    p.add_argument("--batch", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_train_secret)
+    p.add_argument("--epochs", type=int, default=SecretConfig.epochs)
+    p.add_argument("--lr", type=float, default=SecretConfig.lr)
+    p.add_argument("--batch", type=int, default=SecretConfig.batch)
 
-    p = sub.add_parser("train-modl", help="supervised unrolled training")
+    p = command("train-modl", cmd_train_modl, "supervised unrolled training")
     p.add_argument("--data-dir", required=True)
     p.add_argument("--weights", required=True)
-    p.add_argument("--K", type=int, default=1)
-    p.add_argument("--lambda", type=float, default=0.05)
-    p.add_argument("--epochs", type=int, default=20)
-    p.add_argument("--lr", type=float, default=1e-4)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_train_modl)
+    p.add_argument("--K", type=int, default=ModlConfig.K)
+    p.add_argument("--lambda", type=float, default=ModlConfig.lam)
+    p.add_argument("--epochs", type=int, default=ModlConfig.epochs)
+    p.add_argument("--lr", type=float, default=ModlConfig.lr)
 
-    p = sub.add_parser("recon-nn", help="network inference (SECRET or unrolled)")
+    p = command("recon-nn", cmd_recon_nn, "network inference (SECRET or unrolled)")
     p.add_argument("--data", required=True)
     p.add_argument("--mask", required=True)
     p.add_argument("--weights", required=True)
     p.add_argument("--K", type=int, default=0, help="0 = single-pass SECRET inference")
-    p.add_argument("--lambda", type=float, default=0.05)
+    p.add_argument("--lambda", type=float, default=ModlConfig.lam)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_recon_nn)
 
-    p = sub.add_parser("evaluate", help="PSNR/SSIM/NRMSE against a reference")
+    p = command("evaluate", cmd_evaluate, "PSNR/SSIM/NRMSE against a reference")
     p.add_argument("--recon", required=True)
     p.add_argument("--ref", required=True)
     p.add_argument("--method", default="unknown")
     p.add_argument("--accel", type=float, default=0.0)
     p.add_argument("--phantom-id", default="0")
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("quantify", help="Patlak parameter maps")
+    p = command("quantify", cmd_quantify, "Patlak parameter maps")
     p.add_argument("--recon", required=True)
     p.add_argument("--aif", required=True)
     p.add_argument("--roi", required=True)
     p.add_argument("--dt", type=float, required=True)
     p.add_argument("--out-prefix", required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_quantify)
 
-    p = sub.add_parser("profile", help="x-t profile strips for visual comparison")
+    p = command("profile", cmd_profile, "x-t profile strips for visual comparison")
     p.add_argument("--inputs", nargs="+", required=True)
     p.add_argument("--row", type=int, required=True)
     p.add_argument("--out-prefix", required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_profile)
 
-    p = sub.add_parser("pipeline", help="phantom -> mask -> recon -> evaluate -> quantify")
+    p = command("pipeline", cmd_pipeline, "phantom -> mask -> recon -> evaluate -> quantify", seed=None)
     p.add_argument("--config", required=True)
-    p.add_argument("--seed", type=int, default=None)
-    p.set_defaults(func=cmd_pipeline)
 
     return parser
 

@@ -9,6 +9,7 @@ holding the flat parameter vector.
 from __future__ import annotations
 
 import json
+import math
 import struct
 import zlib
 from pathlib import Path
@@ -57,11 +58,12 @@ def load_tensor(path) -> np.ndarray:
         raise ContainerError(f"unsupported version {version}")
     if code not in _DTYPES:
         raise ContainerError(f"unknown dtype code {code}")
+    start = 8 + 8 * ndim
+    if len(blob) < start:
+        raise ContainerError("truncated dims block")
     dims = struct.unpack_from(f"<{ndim}Q", blob, 8)
     dtype = np.dtype(_DTYPES[code])
-    start = 8 + 8 * ndim
-    n = int(np.prod(dims)) if ndim else 1
-    end = start + n * dtype.itemsize
+    end = start + math.prod(dims) * dtype.itemsize  # exact: no 64-bit overflow
     if len(blob) != end + 4:
         raise ContainerError("payload length mismatch")
     payload = blob[start:end]

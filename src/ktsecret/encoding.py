@@ -8,7 +8,7 @@ FFT convention: DC lives at index [0, 0] of every frame.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,11 +27,12 @@ class SamplingMask:
     accel_nominal: float
 
     def __post_init__(self):
-        bits = np.ascontiguousarray(np.asarray(self.bits, dtype=np.uint8))
+        bits = np.asarray(self.bits)
         if bits.ndim != 3:
             raise ValueError(f"mask must be T,H,W, got shape {bits.shape}")
-        if not np.all((bits == 0) | (bits == 1)):
+        if not np.all((bits == 0) | (bits == 1)):  # before the cast, which would truncate 0.5 to 0
             raise ValueError("mask bits must be 0/1")
+        bits = np.ascontiguousarray(bits, dtype=np.uint8)
         if np.any(bits[:, 0, 0] == 0):
             raise ValueError("every frame must sample DC")
         object.__setattr__(self, "bits", bits)

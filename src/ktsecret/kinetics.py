@@ -8,7 +8,7 @@ information). Magnitudes of complex series are used as tissue curves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
@@ -41,7 +41,8 @@ class MetricsReport:
 
     @property
     def nrmse(self) -> float:
-        return float(np.mean(self.nrmse_frames))
+        """Mean over the frames where NRMSE is defined (non-zero reference)."""
+        return float(np.nanmean(self.nrmse_frames))
 
 
 def patlak_fit(series: np.ndarray, aif: np.ndarray, dt: float, roi: np.ndarray) -> PatlakMap:
@@ -155,7 +156,8 @@ def nrmse(x: np.ndarray, ref: np.ndarray) -> float:
 
 
 def evaluate_series(x: np.ndarray, ref: np.ndarray) -> MetricsReport:
-    """Per-frame PSNR/SSIM/NRMSE with series-peak/series-norm conventions."""
+    """Per-frame PSNR/SSIM with the series peak of |ref|, and NRMSE by each
+    reference frame's norm (NaN on an all-zero reference frame)."""
     x, ref = np.abs(np.asarray(x)), np.abs(np.asarray(ref))
     if x.shape != ref.shape:
         raise ValueError("shape mismatch")

@@ -56,6 +56,8 @@ class ModlConfig:
     def __post_init__(self):
         if self.K < 1 or self.lam <= 0:
             raise ValueError("K must be >= 1 and lam > 0")
+        if self.epochs < 1 or self.lr <= 0 or self.batch < 0:
+            raise ValueError("epochs, lr must be positive; batch >= 0")
 
 
 @dataclass(frozen=True)
@@ -97,6 +99,8 @@ def _cg_normal(rhs: np.ndarray, mask, lam: float, x0: np.ndarray, iters: int, to
     rs = np.vdot(r, r).real
     rhs_norm = max(np.linalg.norm(rhs), 1e-300)
     best_x, best_res = x, np.sqrt(rs) / rhs_norm
+    if best_res < tol:  # e.g. a zero right-hand side from x0 = 0: no 0/0 step
+        return x, DcInfo(residual=best_res, converged=True, iterations=0)
     n = 0
     for n in range(1, iters + 1):
         ap = normal_op(p, mask, lam)
@@ -135,6 +139,13 @@ def modl_forward(s_u: np.ndarray, d_u: KtData, params: NetworkParams, cfg: ModlC
     return (s, caches) if want_cache else s
 
 
+def _modl_loss(d_u: KtData, target: np.ndarray, params: NetworkParams,
+               cfg: ModlConfig, net_cfg: NetConfig) -> float:
+    """Forward-only loss ||s_K - t||^2."""
+    diff = modl_forward(adjoint(d_u), d_u, params, cfg, net_cfg) - target
+    return np.vdot(diff, diff).real
+
+
 def _modl_sample_grad(d_u: KtData, target: np.ndarray, params: NetworkParams,
                       cfg: ModlConfig, net_cfg: NetConfig):
     """Loss ||s_K - t||^2 and its parameter gradient via implicit DC differentiation."""
@@ -153,53 +164,11 @@ def _modl_sample_grad(d_u: KtData, target: np.ndarray, params: NetworkParams,
     return loss, g_theta
 
 
-def _epoch_batches(n: int, batch: int, rng) -> list:
-    order = rng.permutation(n)
-    if batch <= 0 or batch >= n:
-        return [order]
-    return [order[i:i + batch] for i in range(0, n, batch)]
-
-
-def _check_finite(loss, log):
-    if not np.isfinite(loss):
-        raise TrainingDiverged("training loss became non-finite", log)
-
-
-def modl_train(dataset, cfg: ModlConfig, net_cfg: NetConfig, val_dataset=None):
-    """Supervised training on (KtData, target) pairs; returns (params, TrainLog)."""
-    dataset = list(dataset)
-    params = init_params(net_cfg, cfg.seed)
-    theta = params.to_flat()
-    state = AdamState.zeros(theta.size)
-    rng = np.random.default_rng(cfg.seed)
-    log = TrainLog()
-    for _ in range(cfg.epochs):
-        t_start = time.perf_counter()
-        epoch_loss = 0.0
-        for batch in _epoch_batches(len(dataset), cfg.batch, rng):
-            g_total = np.zeros_like(theta)
-            for i in batch:
-                d_u, target = dataset[i]
-                try:
-                    loss, g = _modl_sample_grad(d_u, target, params, cfg, net_cfg)
-                except ValueError as exc:  # network blew up to non-finite values
-                    raise TrainingDiverged(str(exc), log) from exc
-                epoch_loss += loss
-                g_total += g
-            theta, state = adam_step(theta, g_total, state, lr=cfg.lr)
-            params = params.from_flat(theta)
-        val = _modl_eval(val_dataset, params, cfg, net_cfg) if val_dataset else np.nan
-        log.append(epoch_loss, val, time.perf_counter() - t_start)
-        _check_finite(epoch_loss, log)
-    return params, log
-
-
-def _modl_eval(dataset, params, cfg, net_cfg) -> float:
-    total = 0.0
-    for d_u, target in dataset:
-        s_k = modl_forward(adjoint(d_u), d_u, params, cfg, net_cfg)
-        total += np.vdot(s_k - target, s_k - target).real
-    return total
+def _secret_forward(d_u: KtData, params: NetworkParams, net_cfg: NetConfig):
+    """Loss ||r||^2 of the sampled residual r = mask * F(C(s_u)) - d_u, r, and the net cache."""
+    s_hat, cache = net_forward(adjoint(d_u), params, net_cfg)
+    r = encode(s_hat, d_u.mask).samples - d_u.samples
+    return np.vdot(r, r).real, r, cache
 
 
 def secret_loss(d_u: KtData, params: NetworkParams, net_cfg: NetConfig):
@@ -207,22 +176,66 @@ def secret_loss(d_u: KtData, params: NetworkParams, net_cfg: NetConfig):
 
     loss = || d_u - mask * F(C(s_u)) ||^2 over sampled entries.
     """
-    s_u = adjoint(d_u)
-    s_hat, cache = net_forward(s_u, params, net_cfg)
-    r = encode(s_hat, d_u.mask).samples - d_u.samples
-    loss = np.vdot(r, r).real
+    loss, r, cache = _secret_forward(d_u, params, net_cfg)
     g_out = 2.0 * adjoint(KtData(samples=r, mask=d_u.mask))
     g_theta, _ = net_backward(g_out, cache, params)
     return loss, g_theta
 
 
-def secret_eval(dataset, params: NetworkParams, net_cfg: NetConfig) -> float:
-    total = 0.0
-    for d_u in dataset:
-        s_hat, _ = net_forward(adjoint(d_u), params, net_cfg)
-        r = encode(s_hat, d_u.mask).samples - d_u.samples
-        total += np.vdot(r, r).real
-    return total
+def _epoch_batches(n: int, batch: int, rng) -> list:
+    order = rng.permutation(n)
+    if batch <= 0 or batch >= n:
+        return [order]
+    return [order[i:i + batch] for i in range(0, n, batch)]
+
+
+def _fit(dataset, loss_and_grad, loss_only, cfg, net_cfg: NetConfig, val_dataset):
+    """Minibatch Adam on summed per-sample gradients; returns (params, TrainLog).
+
+    loss_and_grad(sample, params) -> (loss, flat gradient) drives the updates;
+    the forward-only loss_only(sample, params) scores the validation set after
+    every epoch. With a validation set the parameters of the lowest validation
+    loss are returned, otherwise those of the last epoch.
+    """
+    dataset = list(dataset)
+    params = init_params(net_cfg, cfg.seed)
+    theta = params.to_flat()
+    state = AdamState.zeros(theta.size)
+    rng = np.random.default_rng(cfg.seed)
+    log = TrainLog()
+    best_params, best_val = params, np.inf
+    for _ in range(cfg.epochs):
+        t_start = time.perf_counter()
+        epoch_loss = 0.0
+        for batch in _epoch_batches(len(dataset), cfg.batch, rng):
+            g_total = np.zeros_like(theta)
+            for i in batch:
+                try:
+                    loss, g = loss_and_grad(dataset[i], params)
+                    if not (np.isfinite(loss) and np.all(np.isfinite(g))):
+                        raise ValueError("training loss or gradient became non-finite")
+                except ValueError as exc:  # also the network blowing up inside encode
+                    raise TrainingDiverged(str(exc), log) from exc
+                epoch_loss += loss
+                g_total += g
+            theta, state = adam_step(theta, g_total, state, lr=cfg.lr)
+            params = params.from_flat(theta)
+        val = sum(loss_only(sample, params) for sample in val_dataset) if val_dataset else np.nan
+        if val < best_val:
+            best_params, best_val = params, val
+        log.append(epoch_loss, val, time.perf_counter() - t_start)
+    return (best_params if val_dataset else params), log
+
+
+def modl_train(dataset, cfg: ModlConfig, net_cfg: NetConfig, val_dataset=None):
+    """Supervised training on (KtData, target) pairs; returns (params, TrainLog).
+
+    A validation set of pairs selects the checkpoint, as in secret_train.
+    """
+    return _fit(dataset,
+                lambda pair, params: _modl_sample_grad(*pair, params, cfg, net_cfg),
+                lambda pair, params: _modl_loss(*pair, params, cfg, net_cfg),
+                cfg, net_cfg, val_dataset)
 
 
 def secret_train(dataset, cfg: SecretConfig, net_cfg: NetConfig, val_dataset=None):
@@ -231,35 +244,10 @@ def secret_train(dataset, cfg: SecretConfig, net_cfg: NetConfig, val_dataset=Non
     When a validation set is given, the parameters with the lowest validation
     loss are returned (checkpoint selection); otherwise the final epoch wins.
     """
-    dataset = list(dataset)
-    params = init_params(net_cfg, cfg.seed)
-    theta = params.to_flat()
-    state = AdamState.zeros(theta.size)
-    rng = np.random.default_rng(cfg.seed)
-    log = TrainLog()
-    best_theta, best_val = theta.copy(), np.inf
-    for _ in range(cfg.epochs):
-        t_start = time.perf_counter()
-        epoch_loss = 0.0
-        for batch in _epoch_batches(len(dataset), cfg.batch, rng):
-            g_total = np.zeros_like(theta)
-            for i in batch:
-                try:
-                    loss, g = secret_loss(dataset[i], params, net_cfg)
-                except ValueError as exc:  # network blew up to non-finite values
-                    raise TrainingDiverged(str(exc), log) from exc
-                epoch_loss += loss
-                g_total += g
-            theta, state = adam_step(theta, g_total, state, lr=cfg.lr)
-            params = params.from_flat(theta)
-        val = secret_eval(val_dataset, params, net_cfg) if val_dataset else np.nan
-        if val_dataset and val < best_val:
-            best_theta, best_val = theta.copy(), val
-        log.append(epoch_loss, val, time.perf_counter() - t_start)
-        _check_finite(epoch_loss, log)
-    if val_dataset:
-        params = params.from_flat(best_theta)
-    return params, log
+    return _fit(dataset,
+                lambda d_u, params: secret_loss(d_u, params, net_cfg),
+                lambda d_u, params: _secret_forward(d_u, params, net_cfg)[0],
+                cfg, net_cfg, val_dataset)
 
 
 def secret_infer(d_u: KtData, params: NetworkParams, net_cfg: NetConfig) -> np.ndarray:

@@ -4,7 +4,19 @@ import json
 import numpy as np
 import pytest
 
-from ktsecret.cli import METRICS_HEADER, load_mask, main, write_pgm
+from ktsecret import cli
+from ktsecret.cli import (
+    METRICS_HEADER,
+    ConfigError,
+    build_parser,
+    load_mask,
+    main,
+    run_pipeline,
+    worker_count,
+    write_pgm,
+)
+from ktsecret.cs import CsConfig
+from ktsecret.recon import ModlConfig, SecretConfig
 from ktsecret.container import load_tensor
 
 
@@ -178,3 +190,152 @@ def test_write_pgm_shape(tmp_path):
     blob = (tmp_path / "x.pgm").read_bytes()
     assert blob.startswith(b"P5\n4 4\n255\n")
     assert len(blob) == len(b"P5\n4 4\n255\n") + 16
+
+
+def _valid_config(tmp_path, method="zf", **method_params):
+    return {
+        "seed": 5,
+        "phantom": {"h": 16, "w": 16, "t": 8, "dt": 2.0, "n_tissue_regions": 1,
+                    "ktrans_range": [0.1, 0.6], "noise_sigma": 0.0, "seed": 5},
+        "mask": {"accel": [3, 4], "seed": 1},
+        "method": method,
+        "method_params": method_params,
+        "output_dir": str(tmp_path / "out"),
+    }
+
+
+def _drop(*path):
+    def edit(cfg):
+        for key in path[:-1]:
+            cfg = cfg[key]
+        del cfg[path[-1]]
+    return edit
+
+
+def _put(*path_and_value):
+    *path, value = path_and_value
+
+    def edit(cfg):
+        for key in path[:-1]:
+            cfg = cfg[key]
+        cfg[path[-1]] = value
+    return edit
+
+
+MALFORMED = {
+    "missing seed": _drop("seed"),
+    "missing phantom": _drop("phantom"),
+    "missing mask": _drop("mask"),
+    "missing method": _drop("method"),
+    "missing output_dir": _drop("output_dir"),
+    "missing mask.accel": _drop("mask", "accel"),
+    "missing mask.seed": _drop("mask", "seed"),
+    "extra top-level key": _put("surprise", 1),
+    "extra phantom key": _put("phantom", "depth", 3),
+    "extra mask key": _put("mask", "shape", "radial"),
+    "extra method_params key": _put("method_params", "iters", 5),
+    "bool seed": _put("seed", True),
+    "string seed": _put("seed", "5"),
+    "bool phantom.h": _put("phantom", "h", True),
+    "string phantom.t": _put("phantom", "t", "8"),
+    "float phantom.seed": _put("phantom", "seed", 1.5),
+    "string mask.seed": _put("mask", "seed", "1"),
+    "string phantom.dt": _put("phantom", "dt", "2"),
+    "empty accel": _put("mask", "accel", []),
+    "string accel": _put("mask", "accel", "fast"),
+    "non-numeric accel item": _put("mask", "accel", [3, "x"]),
+    "bool accel": _put("mask", "accel", True),
+    "accel below 1": _put("mask", "accel", [4, 0.5]),
+    "3-item ktrans_range": _put("phantom", "ktrans_range", [0.1, 0.3, 0.6]),
+    "1-item vp_range": _put("phantom", "vp_range", [0.1]),
+    "unknown method": _put("method", "fft"),
+    "list method_params": _put("method_params", [1]),
+    "string method_params": _put("method_params", "iters=5"),
+    "non-object phantom": _put("phantom", [16, 16]),
+    "non-object mask": _put("mask", 4),
+    "non-string output_dir": _put("output_dir", 5),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_pipeline_rejects_malformed_config(tmp_path, case):
+    cfg = _valid_config(tmp_path)
+    MALFORMED[case](cfg)
+    with pytest.raises(ConfigError):
+        run_pipeline(cfg)
+    assert not (tmp_path / "out").exists()
+
+
+def test_pipeline_rejects_non_object_config():
+    with pytest.raises(ConfigError):
+        run_pipeline([])
+
+
+@pytest.mark.parametrize("method,params,key", [
+    ("cs", {"iterz": 1}, "iterz"),
+    ("cs", {"weights": "w.ktsr"}, "weights"),
+    ("secret", {"batch": 2}, "batch"),
+    ("secret", {"K": 1}, "K"),
+    ("modl", {"lam": 0.1}, "lam"),
+    ("zf", {"iters": 5}, "iters"),
+])
+def test_pipeline_rejects_unknown_method_params(tmp_path, method, params, key):
+    with pytest.raises(ConfigError, match=key):
+        run_pipeline(_valid_config(tmp_path, method, **params))
+
+
+@pytest.mark.parametrize("method,params", [
+    ("cs", {"iters": 0}),
+    ("cs", {"iters": 2.5}),
+    ("cs", {"l1": "big"}),
+    ("secret", {"lr": -1.0}),
+    ("modl", {"K": 0}),
+    ("modl", {"weights": 3}),
+])
+def test_pipeline_rejects_bad_method_param_values(tmp_path, method, params):
+    with pytest.raises(ConfigError):
+        run_pipeline(_valid_config(tmp_path, method, **params))
+
+
+def test_method_configs_take_dataclass_defaults_and_pipeline_epochs():
+    assert cli._method_config("cs", {}, 5) == (CsConfig(), None)
+    assert cli._method_config("cs", {"l1": 0.01, "iters": 7}, 5)[0] == CsConfig(lambda1=0.01, max_iters=7)
+    assert cli._method_config("secret", {}, 5) == (SecretConfig(epochs=30, seed=5), None)
+    assert cli._method_config("modl", {"lambda": 0.1, "K": 2, "weights": "w.ktsr"}, 7) == (
+        ModlConfig(K=2, lam=0.1, epochs=10, seed=7), "w.ktsr")
+    assert cli._method_config("zf", {}, 5) == (None, None)
+
+
+def test_cli_defaults_come_from_config_dataclasses():
+    parser = build_parser()
+    cs = parser.parse_args(["recon-cs", "--data", "d", "--mask", "m", "--out", "o"])
+    assert (cs.l1, cs.l2, cs.iters, cs.tol) == (CsConfig.lambda1, CsConfig.lambda2,
+                                                CsConfig.max_iters, CsConfig.tol)
+    sec = parser.parse_args(["train-secret", "--data-dir", "d", "--weights", "w"])
+    assert (sec.epochs, sec.lr, sec.batch) == (SecretConfig.epochs, SecretConfig.lr, SecretConfig.batch)
+    modl = parser.parse_args(["train-modl", "--data-dir", "d", "--weights", "w"])
+    assert (modl.K, getattr(modl, "lambda"), modl.epochs, modl.lr) == (
+        ModlConfig.K, ModlConfig.lam, ModlConfig.epochs, ModlConfig.lr)
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
+def test_worker_count_rejects_bad_env(monkeypatch, value):
+    monkeypatch.setenv("KTSECRET_THREADS", value)
+    with pytest.raises(ConfigError, match="KTSECRET_THREADS"):
+        worker_count()
+
+
+def test_worker_count_reads_env(monkeypatch):
+    monkeypatch.setenv("KTSECRET_THREADS", "3")
+    assert worker_count() == 3
+
+
+def test_load_mask_rejects_fractional_bits(tmp_path):
+    from ktsecret.container import save_tensor
+
+    bits = np.ones((2, 8, 8))
+    bits[0, 2, 2] = 0.5
+    save_tensor(tmp_path / "m.ktsr", bits)
+    (tmp_path / "m.ktsr.json").write_text(json.dumps({"accel": 1.0, "seed": 0}))
+    with pytest.raises(ValueError, match="0/1"):
+        load_mask(tmp_path / "m.ktsr")

@@ -70,3 +70,24 @@ def test_params_descriptor_mismatch(tmp_path):
     save_tensor(tmp_path / "w.ktsr", np.zeros(10))
     with pytest.raises(ContainerError, match="descriptor"):
         load_params(tmp_path / "w.ktsr")
+
+
+def _header(ndim, dims=()):
+    import struct
+
+    return struct.pack("<4sHBB", b"KTSR", 1, 1, ndim) + struct.pack(f"<{len(dims)}Q", *dims)
+
+
+def test_truncated_dims_block_rejected(tmp_path):
+    path = tmp_path / "t.ktsr"
+    path.write_bytes(_header(3, (4,)))  # ndim says 3 dims, only one is present
+    with pytest.raises(ContainerError, match="dims"):
+        load_tensor(path)
+
+
+def test_overflowing_dims_rejected(tmp_path):
+    path = tmp_path / "t.ktsr"
+    # 2**33 * 2**33 * 8 bytes wraps to 0 in 64-bit arithmetic
+    path.write_bytes(_header(2, (2 ** 33, 2 ** 33)) + b"\0\0\0\0")
+    with pytest.raises(ContainerError, match="length"):
+        load_tensor(path)

@@ -51,6 +51,13 @@ def test_mask_rejects_missing_dc():
         SamplingMask(bits=bits, accel_nominal=1.0)
 
 
+def test_mask_rejects_fractional_bits_before_cast():
+    bits = np.ones((2, 8, 8))
+    bits[1, 3, 3] = 0.5  # a uint8 cast would silently make this 0
+    with pytest.raises(ValueError, match="0/1"):
+        SamplingMask(bits=bits, accel_nominal=1.0)
+
+
 def test_encode_full_mask_is_dft(rng):
     mask = make_radial_mask(3, 16, 16, 1.0, seed=0)
     s = crandn(rng, (3, 16, 16))

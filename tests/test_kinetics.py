@@ -129,3 +129,11 @@ def test_evaluate_series_aggregates_are_frame_means(rng):
     assert report.psnr == pytest.approx(np.mean(report.psnr_frames))
     assert report.ssim == pytest.approx(np.mean(report.ssim_frames))
     assert report.nrmse == pytest.approx(np.mean(report.nrmse_frames))
+
+
+def test_evaluate_series_nrmse_skips_zero_reference_frames(rng):
+    ref = rng.uniform(0.5, 1.0, size=(3, 8, 8))
+    ref[0] = 0.0  # every synthesized phantom starts with an all-zero frame
+    report = evaluate_series(1.1 * ref, ref)
+    assert np.isnan(report.nrmse_frames[0])
+    assert report.nrmse == pytest.approx(0.1, rel=1e-12)

@@ -1,4 +1,5 @@
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -229,3 +230,68 @@ def test_secret_checkpoint_selection_uses_validation():
     params, log = secret_train(train, SecretConfig(epochs=5, seed=0), cfg_net, val_dataset=val)
     assert len(log.val_loss) == 5
     assert np.all(np.isfinite(log.val_loss))
+
+
+def test_dc_solve_zero_input_returns_at_once():
+    mask = make_radial_mask(2, 8, 8, 2.0, seed=0)
+    zero = KtData(samples=np.zeros((2, 8, 8), dtype=complex), mask=mask)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        s, info = dc_solve(np.zeros((2, 8, 8)), zero, 0.05)
+    assert np.array_equal(s, np.zeros((2, 8, 8)))
+    assert info.converged and info.iterations == 0
+
+
+@pytest.mark.parametrize("kwargs", [dict(epochs=0), dict(lr=0.0), dict(lr=-1.0), dict(batch=-3)])
+def test_modl_config_rejects_bad_training_settings(kwargs):
+    with pytest.raises(ValueError):
+        ModlConfig(**kwargs)
+
+
+def _checkpoint_case(method):
+    net_cfg = NetConfig(frames=8, base_channels=4)
+    truths = [synthesize(PhantomSpec(h=16, w=16, t=8, seed=40 + i)) for i in range(2)]
+    data = [corrupt(p, make_radial_mask(8, 16, 16, 4.0, seed=i), 0.0, seed=i) for i, p in enumerate(truths)]
+    if method == "secret":
+        return secret_train, lambda epochs: SecretConfig(epochs=epochs, lr=1e-2, seed=0), net_cfg, data
+    pairs = [(d, p.ref_images) for d, p in zip(data, truths)]
+    return modl_train, lambda epochs: ModlConfig(epochs=epochs, lr=1e-2, seed=0), net_cfg, pairs
+
+
+@pytest.mark.parametrize("method", ["secret", "modl"])
+def test_validation_selects_lowest_validation_loss_checkpoint(method):
+    train_fn, make_cfg, net_cfg, samples = _checkpoint_case(method)
+    epochs = 6
+    params, log = train_fn(samples[:1], make_cfg(epochs), net_cfg, val_dataset=samples[1:])
+    best = int(np.argmin(log.val_loss))
+    assert best < epochs - 1  # precondition: the last epoch is not the best one
+    expected, _ = train_fn(samples[:1], make_cfg(best + 1), net_cfg)
+    assert np.array_equal(params.to_flat(), expected.to_flat())
+
+
+@pytest.mark.parametrize("method", ["secret", "modl"])
+def test_training_looks_up_losses_at_call_time_and_validates_forward_only(method, monkeypatch):
+    import ktsecret.recon as recon
+
+    train_fn, make_cfg, net_cfg, samples = _checkpoint_case(method)
+    calls = {}
+
+    def counting(name):
+        original = getattr(recon, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(recon, name, wrapper)
+
+    for name in ("secret_loss", "modl_forward", "dc_solve", "net_backward"):
+        counting(name)
+    train_fn(samples[:1], make_cfg(2), net_cfg, val_dataset=samples[1:])
+    # one backward per training sample and epoch: validation runs forward only
+    assert calls["net_backward"] == 2
+    if method == "secret":
+        assert calls["secret_loss"] == 2
+    else:
+        assert calls["modl_forward"] == 4 and calls["dc_solve"] == 4
+
