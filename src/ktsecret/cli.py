@@ -331,6 +331,10 @@ def _method_config(method: str, params, seed: int):
     return _build(cls, {k: v for k, v in params.items() if names[k]}, "method_params", names, **fixed), weights
 
 
+def _accel_dir(accel) -> str:
+    return f"R{accel:g}"
+
+
 def _parse_config(config):
     """Checks a run config; returns (PhantomSpec, accels, method config, weights)."""
     _check_keys(config, "config", RUN_KEYS, RUN_KEYS[:-1])
@@ -341,6 +345,8 @@ def _parse_config(config):
     _check_keys(mask, "mask", ("accel", "seed"), ("accel", "seed"))
     accels = mask["accel"] if isinstance(mask["accel"], list) else [mask["accel"]]
     _check(accels and all(_typed(a, 0.0) and a >= 1 for a in accels), "mask.accel", mask["accel"])
+    dirs = [_accel_dir(a) for a in accels]  # equal names would have two workers write one directory
+    _check(len(set(dirs)) == len(dirs), "mask.accel (duplicate output directory)", mask["accel"])
     _check(_typed(mask["seed"], 0), "mask.seed", mask["seed"])
     _check(config["method"] in METHOD_PARAMS, "method", config["method"])
     return (spec, accels) + _method_config(config["method"], config.get("method_params", {}), config["seed"])
@@ -375,7 +381,7 @@ def run_pipeline(config: dict) -> int:
     method = config["method"]
 
     def run_one(accel):
-        sub = out_dir / f"R{accel:g}"
+        sub = out_dir / _accel_dir(accel)
         sub.mkdir(exist_ok=True)
         mask = make_radial_mask(spec.t, spec.h, spec.w, accel, config["mask"]["seed"])
         save_mask(sub / "mask.ktsr", mask, config["mask"]["seed"])

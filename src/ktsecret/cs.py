@@ -18,6 +18,7 @@ import numpy as np
 
 from .encoding import KtData, adjoint, encode
 from .numerics import (
+    dft2,
     grad_spatial,
     grad_spatial_adjoint,
     grad_temporal,
@@ -66,7 +67,7 @@ def cs_gradient(s: np.ndarray, d_u: KtData, cfg: CsConfig) -> np.ndarray:
     """Gradient of cs_objective w.r.t. the real/imag parts of s, packed complex."""
     r = _fidelity_residual(s, d_u)
     # E^H r; the residual already lives on the sampled set
-    g = 2.0 * adjoint(KtData(samples=r, mask=d_u.mask))
+    g = 2.0 * dft2(r, "inverse")
     gs = grad_spatial(s)
     ws = gs / np.sqrt(np.abs(gs) ** 2 + cfg.smooth_eps)
     g = g + cfg.lambda1 * grad_spatial_adjoint(ws)

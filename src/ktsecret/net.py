@@ -6,6 +6,10 @@ pairs, 2x average pooling down, nearest-neighbor upsampling with skip
 concatenation up, a final 1x1 conv back to 2T channels, and a residual path
 that adds the temporal-average image of the input to every output frame.
 
+Every layer, 3x3 or 1x1, is one convolution: im2col builds the zero-padded
+patch matrix and a single GEMM with the [out, in*k*k] weight matrix does the
+rest; the kernel size is read from the weight's shape.
+
 Forward caches every intermediate needed for an exact reverse pass; gradients
 are validated against central finite differences in the test suite.
 """
@@ -15,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "NetConfig",
@@ -46,7 +51,6 @@ class NetConfig:
 
 @dataclass
 class ConvLayer:
-    kind: str  # "conv3" or "conv1"
     weight: np.ndarray  # [out_ch, in_ch, k, k]
     bias: np.ndarray  # [out_ch]
 
@@ -74,46 +78,52 @@ class NetworkParams:
             i += l.weight.size
             b = flat[i:i + l.bias.size].copy()
             i += l.bias.size
-            out.append(ConvLayer(l.kind, w, b))
+            out.append(ConvLayer(w, b))
         return NetworkParams(out)
 
-    def scaled(self, factor: float) -> "NetworkParams":
-        return self.from_flat(self.to_flat() * factor)
 
+def _plan(cfg: NetConfig):
+    """The architecture as an op tape: forward runs it, backward replays it reversed.
 
-def _layer_shapes(cfg: NetConfig):
-    """(kind, in_ch, out_ch) per layer, in execution order."""
-    shapes = []
+    Conv ops are ("conv", layer index, kernel size, in_ch, out_ch).
+    """
+    ops = []
+
+    def conv(k, cin, cout):
+        ops.append(("conv", sum(op[0] == "conv" for op in ops), k, cin, cout))
+
     ch_in = cfg.io_channels
-    enc_ch = []
     for lvl in range(cfg.depth_levels):
         ch = cfg.base_channels * 2 ** lvl
-        shapes.append(("conv3", ch_in, ch))
-        shapes.append(("conv3", ch, ch))
-        enc_ch.append(ch)
+        conv(3, ch_in, ch)
+        ops.append(("relu",))
+        conv(3, ch, ch)
+        ops += [("relu",), ("skip", lvl), ("pool",)]
         ch_in = ch
     bott = cfg.base_channels * 2 ** cfg.depth_levels
-    shapes.append(("conv3", ch_in, bott))
-    shapes.append(("conv3", bott, bott))
+    conv(3, ch_in, bott)
+    ops.append(("relu",))
+    conv(3, bott, bott)
+    ops.append(("relu",))
     ch_in = bott
     for lvl in reversed(range(cfg.depth_levels)):
-        ch = enc_ch[lvl]
-        shapes.append(("conv3", ch_in + ch, ch))
-        shapes.append(("conv3", ch, ch))
+        ch = cfg.base_channels * 2 ** lvl
+        ops += [("up",), ("concat", lvl)]
+        conv(3, ch_in + ch, ch)
+        ops.append(("relu",))
+        conv(3, ch, ch)
         ch_in = ch
-    shapes.append(("conv1", ch_in, cfg.io_channels))
-    return shapes
+    conv(1, ch_in, cfg.io_channels)
+    return ops
 
 
 def init_params(cfg: NetConfig, seed: int) -> NetworkParams:
     """He-uniform weights, zero biases, deterministic per seed."""
     rng = np.random.default_rng(seed)
     layers = []
-    for kind, cin, cout in _layer_shapes(cfg):
-        k = 3 if kind == "conv3" else 1
+    for _, _, k, cin, cout in (op for op in _plan(cfg) if op[0] == "conv"):
         limit = np.sqrt(6.0 / (cin * k * k))
-        w = rng.uniform(-limit, limit, size=(cout, cin, k, k))
-        layers.append(ConvLayer(kind, w, np.zeros(cout)))
+        layers.append(ConvLayer(rng.uniform(-limit, limit, size=(cout, cin, k, k)), np.zeros(cout)))
     return NetworkParams(layers)
 
 
@@ -129,55 +139,35 @@ def to_complex(x: np.ndarray) -> np.ndarray:
     return x[:t] + 1j * x[t:]
 
 
-def _conv3_forward(x, w, b):
-    cin, h, wd = x.shape
-    cout = w.shape[0]
-    xp = np.pad(x, ((0, 0), (1, 1), (1, 1)))
-    y = np.empty((cout, h, wd))
-    y[:] = b[:, None, None]
-    for dy in range(3):
-        for dx in range(3):
-            y += np.einsum("oi,ihw->ohw", w[:, :, dy, dx], xp[:, dy:dy + h, dx:dx + wd])
-    return y
+def _im2col(x, k):
+    """[C,H,W] -> [C*k*k, H*W] zero-padded k x k patches, rows ordered (c, dy, dx)."""
+    c, h, w = x.shape
+    p = k // 2
+    xp = np.pad(x, ((0, 0), (p, p), (p, p)))
+    return sliding_window_view(xp, (h, w), axis=(1, 2)).reshape(c * k * k, h * w)
 
 
-def _conv3_backward(gy, x, w):
-    cin, h, wd = x.shape
-    xp = np.pad(x, ((0, 0), (1, 1), (1, 1)))
-    gw = np.zeros_like(w)
-    gxp = np.zeros_like(xp)
-    for dy in range(3):
-        for dx in range(3):
-            patch = xp[:, dy:dy + h, dx:dx + wd]
-            gw[:, :, dy, dx] = np.einsum("ohw,ihw->oi", gy, patch)
-            gxp[:, dy:dy + h, dx:dx + wd] += np.einsum("oi,ohw->ihw", w[:, :, dy, dx], gy)
-    return gw, gy.sum(axis=(1, 2)), gxp[:, 1:h + 1, 1:wd + 1]
+def _conv_forward(x, w, b):
+    """'Same' convolution of x [C,H,W] with w [out, C, k, k] plus bias b."""
+    cout, _, k, _ = w.shape
+    _, h, wd = x.shape
+    y = w.reshape(cout, -1) @ _im2col(x, k) + b[:, None]
+    return y.reshape(cout, h, wd)
 
 
-def _conv1_forward(x, w, b):
-    return np.einsum("oi,ihw->ohw", w[:, :, 0, 0], x) + b[:, None, None]
-
-
-def _conv1_backward(gy, x, w):
-    gw = np.einsum("ohw,ihw->oi", gy, x)[:, :, None, None]
-    gx = np.einsum("oi,ohw->ihw", w[:, :, 0, 0], gy)
-    return gw, gy.sum(axis=(1, 2)), gx
-
-
-def _plan(cfg: NetConfig):
-    """Op tape executed by forward and replayed in reverse by backward."""
-    ops = []
-    li = 0
-    for lvl in range(cfg.depth_levels):
-        ops += [("conv", li), ("relu",), ("conv", li + 1), ("relu",), ("skip", lvl), ("pool",)]
-        li += 2
-    ops += [("conv", li), ("relu",), ("conv", li + 1), ("relu",)]
-    li += 2
-    for lvl in reversed(range(cfg.depth_levels)):
-        ops += [("up",), ("concat", lvl), ("conv", li), ("relu",), ("conv", li + 1)]
-        li += 2
-    ops += [("conv", li)]
-    return ops
+def _conv_backward(gy, x, w):
+    """Returns (weight, bias, input) gradients; the input one is col2im of W^T gY."""
+    cout, cin, k, _ = w.shape
+    _, h, wd = x.shape
+    p = k // 2
+    gy = gy.reshape(cout, h * wd)
+    gw = (gy @ _im2col(x, k).T).reshape(w.shape)
+    gcols = (w.reshape(cout, -1).T @ gy).reshape(cin, k, k, h, wd)
+    gxp = np.zeros((cin, h + 2 * p, wd + 2 * p))
+    for dy in range(k):
+        for dx in range(k):
+            gxp[:, dy:dy + h, dx:dx + wd] += gcols[:, dy, dx]
+    return gw, gy.sum(axis=1), gxp[:, p:p + h, p:p + wd]
 
 
 def net_forward(s_u: np.ndarray, params: NetworkParams, cfg: NetConfig):
@@ -194,8 +184,7 @@ def net_forward(s_u: np.ndarray, params: NetworkParams, cfg: NetConfig):
         tape.append((op, x))
         if op[0] == "conv":
             layer = params.layers[op[1]]
-            fwd = _conv3_forward if layer.kind == "conv3" else _conv1_forward
-            x = fwd(x, layer.weight, layer.bias)
+            x = _conv_forward(x, layer.weight, layer.bias)
         elif op[0] == "relu":
             x = np.maximum(x, 0.0)
         elif op[0] == "pool":
@@ -222,14 +211,12 @@ def net_backward(grad_out: np.ndarray, cache, params: NetworkParams):
     cfg: NetConfig = cache["cfg"]
     t = cfg.frames
     gx = to_channels(grad_out)
-    grads = {i: (np.zeros_like(l.weight), np.zeros_like(l.bias)) for i, l in enumerate(params.layers)}
+    grads = [None] * len(params.layers)  # every layer runs once per pass
     gskips = {lvl: None for lvl in range(cfg.depth_levels)}
     for op, x_in in reversed(cache["tape"]):
         if op[0] == "conv":
-            layer = params.layers[op[1]]
-            bwd = _conv3_backward if layer.kind == "conv3" else _conv1_backward
-            gw, gb, gx = bwd(gx, x_in, layer.weight)
-            grads[op[1]] = (grads[op[1]][0] + gw, grads[op[1]][1] + gb)
+            gw, gb, gx = _conv_backward(gx, x_in, params.layers[op[1]].weight)
+            grads[op[1]] = (gw, gb)
         elif op[0] == "relu":
             gx = gx * (x_in > 0)
         elif op[0] == "pool":
@@ -246,7 +233,7 @@ def net_backward(grad_out: np.ndarray, cache, params: NetworkParams):
     # residual path: every output frame sees the temporal average of the input
     g_residual = grad_out.sum(axis=0) / t
     grad_in = to_complex(gx) + g_residual[None, :, :]
-    flat = np.concatenate([np.concatenate([gw.ravel(), gb]) for gw, gb in grads.values()])
+    flat = np.concatenate([np.concatenate([gw.ravel(), gb]) for gw, gb in grads])
     return flat, grad_in
 
 

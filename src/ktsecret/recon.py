@@ -14,11 +14,13 @@ image ever enters that code path.
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .encoding import KtData, adjoint, encode, normal_op
+from .numerics import dft2
 from .net import AdamState, NetConfig, NetworkParams, adam_step, init_params, net_backward, net_forward
 
 __all__ = [
@@ -177,7 +179,7 @@ def secret_loss(d_u: KtData, params: NetworkParams, net_cfg: NetConfig):
     loss = || d_u - mask * F(C(s_u)) ||^2 over sampled entries.
     """
     loss, r, cache = _secret_forward(d_u, params, net_cfg)
-    g_out = 2.0 * adjoint(KtData(samples=r, mask=d_u.mask))
+    g_out = 2.0 * dft2(r, "inverse")  # E^H r: r is already zero off the mask
     g_theta, _ = net_backward(g_out, cache, params)
     return loss, g_theta
 
@@ -187,6 +189,16 @@ def _epoch_batches(n: int, batch: int, rng) -> list:
     if batch <= 0 or batch >= n:
         return [order]
     return [order[i:i + batch] for i in range(0, n, batch)]
+
+
+@contextmanager
+def _divergence_check(log: TrainLog):
+    """Raises TrainingDiverged for overflow, invalid values or a ValueError in the block."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except (ValueError, FloatingPointError) as exc:  # ValueError: e.g. encode given non-finite input
+        raise TrainingDiverged(str(exc), log) from exc
 
 
 def _fit(dataset, loss_and_grad, loss_only, cfg, net_cfg: NetConfig, val_dataset):
@@ -210,17 +222,16 @@ def _fit(dataset, loss_and_grad, loss_only, cfg, net_cfg: NetConfig, val_dataset
         for batch in _epoch_batches(len(dataset), cfg.batch, rng):
             g_total = np.zeros_like(theta)
             for i in batch:
-                try:
+                with _divergence_check(log):
                     loss, g = loss_and_grad(dataset[i], params)
                     if not (np.isfinite(loss) and np.all(np.isfinite(g))):
                         raise ValueError("training loss or gradient became non-finite")
-                except ValueError as exc:  # also the network blowing up inside encode
-                    raise TrainingDiverged(str(exc), log) from exc
                 epoch_loss += loss
                 g_total += g
             theta, state = adam_step(theta, g_total, state, lr=cfg.lr)
             params = params.from_flat(theta)
-        val = sum(loss_only(sample, params) for sample in val_dataset) if val_dataset else np.nan
+        with _divergence_check(log):
+            val = sum(loss_only(sample, params) for sample in val_dataset) if val_dataset else np.nan
         if val < best_val:
             best_params, best_val = params, val
         log.append(epoch_loss, val, time.perf_counter() - t_start)

@@ -291,3 +291,30 @@ def test_criterion_9_pipeline_determinism(tmp_path):
         compared += 1
     assert compared >= 6
     _report(9, f"{compared} containers byte-identical across two seeded runs")
+
+
+@pytest.mark.parametrize("method", ["secret", "modl"])
+def test_criterion_9_learned_pipeline_determinism(tmp_path, monkeypatch, method):
+    from ktsecret.cli import run_pipeline
+
+    monkeypatch.setenv("KTSECRET_THREADS", "2")  # both accelerations on the worker pool at once
+    outputs = []
+    for name in ("a", "b"):
+        out = tmp_path / name
+        run_pipeline({
+            "seed": 5,
+            "phantom": {"h": 16, "w": 16, "t": 8, "dt": 2.0, "n_tissue_regions": 2,
+                        "noise_sigma": 0.02, "seed": 5},
+            "mask": {"accel": [4.0, 8.0], "seed": 1},
+            "method": method,
+            "method_params": {"epochs": 2},
+            "output_dir": str(out),
+        })
+        outputs.append(out)
+    a, b = outputs
+    compared = 0
+    for f in sorted(a.rglob("*.ktsr")):
+        assert f.read_bytes() == (b / f.relative_to(a)).read_bytes(), f.relative_to(a)
+        compared += 1
+    assert compared >= 12
+    _report(9, f"{method}: {compared} containers byte-identical across two seeded runs")

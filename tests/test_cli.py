@@ -246,6 +246,8 @@ MALFORMED = {
     "non-numeric accel item": _put("mask", "accel", [3, "x"]),
     "bool accel": _put("mask", "accel", True),
     "accel below 1": _put("mask", "accel", [4, 0.5]),
+    "duplicate accel": _put("mask", "accel", [4, 4.0]),
+    "accels sharing a directory name": _put("mask", "accel", [3.0000001, 3.0000002]),
     "3-item ktrans_range": _put("phantom", "ktrans_range", [0.1, 0.3, 0.6]),
     "1-item vp_range": _put("phantom", "vp_range", [0.1]),
     "unknown method": _put("method", "fft"),

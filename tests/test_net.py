@@ -5,6 +5,7 @@ from numpy.testing import assert_allclose
 from ktsecret.net import (
     AdamState,
     NetConfig,
+    _conv_forward,
     adam_step,
     init_params,
     net_backward,
@@ -112,6 +113,36 @@ def test_full_jacobian_micro_net():
         fd = (_loss(s, params.from_flat(theta + e), target)
               - _loss(s, params.from_flat(theta - e), target)) / (2 * h)
         assert abs(fd - g_theta[i]) / max(abs(fd), 1e-6) < 1e-5, f"param {i}"
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_conv_forward_matches_direct_tap_sum(rng, k):
+    # pins the [out, in, dy, dx] weight orientation that saved weight files rely on
+    x = rng.standard_normal((3, 4, 6))
+    w = rng.standard_normal((5, 3, k, k))
+    b = rng.standard_normal(5)
+    p = k // 2
+    xp = np.pad(x, ((0, 0), (p, p), (p, p)))
+    expected = b[:, None, None] + sum(np.tensordot(w[:, :, dy, dx], xp[:, dy:dy + 4, dx:dx + 6], axes=1)
+                                      for dy in range(k) for dx in range(k))
+    assert_allclose(_conv_forward(x, w, b), expected, rtol=0, atol=1e-12)
+
+
+def test_input_gradient_finite_differences():
+    # non-zero weights: the conv path carries input gradient too, as MoDL with K > 1 needs
+    rng = np.random.default_rng(6)
+    params = init_params(MICRO, seed=6)
+    s = crandn(rng, (2, 8, 12))
+    target = crandn(rng, (2, 8, 12))
+    out, cache = net_forward(s, params, MICRO)
+    _, g_in = net_backward(2.0 * (out - target), cache, params)
+    h = 1e-5
+    for idx in np.ndindex(s.shape):
+        for comp, pick in ((1.0, np.real), (1j, np.imag)):
+            e = np.zeros_like(s)
+            e[idx] = comp * h
+            fd = (_loss(s + e, params, target) - _loss(s - e, params, target)) / (2 * h)
+            assert abs(fd - pick(g_in[idx])) / max(abs(fd), 1e-6) < 1e-5, (idx, comp)
 
 
 def test_piecewise_linearity_in_input(rng):

@@ -199,6 +199,16 @@ def test_secret_train_divergence_aborts():
     assert len(err.value.log.train_loss) >= 1
 
 
+def test_secret_train_divergence_in_validation_aborts():
+    # the last step's huge weights first meet a forward pass in validation
+    truth = synthesize(PhantomSpec(h=16, w=16, t=8, seed=31))
+    ds = [corrupt(truth, make_radial_mask(8, 16, 16, 4.0, seed=0), 0.0, seed=0)]
+    with pytest.raises(TrainingDiverged) as err:
+        secret_train(ds, SecretConfig(epochs=8, lr=1e150, seed=0), NetConfig(frames=8, base_channels=4),
+                     val_dataset=ds)
+    assert err.value.log.train_loss == []
+
+
 def test_secret_infer_deterministic_and_total():
     rng, d = _micro_data(9, n=16)
     params = init_params(MICRO, 4)
