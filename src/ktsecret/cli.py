@@ -23,7 +23,7 @@ import numpy as np
 
 from . import cs as cs_mod
 from . import kinetics
-from .container import load_params, load_tensor, save_params, save_tensor
+from .container import load_params, load_tensor, read_sidecar, save_params, save_tensor
 from .encoding import KtData, SamplingMask, adjoint, make_radial_mask
 from .net import NetConfig
 from .phantom import PhantomSpec, PhantomTruth, corrupt, synthesize
@@ -92,7 +92,7 @@ def save_mask(path, mask: SamplingMask, seed: int) -> None:
 
 def load_mask(path) -> SamplingMask:
     bits = load_tensor(path)
-    meta = json.loads(Path(str(path) + ".json").read_text())
+    meta = read_sidecar(path, {"accel": (int, float)})
     return SamplingMask(bits=bits, accel_nominal=float(meta["accel"]))
 
 
@@ -129,8 +129,9 @@ def append_metrics(csv_path: Path, method: str, accel: float, phantom_id: str,
 def write_convergence(path, log) -> None:
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
-        writer.writerow(["iteration", "objective"])
-        writer.writerows(enumerate(log.objective))
+        writer.writerow(["iteration", "objective", "backtracks"])
+        # backtracks[i] is the number of rejected trials on the step to iterate i + 1
+        writer.writerows(zip(range(len(log.objective)), log.objective, ["", *log.backtracks]))
 
 
 def write_trainlog(path, log) -> None:

@@ -23,7 +23,8 @@ VERSION = 1
 _DTYPES = {1: np.float64, 2: np.complex128}
 _CODES = {np.dtype(np.float64): 1, np.dtype(np.complex128): 2}
 
-__all__ = ["save_tensor", "load_tensor", "save_params", "load_params", "ContainerError"]
+__all__ = ["save_tensor", "load_tensor", "save_params", "load_params", "read_sidecar",
+           "ContainerError"]
 
 
 class ContainerError(ValueError):
@@ -86,13 +87,32 @@ def save_params(path, params: NetworkParams, net_cfg: NetConfig) -> None:
     save_tensor(path, params.to_flat())
 
 
+def read_sidecar(path, types: dict) -> dict:
+    """The JSON object in <path>.json; ContainerError unless each key in `types` has its type."""
+    try:
+        meta = json.loads(Path(str(path) + ".json").read_text())
+    except json.JSONDecodeError as err:
+        raise ContainerError(f"{path}.json is not JSON: {err}") from None
+    if not isinstance(meta, dict):
+        raise ContainerError(f"{path}.json is not a JSON object")
+    for key, kind in types.items():
+        value = meta.get(key)
+        if isinstance(value, bool) or not isinstance(value, kind):
+            raise ContainerError(f"{path}.json: {key!r} is missing or of the wrong type")
+    return meta
+
+
 def load_params(path):
     """Returns (NetworkParams, NetConfig); rejects descriptor/tensor mismatch."""
-    descriptor = json.loads(Path(str(path) + ".json").read_text())
-    if descriptor.get("version") != 1:
+    keys = ("version", "frames", "depth_levels", "base_channels", "param_count")
+    descriptor = read_sidecar(path, dict.fromkeys(keys, int))
+    if descriptor["version"] != 1:
         raise ContainerError("unsupported weight descriptor version")
-    cfg = NetConfig(frames=descriptor["frames"], depth_levels=descriptor["depth_levels"],
-                    base_channels=descriptor["base_channels"])
+    try:
+        cfg = NetConfig(frames=descriptor["frames"], depth_levels=descriptor["depth_levels"],
+                        base_channels=descriptor["base_channels"])
+    except ValueError as err:
+        raise ContainerError(f"weight descriptor: {err}") from None
     flat = load_tensor(path)
     template = init_params(cfg, seed=0)
     if flat.size != template.size or flat.size != descriptor["param_count"]:

@@ -7,7 +7,17 @@ backtracking on the smoothed objective
                     + l2 * sum sqrt(|grad_t s|^2 + eps)
 
 where the square root is applied per difference component of the complex
-modulus.
+modulus and eps is the module constant SMOOTH_EPS.
+
+The objective sees s only through three affine images, (E s - d_u, grad_s s,
+grad_t s); its value and its gradient are both computed from them. E, grad_s
+and grad_t are linear, so the images of a trial point s + a d are
+img(s) + a img(d) (the line search of Lustig, Donoho & Pauly's SparseMRI).
+An iteration therefore encodes its search direction once (one forward DFT),
+scores every Armijo trial by elementwise arithmetic, updates the images in
+place and takes the next gradient from them (one inverse DFT), however many
+backtracks it needs. There is no per-iteration callback: the ConvergenceLog
+records the objective after every accepted step and the backtracks it took.
 """
 
 from __future__ import annotations
@@ -25,7 +35,10 @@ from .numerics import (
     grad_temporal_adjoint,
 )
 
-__all__ = ["CsConfig", "ConvergenceLog", "cs_objective", "cs_gradient", "cs_reconstruct"]
+__all__ = ["SMOOTH_EPS", "CsConfig", "ConvergenceLog", "cs_objective", "cs_gradient",
+           "cs_reconstruct"]
+
+SMOOTH_EPS = 1e-6
 
 
 @dataclass(frozen=True)
@@ -33,51 +46,58 @@ class CsConfig:
     lambda1: float = 1e-3
     lambda2: float = 5e-3
     max_iters: int = 100
-    smooth_eps: float = 1e-6
     tol: float = 1e-6
 
     def __post_init__(self):
         if self.lambda1 < 0 or self.lambda2 < 0:
             raise ValueError("regularization weights must be >= 0")
-        if self.smooth_eps <= 0 or self.tol <= 0 or self.max_iters < 1:
-            raise ValueError("smooth_eps, tol must be positive and max_iters >= 1")
+        if self.tol <= 0 or self.max_iters < 1:
+            raise ValueError("tol must be positive and max_iters >= 1")
 
 
 @dataclass
 class ConvergenceLog:
     objective: list = field(default_factory=list)
+    backtracks: list = field(default_factory=list)  # rejected trials per accepted step
     line_search_failed: bool = False
 
 
-def _fidelity_residual(s: np.ndarray, d_u: KtData) -> np.ndarray:
-    return encode(s, d_u.mask).samples - d_u.samples
+def _images(x: np.ndarray, mask, samples) -> list:
+    """The objective's affine images of x: (E x - samples, grad_s x, grad_t x)."""
+    return [encode(x, mask).samples - samples, grad_spatial(x), grad_temporal(x)]
+
+
+def _value(images, cfg: CsConfig) -> float:
+    """Objective from its images; given a generator, it holds one image at a time."""
+    val = 0.0
+    for lam, im in zip((None, cfg.lambda1, cfg.lambda2), images):
+        if lam is None:
+            val += np.vdot(im, im).real
+        else:
+            val += lam * np.sqrt(np.abs(im) ** 2 + SMOOTH_EPS).sum()
+    return float(val)
+
+
+def _gradient(images, cfg: CsConfig) -> np.ndarray:
+    """Gradient w.r.t. the real/imag parts of s, packed complex, from s's images."""
+    r, gs, gt = images
+    # E^H r; the residual already lives on the sampled set
+    g = 2.0 * dft2(r, "inverse")
+    g = g + cfg.lambda1 * grad_spatial_adjoint(gs / np.sqrt(np.abs(gs) ** 2 + SMOOTH_EPS))
+    g = g + cfg.lambda2 * grad_temporal_adjoint(gt / np.sqrt(np.abs(gt) ** 2 + SMOOTH_EPS))
+    return g
 
 
 def cs_objective(s: np.ndarray, d_u: KtData, cfg: CsConfig) -> float:
-    r = _fidelity_residual(s, d_u)
-    gs = grad_spatial(s)
-    gt = grad_temporal(s)
-    val = np.vdot(r, r).real
-    val += cfg.lambda1 * np.sqrt(np.abs(gs) ** 2 + cfg.smooth_eps).sum()
-    val += cfg.lambda2 * np.sqrt(np.abs(gt) ** 2 + cfg.smooth_eps).sum()
-    return float(val)
+    return _value(_images(s, d_u.mask, d_u.samples), cfg)
 
 
 def cs_gradient(s: np.ndarray, d_u: KtData, cfg: CsConfig) -> np.ndarray:
     """Gradient of cs_objective w.r.t. the real/imag parts of s, packed complex."""
-    r = _fidelity_residual(s, d_u)
-    # E^H r; the residual already lives on the sampled set
-    g = 2.0 * dft2(r, "inverse")
-    gs = grad_spatial(s)
-    ws = gs / np.sqrt(np.abs(gs) ** 2 + cfg.smooth_eps)
-    g = g + cfg.lambda1 * grad_spatial_adjoint(ws)
-    gt = grad_temporal(s)
-    wt = gt / np.sqrt(np.abs(gt) ** 2 + cfg.smooth_eps)
-    g = g + cfg.lambda2 * grad_temporal_adjoint(wt)
-    return g
+    return _gradient(_images(s, d_u.mask, d_u.samples), cfg)
 
 
-def cs_reconstruct(d_u: KtData, cfg: CsConfig | None = None, callback=None):
+def cs_reconstruct(d_u: KtData, cfg: CsConfig | None = None):
     """Nonlinear CG (Fletcher-Reeves) from the zero-filled start.
 
     Returns (reconstruction, ConvergenceLog). The logged objective sequence is
@@ -87,42 +107,41 @@ def cs_reconstruct(d_u: KtData, cfg: CsConfig | None = None, callback=None):
     cfg = cfg or CsConfig()
     s = adjoint(d_u)
     log = ConvergenceLog()
-    f = cs_objective(s, d_u, cfg)
+    img = _images(s, d_u.mask, d_u.samples)
+    f = _value(img, cfg)
     log.objective.append(f)
-    g = cs_gradient(s, d_u, cfg)
-    d = -g
-    gg = np.vdot(g, g).real
+    d = gg = None
     step0 = 1.0
-    for it in range(cfg.max_iters):
+    for _ in range(cfg.max_iters):
+        g, gg_prev = _gradient(img, cfg), gg
+        gg = np.vdot(g, g).real
         if gg < 1e-30:
             break
+        # Fletcher-Reeves direction; the first one is steepest descent
+        d = -g if d is None else -g + (gg / gg_prev) * d
         # Armijo backtracking: f(s + a d) <= f + c a Re<g, d>
         slope = np.vdot(g, d).real
         if slope >= 0:  # not a descent direction; restart on steepest descent
             d = -g
             slope = -gg
+        del g
+        img_d = _images(d, d_u.mask, 0.0)
         a = step0
-        accepted = False
-        for _ in range(50):
-            f_new = cs_objective(s + a * d, d_u, cfg)
+        for rejected in range(50):
+            f_new = _value((x + a * y for x, y in zip(img, img_d)), cfg)
             if f_new <= f + 1e-4 * a * slope:
-                accepted = True
                 break
             a *= 0.5
-        if not accepted:
+        else:
             log.line_search_failed = True
             break
-        s = s + a * d
+        for x, y in zip([s, *img], [d, *img_d]):  # the point and its images
+            x += a * y
+        del img_d, y  # free the direction's images before the next gradient
+        log.backtracks.append(rejected)
         step0 = min(1.0, a * 2.0)
         f_prev, f = f, f_new
         log.objective.append(f)
-        if callback is not None:
-            callback(it, s, f)
         if abs(f_prev - f) <= cfg.tol * max(abs(f_prev), 1e-30):
             break
-        g_new = cs_gradient(s, d_u, cfg)
-        gg_new = np.vdot(g_new, g_new).real
-        beta = gg_new / gg
-        d = -g_new + beta * d
-        g, gg = g_new, gg_new
     return s, log

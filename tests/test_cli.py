@@ -15,9 +15,11 @@ from ktsecret.cli import (
     worker_count,
     write_pgm,
 )
-from ktsecret.cs import CsConfig
+from ktsecret.cs import CsConfig, cs_reconstruct
 from ktsecret.recon import ModlConfig, SecretConfig
 from ktsecret.container import load_tensor
+from ktsecret.encoding import make_radial_mask
+from ktsecret.phantom import PhantomSpec, corrupt, synthesize
 
 
 def run(*argv):
@@ -69,6 +71,18 @@ def test_recon_cs_writes_convergence(tmp_path):
     assert (tmp_path / "cs.convergence.csv").exists()
     obj = [float(r[1]) for r in list(csv.reader(open(tmp_path / "cs.convergence.csv")))[1:]]
     assert all(b <= a + 1e-9 for a, b in zip(obj, obj[1:]))
+
+
+def test_convergence_csv_lists_backtracks_per_accepted_step(tmp_path):
+    truth = synthesize(PhantomSpec(h=16, w=16, t=8, seed=1))
+    d = corrupt(truth, make_radial_mask(8, 16, 16, 4.0, seed=0), 0.0, seed=0)
+    _, log = cs_reconstruct(d, CsConfig(max_iters=10))
+    cli.write_convergence(tmp_path / "c.csv", log)
+    with open(tmp_path / "c.csv", newline="") as f:
+        rows = list(csv.DictReader(f))
+    assert [float(r["objective"]) for r in rows] == log.objective
+    assert rows[0]["backtracks"] == ""
+    assert [int(r["backtracks"]) for r in rows[1:]] == log.backtracks
 
 
 def test_train_secret_and_recon_nn(tmp_path):

@@ -1,7 +1,12 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from ktsecret.cli import load_mask, save_mask
 from ktsecret.container import ContainerError, load_params, load_tensor, save_params, save_tensor
+from ktsecret.encoding import make_radial_mask
 from ktsecret.net import NetConfig, init_params
 
 
@@ -91,3 +96,41 @@ def test_overflowing_dims_rejected(tmp_path):
     path.write_bytes(_header(2, (2 ** 33, 2 ** 33)) + b"\0\0\0\0")
     with pytest.raises(ContainerError, match="length"):
         load_tensor(path)
+
+
+def _saved_params(tmp_path):
+    cfg = NetConfig(frames=2, base_channels=4)
+    save_params(tmp_path / "w.ktsr", init_params(cfg, seed=3), cfg)
+    return tmp_path / "w.ktsr", json.loads((tmp_path / "w.ktsr.json").read_text())
+
+
+def _saved_mask(tmp_path):
+    save_mask(tmp_path / "m.ktsr", make_radial_mask(2, 8, 8, 2.0, seed=0), seed=0)
+    return tmp_path / "m.ktsr", json.loads((tmp_path / "m.ktsr.json").read_text())
+
+
+def _without(meta, key):
+    return {k: v for k, v in meta.items() if k != key}
+
+
+@pytest.mark.parametrize("saved,load,edit", [
+    (_saved_params, load_params, lambda meta: _without(meta, "frames")),
+    (_saved_params, load_params, lambda meta: list(meta.values())),
+    (_saved_params, load_params, lambda meta: {**meta, "frames": "2"}),
+    (_saved_params, load_params, lambda meta: {**meta, "frames": 0}),
+    (_saved_params, load_params, lambda meta: {**meta, "depth_levels": True}),
+    (_saved_params, load_params, lambda meta: {**meta, "version": None}),
+    (_saved_mask, load_mask, lambda meta: {}),
+    (_saved_mask, load_mask, lambda meta: {**meta, "accel": "2"}),
+    (_saved_mask, load_mask, lambda meta: [meta]),
+    (_saved_params, load_params, lambda meta: '{"version": 1, '),
+    (_saved_mask, load_mask, lambda meta: '{"accel": '),
+], ids=["params-no-frames", "params-list", "params-str-frames", "params-zero-frames",
+        "params-bool-depth", "params-null-version", "mask-empty", "mask-str-accel", "mask-list",
+        "params-not-json", "mask-not-json"])
+def test_malformed_sidecar_raises_container_error(tmp_path, saved, load, edit):
+    path, meta = saved(tmp_path)
+    sidecar = edit(meta)  # a str is written as is, anything else as JSON
+    Path(str(path) + ".json").write_text(sidecar if isinstance(sidecar, str) else json.dumps(sidecar))
+    with pytest.raises(ContainerError):
+        load(path)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from ktsecret.cs import CsConfig, cs_gradient, cs_objective, cs_reconstruct
+from ktsecret.cs import SMOOTH_EPS, CsConfig, cs_gradient, cs_objective, cs_reconstruct
 from ktsecret.encoding import KtData, adjoint, encode, make_radial_mask
 from ktsecret.kinetics import psnr
 from ktsecret.numerics import dft2
@@ -20,9 +20,9 @@ def _random_problem(seed, t=2, n=8, accel=2.0):
 def test_objective_closed_form_at_zero():
     mask = make_radial_mask(2, 8, 8, 2.0, seed=0)
     d = KtData(samples=np.zeros((2, 8, 8), dtype=complex), mask=mask)
-    cfg = CsConfig(lambda1=1e-3, lambda2=5e-3, smooth_eps=1e-6)
+    cfg = CsConfig(lambda1=1e-3, lambda2=5e-3)
     n = 2 * 8 * 8
-    expected = n * (2 * cfg.lambda1 + cfg.lambda2) * np.sqrt(cfg.smooth_eps)
+    expected = n * (2 * cfg.lambda1 + cfg.lambda2) * np.sqrt(SMOOTH_EPS)
     assert cs_objective(np.zeros((2, 8, 8), dtype=complex), d, cfg) == pytest.approx(expected, rel=1e-12)
 
 
@@ -45,9 +45,9 @@ def test_objective_matches_duplicate_formula_oracle():
     gh = np.roll(s, -1, axis=1) - s
     gw = np.roll(s, -1, axis=2) - s
     gt = np.roll(s, -1, axis=0) - s
-    val += cfg.lambda1 * (np.sqrt(np.abs(gh) ** 2 + cfg.smooth_eps).sum()
-                          + np.sqrt(np.abs(gw) ** 2 + cfg.smooth_eps).sum())
-    val += cfg.lambda2 * np.sqrt(np.abs(gt) ** 2 + cfg.smooth_eps).sum()
+    val += cfg.lambda1 * (np.sqrt(np.abs(gh) ** 2 + SMOOTH_EPS).sum()
+                          + np.sqrt(np.abs(gw) ** 2 + SMOOTH_EPS).sum())
+    val += cfg.lambda2 * np.sqrt(np.abs(gt) ** 2 + SMOOTH_EPS).sum()
     assert cs_objective(s, d, cfg) == pytest.approx(val, rel=1e-12)
 
 
@@ -92,6 +92,72 @@ def test_solver_beats_zero_filled_at_r10():
     d = corrupt(truth, mask, 0.0, seed=0)
     s, _ = cs_reconstruct(d, CsConfig(max_iters=60))
     assert psnr(s, truth.ref_images) > psnr(adjoint(d), truth.ref_images) + 3.0
+
+
+def _reference_nlcg(d_u, cfg):
+    """Plain Fletcher-Reeves NLCG that calls cs_objective for every Armijo trial."""
+    s = adjoint(d_u)
+    objective, backtracks = [cs_objective(s, d_u, cfg)], []
+    g = cs_gradient(s, d_u, cfg)
+    d = -g
+    gg = np.vdot(g, g).real
+    step0 = 1.0
+    for _ in range(cfg.max_iters):
+        if gg < 1e-30:
+            break
+        slope = np.vdot(g, d).real
+        if slope >= 0:
+            d, slope = -g, -gg
+        a = step0
+        for rejected in range(50):
+            f_new = cs_objective(s + a * d, d_u, cfg)
+            if f_new <= objective[-1] + 1e-4 * a * slope:
+                break
+            a *= 0.5
+        else:
+            break
+        s = s + a * d
+        step0 = min(1.0, a * 2.0)
+        objective.append(f_new)
+        backtracks.append(rejected)
+        if abs(objective[-2] - f_new) <= cfg.tol * max(abs(objective[-2]), 1e-30):
+            break
+        g_new = cs_gradient(s, d_u, cfg)
+        gg_new = np.vdot(g_new, g_new).real
+        d = -g_new + (gg_new / gg) * d
+        g, gg = g_new, gg_new
+    return s, objective, backtracks
+
+
+def _phantom_problem(accel, seed):
+    truth = synthesize(PhantomSpec(h=32, w=32, t=8, seed=seed))
+    return corrupt(truth, make_radial_mask(8, 32, 32, accel, seed=1), 0.0, seed=0)
+
+
+def test_solver_matches_plain_nlcg_at_r6():
+    d = _phantom_problem(6.0, 3)
+    cfg = CsConfig()
+    s, log = cs_reconstruct(d, cfg)
+    s_ref, objective, backtracks = _reference_nlcg(d, cfg)
+    assert len(log.objective) == len(objective)
+    assert_allclose(log.objective, objective, rtol=1e-10, atol=0)
+    assert log.backtracks == backtracks
+    assert sum(backtracks) > 0
+    assert_allclose(s, s_ref, rtol=0, atol=1e-8 * np.abs(s_ref).max())
+
+
+def test_solver_logged_objective_does_not_drift_at_r10():
+    d = _phantom_problem(10.0, 4)
+    cfg = CsConfig(max_iters=100, tol=1e-12)
+    s, log = cs_reconstruct(d, cfg)
+    assert len(log.objective) == cfg.max_iters + 1
+    assert log.objective[-1] == pytest.approx(cs_objective(s, d, cfg), rel=1e-10)
+
+
+def test_solver_logs_backtracks_per_accepted_step():
+    _, log = cs_reconstruct(_phantom_problem(6.0, 3), CsConfig(max_iters=30))
+    assert len(log.backtracks) == len(log.objective) - 1
+    assert all(isinstance(b, int) and 0 <= b < 50 for b in log.backtracks)
 
 
 @pytest.mark.parametrize("l1,l2", [(0.0, 0.0), (1e-3, 5e-3), (1.0, 1.0)])
