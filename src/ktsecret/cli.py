@@ -110,7 +110,7 @@ def save_phantom(out_dir: Path, spec: PhantomSpec, truth: PhantomTruth) -> None:
 def load_phantom(out_dir: Path) -> PhantomTruth:
     arrays = {name: load_tensor(out_dir / f"{stem}.ktsr") for stem, name in PHANTOM_FILES.items()}
     arrays["region_labels"] = arrays["region_labels"].astype(np.int64)
-    return PhantomTruth(**arrays, dt=float(json.loads((out_dir / "spec.json").read_text())["dt"]))
+    return PhantomTruth(**arrays, dt=float(read_sidecar(out_dir / "spec", {"dt": (int, float)})["dt"]))
 
 
 def append_metrics(csv_path: Path, method: str, accel: float, phantom_id: str,
@@ -439,16 +439,16 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func)
         return p
 
-    p = command("phantom", cmd_phantom, "generate a synthetic dynamic phantom")
+    p = command("phantom", cmd_phantom, "generate a synthetic dynamic phantom", seed=PhantomSpec.seed)
     p.add_argument("--out", required=True)
-    p.add_argument("--h", type=int, default=64)
-    p.add_argument("--w", type=int, default=64)
-    p.add_argument("--t", type=int, default=16)
-    p.add_argument("--dt", type=float, default=2.0)
-    p.add_argument("--regions", type=int, default=3)
-    p.add_argument("--ktrans-range", type=float, nargs=2, default=[0.1, 0.6])
-    p.add_argument("--vp-range", type=float, nargs=2, default=[0.02, 0.15])
-    p.add_argument("--noise", type=float, default=0.0)
+    p.add_argument("--h", type=int, default=PhantomSpec.h)
+    p.add_argument("--w", type=int, default=PhantomSpec.w)
+    p.add_argument("--t", type=int, default=PhantomSpec.t)
+    p.add_argument("--dt", type=float, default=PhantomSpec.dt)
+    p.add_argument("--regions", type=int, default=PhantomSpec.n_tissue_regions)
+    p.add_argument("--ktrans-range", type=float, nargs=2, default=PhantomSpec.ktrans_range)
+    p.add_argument("--vp-range", type=float, nargs=2, default=PhantomSpec.vp_range)
+    p.add_argument("--noise", type=float, default=PhantomSpec.noise_sigma)
 
     p = command("mask", cmd_mask, "generate a golden-angle radial (k,t) mask")
     p.add_argument("--out", required=True)

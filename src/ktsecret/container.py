@@ -32,7 +32,7 @@ class ContainerError(ValueError):
 
 
 def save_tensor(path, arr: np.ndarray) -> None:
-    arr = np.ascontiguousarray(arr)
+    arr = np.asarray(arr, order="C")  # keeps a 0-d array's rank, unlike ascontiguousarray
     if arr.dtype not in _CODES:
         if np.issubdtype(arr.dtype, np.complexfloating):
             arr = arr.astype(np.complex128)

@@ -249,7 +249,7 @@ class AdamState:
 
 
 def adam_step(theta: np.ndarray, grad: np.ndarray, state: AdamState,
-              lr: float = 1e-4, beta1: float = 0.9, beta2: float = 0.999,
+              lr: float, beta1: float = 0.9, beta2: float = 0.999,
               eps: float = 1e-8):
     """One bias-corrected Adam update on flat parameter vectors."""
     if theta.shape != grad.shape or theta.shape != state.m.shape:

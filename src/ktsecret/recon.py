@@ -1,10 +1,12 @@
 """Learned reconstruction: unrolled model-based (MoDL) and self-supervised
 (SECRET) training paths sharing one convolutional network.
 
-The data-consistency block solves (E^H E + lam*I) s = E^H d_u + lam*z by
-conjugate gradient; its derivative w.r.t. z is lam*(E^H E + lam*I)^{-1},
-which the supervised path exploits for implicit differentiation instead of
-unrolling CG steps.
+The data-consistency (DC) block solves (E^H E + lam*I) s = E^H d_u + lam*z.
+With one coil, a unitary frame-wise DFT F and a 0/1 mask M, E^H E + lam*I =
+F^H diag(M + lam) F, so no iterative solver is needed: s = F^H[(d_u + lam*F z)
+/ (M + lam)] exactly (the DC layer of Schlemper et al., IEEE TMI 2018). Its
+derivative w.r.t. z, lam*F^H diag(1/(M + lam)) F, is self-adjoint; the
+supervised path back-propagates through each DC block with it.
 
 The self-supervised path minimizes the k-space residual on sampled entries
 only and consumes datasets that are plain sequences of KtData: no reference
@@ -19,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .encoding import KtData, adjoint, encode, normal_op
+from .encoding import KtData, SamplingMask, adjoint, encode
 from .numerics import dft2
 from .net import AdamState, NetConfig, NetworkParams, adam_step, init_params, net_backward, net_forward
 
@@ -48,8 +50,6 @@ class TrainingDiverged(RuntimeError):
 class ModlConfig:
     K: int = 1
     lam: float = 0.05
-    cg_iters: int = 10
-    cg_tol: float = 1e-6
     epochs: int = 20
     batch: int = 0  # 0 = full-batch gradient
     lr: float = 1e-4
@@ -93,39 +93,23 @@ class DcInfo:
     iterations: int
 
 
-def _cg_normal(rhs: np.ndarray, mask, lam: float, x0: np.ndarray, iters: int, tol: float):
-    """CG on (E^H E + lam*I) x = rhs, tracking the best iterate."""
-    x = x0.copy()
-    r = rhs - normal_op(x, mask, lam)
-    p = r.copy()
-    rs = np.vdot(r, r).real
-    rhs_norm = max(np.linalg.norm(rhs), 1e-300)
-    best_x, best_res = x, np.sqrt(rs) / rhs_norm
-    if best_res < tol:  # e.g. a zero right-hand side from x0 = 0: no 0/0 step
-        return x, DcInfo(residual=best_res, converged=True, iterations=0)
-    n = 0
-    for n in range(1, iters + 1):
-        ap = normal_op(p, mask, lam)
-        alpha = rs / np.vdot(p, ap).real
-        x = x + alpha * p
-        r = r - alpha * ap
-        rs_new = np.vdot(r, r).real
-        res = np.sqrt(rs_new) / rhs_norm
-        if res < best_res:
-            best_x, best_res = x, res
-        if res < tol:
-            break
-        p = r + (rs_new / rs) * p
-        rs = rs_new
-    return best_x, DcInfo(residual=best_res, converged=best_res < tol, iterations=n)
+def _inverse_normal_k(y_k: np.ndarray, mask: SamplingMask, lam: float) -> np.ndarray:
+    """(M + lam)^{-1} y_k: the inverse of E^H E + lam*I, applied in k-space."""
+    return y_k / (mask.bits + lam)
 
 
-def dc_solve(z_k: np.ndarray, d_u: KtData, lam: float, cg_iters: int = 10, cg_tol: float = 1e-6):
-    """Data-consistency solve; returns (image, DcInfo)."""
+def dc_solve(z_k: np.ndarray, d_u: KtData, lam: float):
+    """Exact data-consistency solve of (E^H E + lam*I) s = E^H d_u + lam*z_k.
+
+    Returns (image, DcInfo); iterations is 0 (a direct solve) and residual is
+    the relative normal-equation residual, measured in k-space.
+    """
     if lam <= 0:
         raise ValueError("lam must be > 0")
-    rhs = adjoint(d_u) + lam * z_k
-    return _cg_normal(rhs, d_u.mask, lam, x0=np.asarray(z_k, dtype=np.complex128), iters=cg_iters, tol=cg_tol)
+    rhs_k = d_u.samples + lam * dft2(z_k, "forward")  # F(E^H d_u + lam*z_k)
+    s_k = _inverse_normal_k(rhs_k, d_u.mask, lam)
+    residual = np.linalg.norm((d_u.mask.bits + lam) * s_k - rhs_k) / max(np.linalg.norm(rhs_k), 1e-300)
+    return dft2(s_k, "inverse"), DcInfo(residual, bool(np.isfinite(residual)), iterations=0)
 
 
 def modl_forward(s_u: np.ndarray, d_u: KtData, params: NetworkParams, cfg: ModlConfig,
@@ -135,7 +119,7 @@ def modl_forward(s_u: np.ndarray, d_u: KtData, params: NetworkParams, cfg: ModlC
     caches = []
     for _ in range(cfg.K):
         z, cache = net_forward(s, params, net_cfg)
-        s, info = dc_solve(z, d_u, cfg.lam, cfg.cg_iters, cfg.cg_tol)
+        s, _ = dc_solve(z, d_u, cfg.lam)
         if want_cache:
             caches.append(cache)
     return (s, caches) if want_cache else s
@@ -159,8 +143,7 @@ def _modl_sample_grad(d_u: KtData, target: np.ndarray, params: NetworkParams,
     g_theta = np.zeros(params.size)
     for cache in reversed(caches):
         # d s_{k+1} / d z_k = lam * (E^H E + lam I)^{-1}, self-adjoint
-        gz, _ = _cg_normal(g, d_u.mask, cfg.lam, x0=np.zeros_like(g), iters=cfg.cg_iters, tol=cfg.cg_tol)
-        gz = cfg.lam * gz
+        gz = cfg.lam * dft2(_inverse_normal_k(dft2(g, "forward"), d_u.mask, cfg.lam), "inverse")
         gt, g = net_backward(gz, cache, params)
         g_theta += gt
     return loss, g_theta

@@ -332,6 +332,10 @@ def test_cli_defaults_come_from_config_dataclasses():
     modl = parser.parse_args(["train-modl", "--data-dir", "d", "--weights", "w"])
     assert (modl.K, getattr(modl, "lambda"), modl.epochs, modl.lr) == (
         ModlConfig.K, ModlConfig.lam, ModlConfig.epochs, ModlConfig.lr)
+    ph = parser.parse_args(["phantom", "--out", "o"])
+    assert (ph.h, ph.w, ph.t, ph.dt, ph.regions, tuple(ph.ktrans_range), tuple(ph.vp_range), ph.noise,
+            ph.seed) == (PhantomSpec.h, PhantomSpec.w, PhantomSpec.t, PhantomSpec.dt, PhantomSpec.n_tissue_regions,
+                         PhantomSpec.ktrans_range, PhantomSpec.vp_range, PhantomSpec.noise_sigma, PhantomSpec.seed)
 
 
 @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])

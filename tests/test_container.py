@@ -4,10 +4,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ktsecret.cli import load_mask, save_mask
+from ktsecret.cli import load_mask, load_phantom, save_mask, save_phantom
 from ktsecret.container import ContainerError, load_params, load_tensor, save_params, save_tensor
 from ktsecret.encoding import make_radial_mask
 from ktsecret.net import NetConfig, init_params
+from ktsecret.phantom import PhantomSpec, synthesize
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -98,6 +99,17 @@ def test_overflowing_dims_rejected(tmp_path):
         load_tensor(path)
 
 
+@pytest.mark.xfail(strict=True, reason="the CRC covers the payload only, so an empty tensor's dims are unprotected")
+def test_damaged_dims_of_empty_tensor_rejected(tmp_path):
+    path = tmp_path / "t.ktsr"
+    save_tensor(path, np.zeros((0, 3)))
+    blob = bytearray(path.read_bytes())
+    blob[16] = 5  # dims (0, 3) -> (0, 5): still no payload, and the CRC of nothing still matches
+    path.write_bytes(bytes(blob))
+    with pytest.raises(ContainerError):
+        load_tensor(path)
+
+
 def _saved_params(tmp_path):
     cfg = NetConfig(frames=2, base_channels=4)
     save_params(tmp_path / "w.ktsr", init_params(cfg, seed=3), cfg)
@@ -107,6 +119,16 @@ def _saved_params(tmp_path):
 def _saved_mask(tmp_path):
     save_mask(tmp_path / "m.ktsr", make_radial_mask(2, 8, 8, 2.0, seed=0), seed=0)
     return tmp_path / "m.ktsr", json.loads((tmp_path / "m.ktsr.json").read_text())
+
+
+def _saved_phantom(tmp_path):
+    spec = PhantomSpec(h=8, w=8, t=8)
+    save_phantom(tmp_path, spec, synthesize(spec))
+    return tmp_path / "spec", json.loads((tmp_path / "spec.json").read_text())
+
+
+def _load_phantom(spec_path):
+    return load_phantom(spec_path.parent)
 
 
 def _without(meta, key):
@@ -125,9 +147,14 @@ def _without(meta, key):
     (_saved_mask, load_mask, lambda meta: [meta]),
     (_saved_params, load_params, lambda meta: '{"version": 1, '),
     (_saved_mask, load_mask, lambda meta: '{"accel": '),
+    (_saved_phantom, _load_phantom, lambda meta: {}),
+    (_saved_phantom, _load_phantom, lambda meta: [1]),
+    (_saved_phantom, _load_phantom, lambda meta: '{"dt": '),
+    (_saved_phantom, _load_phantom, lambda meta: {**meta, "dt": "2"}),
 ], ids=["params-no-frames", "params-list", "params-str-frames", "params-zero-frames",
         "params-bool-depth", "params-null-version", "mask-empty", "mask-str-accel", "mask-list",
-        "params-not-json", "mask-not-json"])
+        "params-not-json", "mask-not-json", "phantom-empty", "phantom-list", "phantom-not-json",
+        "phantom-str-dt"])
 def test_malformed_sidecar_raises_container_error(tmp_path, saved, load, edit):
     path, meta = saved(tmp_path)
     sidecar = edit(meta)  # a str is written as is, anything else as JSON

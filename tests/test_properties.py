@@ -1,16 +1,20 @@
-"""Property-based checks of the linear operators the solvers rely on.
+"""Property-based checks of the linear operators the solvers rely on, and
+of the tensor container.
 
 Shapes are drawn as powers of two and masks as random 0/1 patterns that
 sample DC in every frame. The CS line search scores a trial point s + a d
 from img(s) + a img(d), which holds only because encode, grad_spatial and
-grad_temporal are linear. derandomize=True keeps every run on the same
-examples.
+grad_temporal are linear. Containers must round-trip every rank from 0 to 4
+and turn any damage into ContainerError. derandomize=True keeps every run on
+the same examples.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ktsecret.container import ContainerError, load_tensor, save_tensor
 from ktsecret.encoding import KtData, SamplingMask, adjoint, encode, normal_op
 from ktsecret.numerics import grad_spatial, grad_temporal
 from conftest import crandn
@@ -64,3 +68,43 @@ def test_objective_images_are_linear(problem, a, b):
         combined = op(a * x + b * z)
         scale = max(abs(a), abs(b), 1.0) * max(np.linalg.norm(x), np.linalg.norm(z))
         assert np.linalg.norm(combined - (a * op(x) + b * op(z))) <= 1e-12 * scale
+
+
+@st.composite
+def tensors(draw, min_side=0):
+    """A float64 or complex128 array of rank 0-4 with sides min_side..3."""
+    shape = tuple(draw(st.lists(st.integers(min_side, 3), max_size=4)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    arr = rng.standard_normal(shape)
+    return arr + 1j * rng.standard_normal(shape) if draw(st.booleans()) else arr
+
+
+@pytest.fixture(scope="module")
+def container_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("properties") / "t.ktsr"
+
+
+@PROPERTY
+@given(tensors())
+def test_container_round_trip(container_path, arr):
+    save_tensor(container_path, arr)
+    back = load_tensor(container_path)
+    assert back.dtype == arr.dtype and back.shape == arr.shape
+    assert np.array_equal(back, arr)
+
+
+@PROPERTY
+@given(tensors(min_side=1), st.data())  # empty tensors: see test_container's xfail on their dims
+def test_damaged_container_loads_original_or_raises_container_error(container_path, arr, data):
+    save_tensor(container_path, arr)
+    blob = bytearray(container_path.read_bytes())
+    if data.draw(st.booleans(), label="truncate"):
+        blob = blob[:data.draw(st.integers(0, len(blob) - 1), label="length")]
+    else:
+        blob[data.draw(st.integers(0, len(blob) - 1), label="offset")] = data.draw(st.integers(0, 255), label="byte")
+    container_path.write_bytes(bytes(blob))
+    try:
+        back = load_tensor(container_path)
+    except ContainerError:
+        return
+    assert back.dtype == arr.dtype and back.shape == arr.shape and np.array_equal(back, arr)
