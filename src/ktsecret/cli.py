@@ -3,8 +3,12 @@ evaluation, quantification and an end-to-end pipeline.
 
 All tensors are exchanged via the KTSR container (see container.py); masks
 and weights carry JSON sidecars. Every subcommand is deterministic given its
---seed. KTSECRET_THREADS caps the worker threads used by the pipeline's
-acceleration sweep.
+--seed: its containers are byte-identical run to run on one machine and
+thread setup. KTSECRET_THREADS caps the worker threads used by the
+pipeline's acceleration sweep. While that pool runs, OpenBLAS gets at most
+cpu_count // workers threads (at least 1), so pool and BLAS threads together
+do not oversubscribe the cores; a user-set OPENBLAS_NUM_THREADS or
+OMP_NUM_THREADS wins, and the previous count is restored when the sweep ends.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import fields
 from pathlib import Path
 
@@ -71,6 +76,34 @@ def worker_count() -> int:
     if n < 1:
         raise ConfigError(f"KTSECRET_THREADS must be an integer >= 1, got {cap!r}")
     return n
+
+
+@contextmanager
+def _blas_threads_per_worker(workers: int):
+    """Caps OpenBLAS at cpu_count // workers threads (at least 1) for the
+    duration, then restores the previous count. A no-op when the user set
+    OPENBLAS_NUM_THREADS/OMP_NUM_THREADS or numpy's BLAS is not the
+    scipy-openblas its wheels bundle."""
+    if any(os.environ.get(var) for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")):
+        yield
+        return
+    import ctypes
+    from numpy.linalg import _umath_linalg  # linked against numpy's BLAS
+
+    lib = ctypes.CDLL(_umath_linalg.__file__)
+    get_n = getattr(lib, "scipy_openblas_get_num_threads64_", None)
+    set_n = getattr(lib, "scipy_openblas_set_num_threads64_", None)
+    if get_n is None or set_n is None:
+        yield
+        return
+    get_n.argtypes, get_n.restype = [], ctypes.c_int
+    set_n.argtypes, set_n.restype = [ctypes.c_int], None
+    before = get_n()
+    set_n(max(1, min(before, (os.cpu_count() or 1) // workers)))
+    try:
+        yield
+    finally:
+        set_n(before)
 
 
 def write_pgm(path, image: np.ndarray, lo: float | None = None, hi: float | None = None) -> None:
@@ -215,7 +248,8 @@ def cmd_train_secret(args) -> int:
 
 
 def cmd_train_modl(args) -> int:
-    cfg = ModlConfig(K=args.K, lam=getattr(args, "lambda"), epochs=args.epochs, lr=args.lr, seed=args.seed)
+    cfg = ModlConfig(K=args.K, lam=getattr(args, "lambda"), epochs=args.epochs, batch=args.batch, lr=args.lr,
+                     seed=args.seed)
     return _train(args, modl_train, cfg, supervised=True)
 
 
@@ -408,7 +442,7 @@ def run_pipeline(config: dict) -> int:
                   np.hstack([truth.ktrans_map, np.nan_to_num(pmap.ktrans)]), lo=0.0, hi=hi)
         return accel, report
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    with _blas_threads_per_worker(workers), ThreadPoolExecutor(max_workers=workers) as pool:
         results = list(pool.map(run_one, accels))
     metrics_path = out_dir / "metrics.csv"
     if metrics_path.exists():
@@ -491,6 +525,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", type=float, default=ModlConfig.lam)
     p.add_argument("--epochs", type=int, default=ModlConfig.epochs)
     p.add_argument("--lr", type=float, default=ModlConfig.lr)
+    p.add_argument("--batch", type=int, default=ModlConfig.batch, help="0 = full batch")
 
     p = command("recon-nn", cmd_recon_nn, "network inference (SECRET or unrolled)")
     p.add_argument("--data", required=True)

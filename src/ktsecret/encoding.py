@@ -89,8 +89,11 @@ def make_radial_mask(t: int, h: int, w: int, accel: float, seed: int) -> Samplin
     with the spoke set rotated by the golden angle from frame to frame plus a
     seed-derived global offset. The rasterized pattern is then pruned (or
     padded) with seeded randomness to hit the per-frame sample budget
-    round(h*w/accel), which keeps the achieved acceleration within the +-15%
-    contract at every factor. Deterministic for fixed arguments.
+    round(h*w/accel), so the achieved acceleration is h*w/budget. A factor
+    that leaves less than one spoke per frame, or whose rounded budget misses
+    the +-15% contract (possible on small grids: 4x4 at 11x gets 1 sample),
+    raises ValueError "acceleration unachievable". Deterministic for fixed
+    arguments.
     """
     if accel < 1:
         raise ValueError("acceleration must be >= 1")
@@ -99,6 +102,9 @@ def make_radial_mask(t: int, h: int, w: int, accel: float, seed: int) -> Samplin
     if n_spokes < 1:
         raise ValueError("acceleration unachievable: fewer than one spoke per frame")
     budget = int(round(h * w / accel))
+    if budget < 1 or not 0.85 * accel <= h * w / budget <= 1.15 * accel:
+        raise ValueError(f"acceleration unachievable: {budget} samples per frame of {h}x{w} "
+                         f"miss +-15% of {accel}")
     rng = np.random.default_rng(seed)
     offset = rng.uniform(0.0, np.pi)
     golden = np.deg2rad(GOLDEN_ANGLE_DEG)

@@ -99,10 +99,12 @@ def psnr(x: np.ndarray, ref: np.ndarray) -> float:
     peak = ref.max()
     if peak <= 0:
         raise ValueError("reference peak must be > 0")
-    mse = np.mean((x - ref) ** 2)
-    if mse == 0:
-        return float("inf")
-    return float(10.0 * np.log10(peak ** 2 / mse))
+    return _psnr_db(peak, np.mean((x - ref) ** 2))
+
+
+def _psnr_db(peak: float, mse: float) -> float:
+    """10 log10(peak^2 / mse) in dB; inf when mse is 0."""
+    return float("inf") if mse == 0 else float(10.0 * np.log10(peak ** 2 / mse))
 
 
 def _gaussian_window(size: int = 11, sigma: float = 1.5) -> np.ndarray:
@@ -165,8 +167,7 @@ def evaluate_series(x: np.ndarray, ref: np.ndarray) -> MetricsReport:
     dr = float(peak)
     psnrs, ssims, nrmses = [], [], []
     for i in range(x.shape[0]):
-        mse = np.mean((x[i] - ref[i]) ** 2)
-        psnrs.append(float("inf") if mse == 0 else 10.0 * np.log10(peak ** 2 / mse))
+        psnrs.append(_psnr_db(peak, np.mean((x[i] - ref[i]) ** 2)))
         ssims.append(_ssim_frame(x[i], ref[i], dr))
         denom = np.linalg.norm(ref[i])
         nrmses.append(np.linalg.norm(x[i] - ref[i]) / denom if denom > 0 else np.nan)

@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -330,12 +334,19 @@ def test_cli_defaults_come_from_config_dataclasses():
     sec = parser.parse_args(["train-secret", "--data-dir", "d", "--weights", "w"])
     assert (sec.epochs, sec.lr, sec.batch) == (SecretConfig.epochs, SecretConfig.lr, SecretConfig.batch)
     modl = parser.parse_args(["train-modl", "--data-dir", "d", "--weights", "w"])
-    assert (modl.K, getattr(modl, "lambda"), modl.epochs, modl.lr) == (
-        ModlConfig.K, ModlConfig.lam, ModlConfig.epochs, ModlConfig.lr)
+    assert (modl.K, getattr(modl, "lambda"), modl.epochs, modl.lr, modl.batch) == (
+        ModlConfig.K, ModlConfig.lam, ModlConfig.epochs, ModlConfig.lr, ModlConfig.batch)
     ph = parser.parse_args(["phantom", "--out", "o"])
     assert (ph.h, ph.w, ph.t, ph.dt, ph.regions, tuple(ph.ktrans_range), tuple(ph.vp_range), ph.noise,
             ph.seed) == (PhantomSpec.h, PhantomSpec.w, PhantomSpec.t, PhantomSpec.dt, PhantomSpec.n_tissue_regions,
                          PhantomSpec.ktrans_range, PhantomSpec.vp_range, PhantomSpec.noise_sigma, PhantomSpec.seed)
+
+
+def test_train_modl_batch_reaches_config(monkeypatch):
+    seen = []
+    monkeypatch.setattr(cli, "_train", lambda args, train_fn, cfg, supervised: seen.append(cfg) or 0)
+    assert run("train-modl", "--data-dir", "d", "--weights", "w", "--batch", 2) == 0
+    assert seen == [ModlConfig(batch=2)]
 
 
 @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
@@ -359,3 +370,80 @@ def test_load_mask_rejects_fractional_bits(tmp_path):
     (tmp_path / "m.ktsr.json").write_text(json.dumps({"accel": 1.0, "seed": 0}))
     with pytest.raises(ValueError, match="0/1"):
         load_mask(tmp_path / "m.ktsr")
+
+
+def _openblas_threads():
+    """get_num_threads of numpy's bundled scipy-openblas; skips without it."""
+    import ctypes
+    from numpy.linalg import _umath_linalg
+
+    get = getattr(ctypes.CDLL(_umath_linalg.__file__), "scipy_openblas_get_num_threads64_", None)
+    if get is None:
+        pytest.skip("numpy's bundled scipy-openblas not found")
+    get.argtypes, get.restype = [], ctypes.c_int
+    return get
+
+
+@pytest.fixture
+def blas_threads(monkeypatch):
+    """get_num_threads, with no thread variable set and two pipeline workers."""
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+    monkeypatch.setenv("KTSECRET_THREADS", "2")
+    return _openblas_threads()
+
+
+def _record_blas_threads(monkeypatch, get, fail=False):
+    """Replaces cli._reconstruct by one that records the count in the worker."""
+    seen = []
+    reconstruct = cli._reconstruct
+
+    def recording(*args):
+        seen.append(get())
+        if fail:
+            raise RuntimeError("worker failed")
+        return reconstruct(*args)
+
+    monkeypatch.setattr(cli, "_reconstruct", recording)
+    return seen
+
+
+@pytest.mark.parametrize("method,params", [("zf", {}), ("cs", {"iters": 2})])
+def test_pipeline_caps_blas_threads_per_worker(tmp_path, monkeypatch, blas_threads, method, params):
+    before = blas_threads()
+    seen = _record_blas_threads(monkeypatch, blas_threads)
+    assert run_pipeline(_valid_config(tmp_path, method, **params)) == 0
+    assert seen == [min(before, max(1, os.cpu_count() // 2))] * 2
+    assert blas_threads() == before
+
+
+def test_pipeline_restores_blas_threads_when_a_worker_raises(tmp_path, monkeypatch, blas_threads):
+    before = blas_threads()
+    seen = _record_blas_threads(monkeypatch, blas_threads, fail=True)
+    with pytest.raises(RuntimeError, match="worker failed"):
+        run_pipeline(_valid_config(tmp_path))
+    assert seen and blas_threads() == before
+
+
+@pytest.mark.parametrize("var", ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"])
+def test_user_thread_setting_leaves_blas_threads_alone(tmp_path, monkeypatch, blas_threads, var):
+    before = blas_threads()
+    monkeypatch.setenv(var, "4")
+    seen = _record_blas_threads(monkeypatch, blas_threads)
+    assert run_pipeline(_valid_config(tmp_path)) == 0
+    assert seen == [before] * 2
+
+
+def test_import_leaves_blas_threads_and_environment_alone():
+    _openblas_threads()
+    probe = (
+        "import ctypes, os\n"
+        "from numpy.linalg import _umath_linalg\n"
+        "get = ctypes.CDLL(_umath_linalg.__file__).scipy_openblas_get_num_threads64_\n"
+        "before, env = get(), dict(os.environ)\n"
+        "import ktsecret.cli\n"
+        "assert (get(), dict(os.environ)) == (before, env)\n"
+    )
+    env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join([str(Path(cli.__file__).resolve().parents[1]), env.get("PYTHONPATH", "")])
+    subprocess.run([sys.executable, "-c", probe], check=True, env=env)

@@ -36,6 +36,8 @@ def test_mask_achieved_within_tolerance(accel):
 def test_mask_unachievable_acceleration():
     with pytest.raises(ValueError, match="unachievable"):
         make_radial_mask(2, 32, 32, 200.0, seed=0)
+    with pytest.raises(ValueError, match="unachievable"):  # 1 sample of 16 per frame is 16x
+        make_radial_mask(2, 4, 4, 11.0, seed=0)
 
 
 def test_mask_frames_differ_when_undersampled():

@@ -6,7 +6,8 @@ sample DC in every frame. The CS line search scores a trial point s + a d
 from img(s) + a img(d), which holds only because encode, grad_spatial and
 grad_temporal are linear. Containers must round-trip every rank from 0 to 4
 and turn any damage into ContainerError. derandomize=True keeps every run on
-the same examples.
+the same examples. A radial mask either meets its +-15% acceleration contract
+or is refused as unachievable.
 """
 
 import numpy as np
@@ -15,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ktsecret.container import ContainerError, load_tensor, save_tensor
-from ktsecret.encoding import KtData, SamplingMask, adjoint, encode, normal_op
+from ktsecret.encoding import KtData, SamplingMask, adjoint, encode, make_radial_mask, normal_op
 from ktsecret.numerics import grad_spatial, grad_temporal
 from conftest import crandn
 
@@ -108,3 +109,14 @@ def test_damaged_container_loads_original_or_raises_container_error(container_pa
     except ContainerError:
         return
     assert back.dtype == arr.dtype and back.shape == arr.shape and np.array_equal(back, arr)
+
+
+@settings(PROPERTY, max_examples=200)
+@given(st.integers(2, 6), st.integers(2, 6), st.floats(1.0, 40.0), st.integers(0, 2 ** 32 - 1))
+def test_radial_mask_meets_acceleration_or_is_unachievable(log_h, log_w, accel, seed):
+    try:
+        mask = make_radial_mask(2, 2 ** log_h, 2 ** log_w, accel, seed)
+    except ValueError as exc:
+        assert "acceleration unachievable" in str(exc)
+        return
+    assert 0.85 * accel <= mask.achieved_accel <= 1.15 * accel
