@@ -59,6 +59,15 @@ METHOD_PARAMS = {
 # The pipeline trains on the one measurement it reconstructs, for fewer
 # epochs than the library defaults.
 PIPELINE_OVERRIDES = {"secret": {"epochs": 30}, "modl": {"epochs": 10}}
+# Config options of the subcommands, in the same form: key -> config field,
+# given as --key with "_" written "-" (every subcommand has its own --seed).
+SUBCOMMAND_OPTIONS = {
+    "phantom": (PhantomSpec, {{"n_tissue_regions": "regions", "noise_sigma": "noise"}.get(f.name, f.name): f.name
+                              for f in fields(PhantomSpec) if f.name != "seed"}),
+    "recon-cs": METHOD_PARAMS["cs"],
+    "train-secret": (SecretConfig, {**METHOD_PARAMS["secret"][1], "batch": "batch"}),
+    "train-modl": (ModlConfig, {**METHOD_PARAMS["modl"][1], "batch": "batch"}),
+}
 
 
 class ConfigError(ValueError):
@@ -190,12 +199,18 @@ def _load_dataset(data_dir: Path, supervised: bool):
 
 # ---------------------------------------------------------------- subcommands
 
+def _options_config(args, **fixed):
+    """The subcommand's config dataclass from its SUBCOMMAND_OPTIONS options."""
+    cls, names = SUBCOMMAND_OPTIONS[args.command]
+    for key, name in names.items():
+        if name is not None:
+            value = getattr(args, key)
+            fixed[name] = tuple(value) if isinstance(value, list) else value
+    return cls(**fixed)
+
+
 def cmd_phantom(args) -> int:
-    spec = PhantomSpec(h=args.h, w=args.w, t=args.t, dt=args.dt,
-                       n_tissue_regions=args.regions,
-                       ktrans_range=tuple(args.ktrans_range),
-                       vp_range=tuple(args.vp_range),
-                       noise_sigma=args.noise, seed=args.seed)
+    spec = _options_config(args, seed=args.seed)
     save_phantom(Path(args.out), spec, synthesize(spec))
     return 0
 
@@ -223,8 +238,7 @@ def cmd_recon_zf(args) -> int:
 
 def cmd_recon_cs(args) -> int:
     d_u = load_ktdata(args.data, args.mask)
-    cfg = cs_mod.CsConfig(lambda1=args.l1, lambda2=args.l2, max_iters=args.iters, tol=args.tol)
-    s, log = cs_mod.cs_reconstruct(d_u, cfg)
+    s, log = cs_mod.cs_reconstruct(d_u, _options_config(args))
     save_tensor(args.out, s)
     write_convergence(Path(args.out).with_suffix(".convergence.csv"), log)
     if log.line_search_failed:
@@ -243,14 +257,11 @@ def _train(args, train_fn, cfg, supervised: bool) -> int:
 
 
 def cmd_train_secret(args) -> int:
-    cfg = SecretConfig(epochs=args.epochs, lr=args.lr, batch=args.batch, seed=args.seed)
-    return _train(args, secret_train, cfg, supervised=False)
+    return _train(args, secret_train, _options_config(args, seed=args.seed), supervised=False)
 
 
 def cmd_train_modl(args) -> int:
-    cfg = ModlConfig(K=args.K, lam=getattr(args, "lambda"), epochs=args.epochs, batch=args.batch, lr=args.lr,
-                     seed=args.seed)
-    return _train(args, modl_train, cfg, supervised=True)
+    return _train(args, modl_train, _options_config(args, seed=args.seed), supervised=True)
 
 
 def cmd_recon_nn(args) -> int:
@@ -466,87 +477,52 @@ def build_parser() -> argparse.ArgumentParser:
                                      description="Dynamic (k,t)-space reconstruction toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name: str, func, summary: str, seed=0):
-        """A subcommand; every one takes --seed."""
+    def command(name: str, func, summary: str, *required: str, seed=0):
+        """A subcommand: --seed, the required string options, then the
+        options of SUBCOMMAND_OPTIONS[name], each typed and defaulted by its
+        config field (a tuple field takes that many floats)."""
         p = sub.add_parser(name, help=summary)
         p.add_argument("--seed", type=int, default=seed)
+        for option in required:
+            p.add_argument(f"--{option}", required=True)
+        cls, names = SUBCOMMAND_OPTIONS.get(name, (None, {}))
+        for key, field_name in names.items():
+            if field_name is not None:
+                default = getattr(cls, field_name)
+                kind, nargs = (float, len(default)) if isinstance(default, tuple) else (type(default), None)
+                p.add_argument("--" + key.replace("_", "-"), type=kind, nargs=nargs, default=default)
         p.set_defaults(func=func)
         return p
 
-    p = command("phantom", cmd_phantom, "generate a synthetic dynamic phantom", seed=PhantomSpec.seed)
-    p.add_argument("--out", required=True)
-    p.add_argument("--h", type=int, default=PhantomSpec.h)
-    p.add_argument("--w", type=int, default=PhantomSpec.w)
-    p.add_argument("--t", type=int, default=PhantomSpec.t)
-    p.add_argument("--dt", type=float, default=PhantomSpec.dt)
-    p.add_argument("--regions", type=int, default=PhantomSpec.n_tissue_regions)
-    p.add_argument("--ktrans-range", type=float, nargs=2, default=PhantomSpec.ktrans_range)
-    p.add_argument("--vp-range", type=float, nargs=2, default=PhantomSpec.vp_range)
-    p.add_argument("--noise", type=float, default=PhantomSpec.noise_sigma)
+    command("phantom", cmd_phantom, "generate a synthetic dynamic phantom", "out", seed=PhantomSpec.seed)
 
-    p = command("mask", cmd_mask, "generate a golden-angle radial (k,t) mask")
-    p.add_argument("--out", required=True)
+    p = command("mask", cmd_mask, "generate a golden-angle radial (k,t) mask", "out")
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--h", type=int, required=True)
     p.add_argument("--w", type=int, required=True)
     p.add_argument("--accel", type=float, required=True)
 
-    p = command("corrupt", cmd_corrupt, "undersample phantom k-space with noise")
-    p.add_argument("--phantom", required=True)
-    p.add_argument("--mask", required=True)
+    p = command("corrupt", cmd_corrupt, "undersample phantom k-space with noise", "phantom", "mask")
     p.add_argument("--noise", type=float, default=0.0)
     p.add_argument("--out", required=True)
 
-    p = command("recon-zf", cmd_recon_zf, "zero-filled reconstruction")
-    p.add_argument("--data", required=True)
-    p.add_argument("--mask", required=True)
-    p.add_argument("--out", required=True)
+    command("recon-zf", cmd_recon_zf, "zero-filled reconstruction", "data", "mask", "out")
+    command("recon-cs", cmd_recon_cs, "compressed-sensing reconstruction", "data", "mask", "out")
+    command("train-secret", cmd_train_secret, "self-supervised training (no references)", "data-dir", "weights")
+    command("train-modl", cmd_train_modl, "supervised unrolled training", "data-dir", "weights")
 
-    p = command("recon-cs", cmd_recon_cs, "compressed-sensing reconstruction")
-    p.add_argument("--data", required=True)
-    p.add_argument("--mask", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--l1", type=float, default=cs_mod.CsConfig.lambda1)
-    p.add_argument("--l2", type=float, default=cs_mod.CsConfig.lambda2)
-    p.add_argument("--iters", type=int, default=cs_mod.CsConfig.max_iters)
-    p.add_argument("--tol", type=float, default=cs_mod.CsConfig.tol)
-
-    p = command("train-secret", cmd_train_secret, "self-supervised training (no references)")
-    p.add_argument("--data-dir", required=True)
-    p.add_argument("--weights", required=True)
-    p.add_argument("--epochs", type=int, default=SecretConfig.epochs)
-    p.add_argument("--lr", type=float, default=SecretConfig.lr)
-    p.add_argument("--batch", type=int, default=SecretConfig.batch)
-
-    p = command("train-modl", cmd_train_modl, "supervised unrolled training")
-    p.add_argument("--data-dir", required=True)
-    p.add_argument("--weights", required=True)
-    p.add_argument("--K", type=int, default=ModlConfig.K)
-    p.add_argument("--lambda", type=float, default=ModlConfig.lam)
-    p.add_argument("--epochs", type=int, default=ModlConfig.epochs)
-    p.add_argument("--lr", type=float, default=ModlConfig.lr)
-    p.add_argument("--batch", type=int, default=ModlConfig.batch, help="0 = full batch")
-
-    p = command("recon-nn", cmd_recon_nn, "network inference (SECRET or unrolled)")
-    p.add_argument("--data", required=True)
-    p.add_argument("--mask", required=True)
-    p.add_argument("--weights", required=True)
+    p = command("recon-nn", cmd_recon_nn, "network inference (SECRET or unrolled)", "data", "mask", "weights")
     p.add_argument("--K", type=int, default=0, help="0 = single-pass SECRET inference")
     p.add_argument("--lambda", type=float, default=ModlConfig.lam)
     p.add_argument("--out", required=True)
 
-    p = command("evaluate", cmd_evaluate, "PSNR/SSIM/NRMSE against a reference")
-    p.add_argument("--recon", required=True)
-    p.add_argument("--ref", required=True)
+    p = command("evaluate", cmd_evaluate, "PSNR/SSIM/NRMSE against a reference", "recon", "ref")
     p.add_argument("--method", default="unknown")
     p.add_argument("--accel", type=float, default=0.0)
     p.add_argument("--phantom-id", default="0")
     p.add_argument("--out", required=True)
 
-    p = command("quantify", cmd_quantify, "Patlak parameter maps")
-    p.add_argument("--recon", required=True)
-    p.add_argument("--aif", required=True)
-    p.add_argument("--roi", required=True)
+    p = command("quantify", cmd_quantify, "Patlak parameter maps", "recon", "aif", "roi")
     p.add_argument("--dt", type=float, required=True)
     p.add_argument("--out-prefix", required=True)
 
@@ -555,8 +531,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--row", type=int, required=True)
     p.add_argument("--out-prefix", required=True)
 
-    p = command("pipeline", cmd_pipeline, "phantom -> mask -> recon -> evaluate -> quantify", seed=None)
-    p.add_argument("--config", required=True)
+    command("pipeline", cmd_pipeline, "phantom -> mask -> recon -> evaluate -> quantify", "config", seed=None)
 
     return parser
 

@@ -58,6 +58,9 @@ def patlak_fit(series: np.ndarray, aif: np.ndarray, dt: float, roi: np.ndarray) 
     t, h, w = series.shape
     if t < 3:
         raise ValueError("need at least 3 frames")
+    if roi.shape != (h, w) or aif.shape != (t,):
+        raise ValueError(f"series of shape {series.shape} needs an roi of shape {(h, w)} and an aif of "
+                         f"shape {(t,)}; got roi {roi.shape}, aif {aif.shape}")
     if not np.any(aif != 0):
         raise ValueError("AIF is identically zero")
 
@@ -164,6 +167,8 @@ def evaluate_series(x: np.ndarray, ref: np.ndarray) -> MetricsReport:
     if x.shape != ref.shape:
         raise ValueError("shape mismatch")
     peak = ref.max()
+    if peak <= 0:
+        raise ValueError("reference peak must be > 0")
     dr = float(peak)
     psnrs, ssims, nrmses = [], [], []
     for i in range(x.shape[0]):

@@ -14,19 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
 
-from .encoding import KtData, SamplingMask, encode
-from .numerics import as_complex_tensor, check_pow2, dft2
+from .encoding import KtData, SamplingMask
+from .numerics import dft2
 
-__all__ = [
-    "PhantomSpec",
-    "PhantomTruth",
-    "gamma_variate_aif",
-    "synthesize",
-    "preprocess",
-    "corrupt",
-    "normalize01",
-    "split_indices",
-]
+__all__ = ["PhantomSpec", "PhantomTruth", "gamma_variate_aif", "synthesize", "corrupt"]
 
 BASELINE = 0.1
 CONTRAST_PER_MM = 0.1  # intensity per mM of contrast agent, pre-normalization
@@ -99,22 +90,6 @@ def _ellipse(h: int, w: int, cy: float, cx: float, ry: float, rx: float) -> np.n
     return ((yy - cy) / ry) ** 2 + ((xx - cx) / rx) ** 2 <= 1.0
 
 
-def normalize01(series: np.ndarray) -> np.ndarray:
-    """Affine min-max normalization of magnitudes over the whole T,H,W block.
-
-    Phase is preserved; for real non-negative input this is the plain
-    (x - min)/(max - min) map.
-    """
-    series = as_complex_tensor(series)
-    mag = np.abs(series)
-    lo, hi = mag.min(), mag.max()
-    if hi <= lo:
-        raise ValueError("constant series cannot be normalized")
-    scaled = (mag - lo) / (hi - lo)
-    phase = np.exp(1j * np.angle(series))
-    return scaled * phase
-
-
 def synthesize(spec: PhantomSpec) -> PhantomTruth:
     """Generate a phantom whose tissue curves are exactly Patlak-linear."""
     rng = np.random.default_rng(spec.seed)
@@ -166,39 +141,6 @@ def synthesize(spec: PhantomSpec) -> PhantomTruth:
     )
 
 
-def preprocess(series: np.ndarray, target_t: int, target_hw: int) -> np.ndarray:
-    """Resample a series to a fixed frame count and padded image size.
-
-    Time: linear interpolation up to target_t frames (downsampling rejected).
-    Space: centered zero-padding of the k-space to target_hw x target_hw,
-    which preserves image energy exactly under the unitary DFT. Finally the
-    series is intensity-normalized to [0, 1].
-    """
-    series = as_complex_tensor(series)
-    t, h, w = series.shape
-    check_pow2(target_hw)
-    if target_t < t:
-        raise ValueError("temporal downsampling not supported; target_t must be >= current frames")
-    if target_hw < h or target_hw < w:
-        raise ValueError("target size must be >= current size (padding only)")
-
-    if target_t > t:
-        pos = np.arange(target_t) * (t / target_t)
-        pos = np.clip(pos, 0, t - 1)
-        lo = np.floor(pos).astype(int)
-        hi = np.minimum(lo + 1, t - 1)
-        frac = (pos - lo)[:, None, None]
-        series = (1 - frac) * series[lo] + frac * series[hi]
-
-    if target_hw > h or target_hw > w:
-        k = np.fft.fftshift(dft2(series, "forward"), axes=(-2, -1))
-        py, px = (target_hw - h) // 2, (target_hw - w) // 2
-        k = np.pad(k, ((0, 0), (py, target_hw - h - py), (px, target_hw - w - px)))
-        series = dft2(np.fft.ifftshift(k, axes=(-2, -1)), "inverse")
-
-    return normalize01(series)
-
-
 def corrupt(truth: PhantomTruth, mask: SamplingMask, noise_sigma: float, seed: int) -> KtData:
     """Undersample the reference k-space, adding noise on sampled points only.
 
@@ -215,10 +157,3 @@ def corrupt(truth: PhantomTruth, mask: SamplingMask, noise_sigma: float, seed: i
         kspace = kspace + noise
     return KtData(samples=kspace * mask.bits, mask=mask)
 
-
-def split_indices(n: int, seed: int) -> tuple:
-    """Shuffled train/validation/test split at 60/16/24 percent."""
-    order = np.random.default_rng(seed).permutation(n)
-    n_train = int(round(0.60 * n))
-    n_val = int(round(0.16 * n))
-    return order[:n_train], order[n_train:n_train + n_val], order[n_train + n_val:]

@@ -184,6 +184,21 @@ def _divergence_check(log: TrainLog):
         raise TrainingDiverged(str(exc), log) from exc
 
 
+def _check_shapes(dataset, val_dataset, net_cfg: NetConfig) -> None:
+    """Raises ValueError unless every sample's k-space has net_cfg.frames
+    frames and one shape, and every target of a (KtData, target) pair has
+    its sample's shape; a mismatch is a bad dataset, not a divergence."""
+    shape = None
+    for where, samples in (("dataset", dataset), ("val_dataset", val_dataset or ())):
+        for i, sample in enumerate(samples):
+            d_u, target = (sample, None) if isinstance(sample, KtData) else sample
+            shape = shape or (net_cfg.frames,) + d_u.samples.shape[1:]
+            if d_u.samples.shape != shape:
+                raise ValueError(f"{where}[{i}] has k-space shape {d_u.samples.shape}, expected {shape}")
+            if target is not None and np.shape(target) != shape:
+                raise ValueError(f"{where}[{i}] has target shape {np.shape(target)}, expected {shape}")
+
+
 def _fit(dataset, loss_and_grad, loss_only, cfg, net_cfg: NetConfig, val_dataset):
     """Minibatch Adam on summed per-sample gradients; returns (params, TrainLog).
 
@@ -193,6 +208,7 @@ def _fit(dataset, loss_and_grad, loss_only, cfg, net_cfg: NetConfig, val_dataset
     loss are returned, otherwise those of the last epoch.
     """
     dataset = list(dataset)
+    _check_shapes(dataset, val_dataset, net_cfg)
     params = init_params(net_cfg, cfg.seed)
     theta = params.to_flat()
     state = AdamState.zeros(theta.size)

@@ -349,6 +349,30 @@ def test_train_modl_batch_reaches_config(monkeypatch):
     assert seen == [ModlConfig(batch=2)]
 
 
+@pytest.mark.parametrize("argv, expected", [
+    (["recon-cs", "--data", "d", "--mask", "m", "--out", "o.ktsr", "--l1", 0.01, "--iters", 3],
+     CsConfig(lambda1=0.01, max_iters=3)),
+    (["train-secret", "--data-dir", "d", "--weights", "w", "--epochs", 2, "--batch", 0, "--seed", 4],
+     SecretConfig(epochs=2, batch=0, seed=4)),
+    (["train-modl", "--data-dir", "d", "--weights", "w", "--K", 2, "--lambda", 0.1], ModlConfig(K=2, lam=0.1)),
+], ids=["recon-cs", "train-secret", "train-modl"])
+def test_options_reach_config(tmp_path, monkeypatch, argv, expected):
+    seen = []
+    monkeypatch.setattr(cli, "_train", lambda args, train_fn, cfg, supervised: seen.append(cfg) or 0)
+    monkeypatch.setattr(cli, "load_ktdata", lambda data, mask: None)
+    monkeypatch.setattr(cli.cs_mod, "cs_reconstruct",
+                        lambda d_u, cfg: seen.append(cfg) or (np.zeros((8, 4, 4)), cli.cs_mod.ConvergenceLog()))
+    monkeypatch.chdir(tmp_path)
+    assert run(*argv) == 0
+    assert seen == [expected]
+
+
+def test_phantom_options_reach_spec(tmp_path):
+    assert run("phantom", "--out", tmp_path, "--regions", 2, "--ktrans-range", 0.2, 0.3, "--noise", 0.01) == 0
+    spec = PhantomSpec(n_tissue_regions=2, ktrans_range=(0.2, 0.3), noise_sigma=0.01)
+    assert json.loads((tmp_path / "spec.json").read_text()) == json.loads(json.dumps(spec.__dict__))
+
+
 @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
 def test_worker_count_rejects_bad_env(monkeypatch, value):
     monkeypatch.setenv("KTSECRET_THREADS", value)

@@ -57,6 +57,14 @@ def test_patlak_rejects_zero_aif():
         patlak_fit(np.ones((5, 2, 2), dtype=complex), np.zeros(5), 1.0, np.ones((2, 2), dtype=bool))
 
 
+@pytest.mark.parametrize("roi_shape, aif_len", [((4, 5), 20), ((4, 4), 19)])
+def test_patlak_rejects_mismatched_roi_or_aif(roi_shape, aif_len):
+    aif, dt = _aif()
+    series = np.ones((20, 4, 4), dtype=complex)
+    with pytest.raises(ValueError, match=r"roi of shape \(4, 4\).*aif of shape \(20,\)"):
+        patlak_fit(series, aif[:aif_len], dt, np.ones(roi_shape, dtype=bool))
+
+
 def test_psnr_identical_is_inf(rng):
     x = rng.uniform(size=(3, 8, 8))
     assert psnr(x, x) == float("inf")
@@ -137,3 +145,11 @@ def test_evaluate_series_nrmse_skips_zero_reference_frames(rng):
     report = evaluate_series(1.1 * ref, ref)
     assert np.isnan(report.nrmse_frames[0])
     assert report.nrmse == pytest.approx(0.1, rel=1e-12)
+
+
+def test_evaluate_series_rejects_all_zero_reference(rng):
+    ref = np.zeros((3, 8, 8))
+    with pytest.raises(ValueError, match="reference peak must be > 0"):
+        psnr(rng.uniform(size=ref.shape), ref)
+    with pytest.raises(ValueError, match="reference peak must be > 0"):
+        evaluate_series(rng.uniform(size=ref.shape), ref)

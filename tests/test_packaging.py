@@ -1,4 +1,5 @@
-"""The declared runtime dependencies are exactly the third-party imports."""
+"""The declared runtime dependencies are exactly the third-party imports; every
+import of the package is used and every __all__ name is defined."""
 
 import ast
 import re
@@ -10,12 +11,17 @@ import pytest
 tomllib = pytest.importorskip("tomllib")
 
 ROOT = Path(__file__).resolve().parents[1]
+MODULES = sorted((ROOT / "src" / "ktsecret").glob("*.py"))
+
+
+def _parse(path: Path):
+    return ast.parse(path.read_text(), filename=str(path))
 
 
 def _imported_top_level_modules(package_dir: Path) -> set:
     names = set()
     for path in package_dir.rglob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        for node in ast.walk(_parse(path)):
             if isinstance(node, ast.Import):
                 names.update(alias.name.split(".")[0] for alias in node.names)
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
@@ -29,3 +35,40 @@ def test_dependencies_match_third_party_imports():
     imported = _imported_top_level_modules(ROOT / "src" / "ktsecret")
     third_party = imported - set(sys.stdlib_module_names) - {"ktsecret"}
     assert third_party == declared
+
+
+def _dunder_all(tree) -> list:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            return ast.literal_eval(node.value)
+    return []
+
+
+def _imported_names(node) -> list:
+    if isinstance(node, ast.Import):
+        return [alias.asname or alias.name.split(".")[0] for alias in node.names]
+    if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+        return [alias.asname or alias.name for alias in node.names]
+    return []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_every_import_is_used(path):
+    tree = _parse(path)
+    # a name counts as used when it is read anywhere (annotations included) or re-exported
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)} | set(_dunder_all(tree))
+    imported = [name for node in ast.walk(tree) for name in _imported_names(node)]
+    assert [name for name in imported if name not in used] == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_dunder_all_names_are_defined(path):
+    tree = _parse(path)
+    defined = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, ast.Assign):
+            defined.update(t.id for t in node.targets if isinstance(t, ast.Name))
+        defined.update(_imported_names(node))
+    assert [name for name in _dunder_all(tree) if name not in defined] == []

@@ -246,6 +246,22 @@ def test_secret_train_divergence_in_validation_aborts():
     assert err.value.log.train_loss == []
 
 
+def test_secret_train_rejects_mixed_frame_counts():
+    # a bad dataset is a ValueError naming the sample, not a TrainingDiverged
+    ds = [corrupt(synthesize(PhantomSpec(h=16, w=16, t=t, seed=32)), make_radial_mask(t, 16, 16, 4.0, seed=0),
+                  0.0, seed=0) for t in (8, 10)]
+    with pytest.raises(ValueError, match=r"dataset\[1\] has k-space shape \(10, 16, 16\)"):
+        secret_train(ds, SecretConfig(epochs=1, seed=0), NetConfig(frames=8, base_channels=4))
+
+
+def test_modl_train_rejects_misshaped_target():
+    truth = synthesize(PhantomSpec(h=16, w=16, t=8, seed=33))
+    d_u = corrupt(truth, make_radial_mask(8, 16, 16, 4.0, seed=0), 0.0, seed=0)
+    pairs = [(d_u, truth.ref_images), (d_u, truth.ref_images[:, :8])]
+    with pytest.raises(ValueError, match=r"val_dataset\[1\] has target shape \(8, 8, 16\)"):
+        modl_train(pairs[:1], ModlConfig(epochs=1, seed=0), NetConfig(frames=8, base_channels=4), val_dataset=pairs)
+
+
 def test_secret_infer_deterministic_and_total():
     rng, d = _micro_data(9, n=16)
     params = init_params(MICRO, 4)
