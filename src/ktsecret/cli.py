@@ -179,9 +179,9 @@ def write_convergence(path, log) -> None:
 def write_trainlog(path, log) -> None:
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
-        writer.writerow(["epoch", "train_loss", "val_loss", "seconds"])
-        for i, (tr, va, se) in enumerate(zip(log.train_loss, log.val_loss, log.seconds)):
-            writer.writerow([i, tr, va, se])
+        writer.writerow(["epoch", "train_loss", "val_loss", "seconds", "grad_norm"])
+        for i, row in enumerate(zip(log.train_loss, log.val_loss, log.seconds, log.grad_norm)):
+            writer.writerow([i, *row])
 
 
 def _load_dataset(data_dir: Path, supervised: bool):
@@ -390,7 +390,7 @@ def _parse_config(config):
     mask = config["mask"]
     _check_keys(mask, "mask", ("accel", "seed"), ("accel", "seed"))
     accels = mask["accel"] if isinstance(mask["accel"], list) else [mask["accel"]]
-    _check(accels and all(_typed(a, 0.0) and a >= 1 for a in accels), "mask.accel", mask["accel"])
+    _check(accels and all(_typed(a, 0.0) and 1 <= a < np.inf for a in accels), "mask.accel", mask["accel"])
     dirs = [_accel_dir(a) for a in accels]  # equal names would have two workers write one directory
     _check(len(set(dirs)) == len(dirs), "mask.accel (duplicate output directory)", mask["accel"])
     _check(_typed(mask["seed"], 0), "mask.seed", mask["seed"])

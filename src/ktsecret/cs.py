@@ -49,10 +49,11 @@ class CsConfig:
     tol: float = 1e-6
 
     def __post_init__(self):
-        if self.lambda1 < 0 or self.lambda2 < 0:
-            raise ValueError("regularization weights must be >= 0")
-        if self.tol <= 0 or self.max_iters < 1:
-            raise ValueError("tol must be positive and max_iters >= 1")
+        # written so that NaN fails: every comparison with NaN is False
+        if not (0 <= self.lambda1 < np.inf and 0 <= self.lambda2 < np.inf):
+            raise ValueError("regularization weights must be finite and >= 0")
+        if not 0 < self.tol < np.inf or self.max_iters < 1:
+            raise ValueError("tol must be positive and finite, and max_iters >= 1")
 
 
 @dataclass

@@ -6,9 +6,11 @@ pairs, 2x average pooling down, nearest-neighbor upsampling with skip
 concatenation up, a final 1x1 conv back to 2T channels, and a residual path
 that adds the temporal-average image of the input to every output frame.
 
-Every layer, 3x3 or 1x1, is one convolution: im2col builds the zero-padded
-patch matrix and a single GEMM with the [out, in*k*k] weight matrix does the
-rest; the kernel size is read from the weight's shape.
+Every layer, 3x3 or 1x1, is one convolution whose forward, weight gradient
+and input gradient are each one im2col plus one GEMM: im2col builds the
+zero-padded patch matrix, the kernel size is read from the weight's shape,
+and the input gradient convolves the output gradient with the kernel flipped
+in space and transposed (in <-> out).
 
 Forward caches every intermediate needed for an exact reverse pass; gradients
 are validated against central finite differences in the test suite.
@@ -19,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "NetConfig",
@@ -142,9 +143,15 @@ def to_complex(x: np.ndarray) -> np.ndarray:
 def _im2col(x, k):
     """[C,H,W] -> [C*k*k, H*W] zero-padded k x k patches, rows ordered (c, dy, dx)."""
     c, h, w = x.shape
+    if k == 1:
+        return x.reshape(c, h * w)
     p = k // 2
-    xp = np.pad(x, ((0, 0), (p, p), (p, p)))
-    return sliding_window_view(xp, (h, w), axis=(1, 2)).reshape(c * k * k, h * w)
+    xp = np.zeros((c, h + 2 * p, w + 2 * p), dtype=x.dtype)
+    xp[:, p:p + h, p:p + w] = x
+    cols = np.empty((c, k, k, h, w), dtype=x.dtype)
+    for dy, dx in np.ndindex(k, k):
+        cols[:, dy, dx] = xp[:, dy:dy + h, dx:dx + w]
+    return cols.reshape(c * k * k, h * w)
 
 
 def _conv_forward(x, w, b):
@@ -156,18 +163,15 @@ def _conv_forward(x, w, b):
 
 
 def _conv_backward(gy, x, w):
-    """Returns (weight, bias, input) gradients; the input one is col2im of W^T gY."""
+    """Returns (weight, bias, input) gradients, each from one im2col + GEMM:
+    gW = gY im2col(x)^T, and gX is the same zero-padded conv of gY with the
+    kernel flipped in space and transposed to [in, out, k, k] (k odd)."""
     cout, cin, k, _ = w.shape
     _, h, wd = x.shape
-    p = k // 2
-    gy = gy.reshape(cout, h * wd)
-    gw = (gy @ _im2col(x, k).T).reshape(w.shape)
-    gcols = (w.reshape(cout, -1).T @ gy).reshape(cin, k, k, h, wd)
-    gxp = np.zeros((cin, h + 2 * p, wd + 2 * p))
-    for dy in range(k):
-        for dx in range(k):
-            gxp[:, dy:dy + h, dx:dx + wd] += gcols[:, dy, dx]
-    return gw, gy.sum(axis=1), gxp[:, p:p + h, p:p + wd]
+    gw = (gy.reshape(cout, h * wd) @ _im2col(x, k).T).reshape(w.shape)
+    w_adj = w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(cin, cout * k * k)
+    gx = (w_adj @ _im2col(gy, k)).reshape(cin, h, wd)
+    return gw, gy.reshape(cout, -1).sum(axis=1), gx
 
 
 def net_forward(s_u: np.ndarray, params: NetworkParams, cfg: NetConfig):

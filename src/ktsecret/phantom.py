@@ -38,13 +38,14 @@ class PhantomSpec:
     def __post_init__(self):
         if self.t < 8:
             raise ValueError("need at least 8 frames")
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be >= 0")
+        # written so that NaN fails: every comparison with NaN is False
+        if not 0 <= self.noise_sigma < np.inf:
+            raise ValueError("noise_sigma must be finite and >= 0")
         for lo, hi in (self.ktrans_range, self.vp_range):
-            if lo < 0 or hi < lo:
-                raise ValueError("parameter ranges must be non-negative with max >= min")
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
+            if not 0 <= lo <= hi < np.inf:
+                raise ValueError("parameter ranges must be finite and non-negative with max >= min")
+        if not 0 < self.dt < np.inf:
+            raise ValueError("dt must be positive and finite")
 
 
 @dataclass(frozen=True)

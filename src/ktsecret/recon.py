@@ -56,10 +56,10 @@ class ModlConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.K < 1 or self.lam <= 0:
-            raise ValueError("K must be >= 1 and lam > 0")
-        if self.epochs < 1 or self.lr <= 0 or self.batch < 0:
-            raise ValueError("epochs, lr must be positive; batch >= 0")
+        if self.K < 1 or not 0 < self.lam < np.inf:  # NaN fails the comparison
+            raise ValueError("K must be >= 1 and lam positive and finite")
+        if self.epochs < 1 or not 0 < self.lr < np.inf or self.batch < 0:
+            raise ValueError("epochs, lr must be positive and lr finite; batch >= 0")
 
 
 @dataclass(frozen=True)
@@ -70,8 +70,8 @@ class SecretConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.epochs < 1 or self.lr <= 0 or self.batch < 0:
-            raise ValueError("epochs, lr must be positive; batch >= 0")
+        if self.epochs < 1 or not 0 < self.lr < np.inf or self.batch < 0:
+            raise ValueError("epochs, lr must be positive and lr finite; batch >= 0")
 
 
 @dataclass
@@ -79,11 +79,13 @@ class TrainLog:
     train_loss: list = field(default_factory=list)
     val_loss: list = field(default_factory=list)
     seconds: list = field(default_factory=list)
+    grad_norm: list = field(default_factory=list)  # per epoch: mean minibatch ||g||_2 before Adam
 
-    def append(self, train, val, secs):
+    def append(self, train, val, secs, grad_norm):
         self.train_loss.append(float(train))
         self.val_loss.append(float(val))
         self.seconds.append(float(secs))
+        self.grad_norm.append(float(grad_norm))
 
 
 @dataclass
@@ -217,7 +219,7 @@ def _fit(dataset, loss_and_grad, loss_only, cfg, net_cfg: NetConfig, val_dataset
     best_params, best_val = params, np.inf
     for _ in range(cfg.epochs):
         t_start = time.perf_counter()
-        epoch_loss = 0.0
+        epoch_loss, grad_norms = 0.0, []
         for batch in _epoch_batches(len(dataset), cfg.batch, rng):
             g_total = np.zeros_like(theta)
             for i in batch:
@@ -227,13 +229,14 @@ def _fit(dataset, loss_and_grad, loss_only, cfg, net_cfg: NetConfig, val_dataset
                         raise ValueError("training loss or gradient became non-finite")
                 epoch_loss += loss
                 g_total += g
+            grad_norms.append(np.linalg.norm(g_total))
             theta, state = adam_step(theta, g_total, state, lr=cfg.lr)
             params = params.from_flat(theta)
         with _divergence_check(log):
             val = sum(loss_only(sample, params) for sample in val_dataset) if val_dataset else np.nan
         if val < best_val:
             best_params, best_val = params, val
-        log.append(epoch_loss, val, time.perf_counter() - t_start)
+        log.append(epoch_loss, val, time.perf_counter() - t_start, np.mean(grad_norms))
     return (best_params if val_dataset else params), log
 
 

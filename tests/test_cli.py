@@ -25,6 +25,8 @@ from ktsecret.container import load_tensor
 from ktsecret.encoding import make_radial_mask
 from ktsecret.phantom import PhantomSpec, corrupt, synthesize
 
+NAN, INF = float("nan"), float("inf")
+
 
 def run(*argv):
     return main([str(a) for a in argv])
@@ -102,7 +104,10 @@ def test_train_secret_and_recon_nn(tmp_path):
     assert run("train-secret", "--data-dir", data_dir, "--weights", tmp_path / "w.ktsr",
                "--epochs", 2, "--seed", 0) == 0
     assert (tmp_path / "w.ktsr.json").exists()
-    assert (tmp_path / "w.ktsr.trainlog.csv").exists()
+    with open(tmp_path / "w.ktsr.trainlog.csv", newline="") as f:
+        rows = list(csv.DictReader(f))
+    assert [row["epoch"] for row in rows] == ["0", "1"]
+    assert all(np.isfinite(float(row["grad_norm"])) for row in rows)
     sub = data_dir / "sample0"
     assert run("recon-nn", "--data", sub / "data.ktsr", "--mask", sub / "mask.ktsr",
                "--weights", tmp_path / "w.ktsr", "--out", tmp_path / "nn.ktsr") == 0
@@ -203,6 +208,31 @@ def test_pipeline_rejects_unknown_keys(tmp_path):
     assert run("pipeline", "--config", config) == 1
 
 
+@pytest.mark.parametrize("method,accel,params", [
+    ("cs", 4.0, {"l1": NAN, "tol": NAN}),
+    ("zf", [INF], {}),
+])
+def test_pipeline_rejects_nan_and_infinity_literals(tmp_path, method, accel, params):
+    # json.loads accepts the non-standard NaN and Infinity literals json.dumps writes
+    config, out = _pipeline_config(tmp_path, method, accel, **params)
+    assert "NaN" in config.read_text() or "Infinity" in config.read_text()
+    assert run("pipeline", "--config", config) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cls,kwargs", [
+    (CsConfig, dict(lambda1=NAN)), (CsConfig, dict(lambda1=INF)), (CsConfig, dict(lambda2=NAN)),
+    (CsConfig, dict(tol=NAN)), (CsConfig, dict(tol=INF)),
+    (SecretConfig, dict(lr=NAN)), (SecretConfig, dict(lr=INF)),
+    (ModlConfig, dict(lam=NAN)), (ModlConfig, dict(lam=INF)), (ModlConfig, dict(lr=NAN)),
+    (PhantomSpec, dict(dt=NAN)), (PhantomSpec, dict(dt=INF)), (PhantomSpec, dict(noise_sigma=INF)),
+    (PhantomSpec, dict(ktrans_range=(NAN, 0.5))), (PhantomSpec, dict(vp_range=(0.02, INF))),
+], ids=lambda v: v.__name__ if isinstance(v, type) else str(v))
+def test_config_dataclasses_reject_non_finite_floats(cls, kwargs):
+    with pytest.raises(ValueError):
+        cls(**kwargs)
+
+
 def test_write_pgm_shape(tmp_path):
     write_pgm(tmp_path / "x.pgm", np.eye(4))
     blob = (tmp_path / "x.pgm").read_bytes()
@@ -274,6 +304,13 @@ MALFORMED = {
     "non-object phantom": _put("phantom", [16, 16]),
     "non-object mask": _put("mask", 4),
     "non-string output_dir": _put("output_dir", 5),
+    "NaN phantom.dt": _put("phantom", "dt", NAN),
+    "infinite phantom.dt": _put("phantom", "dt", INF),
+    "NaN in ktrans_range": _put("phantom", "ktrans_range", [NAN, 0.5]),
+    "infinite vp_range max": _put("phantom", "vp_range", [0.02, INF]),
+    "NaN noise_sigma": _put("phantom", "noise_sigma", NAN),
+    "infinite accel": _put("mask", "accel", [INF]),
+    "NaN accel": _put("mask", "accel", [3, NAN]),
 }
 
 
@@ -311,6 +348,13 @@ def test_pipeline_rejects_unknown_method_params(tmp_path, method, params, key):
     ("secret", {"lr": -1.0}),
     ("modl", {"K": 0}),
     ("modl", {"weights": 3}),
+    ("cs", {"l1": NAN}),
+    ("cs", {"l1": INF}),
+    ("cs", {"tol": NAN}),
+    ("secret", {"lr": NAN}),
+    ("modl", {"lambda": NAN}),
+    ("modl", {"lambda": INF}),
+    ("modl", {"lr": NAN}),
 ])
 def test_pipeline_rejects_bad_method_param_values(tmp_path, method, params):
     with pytest.raises(ConfigError):

@@ -7,16 +7,21 @@ from img(s) + a img(d), which holds only because encode, grad_spatial and
 grad_temporal are linear. Containers must round-trip every rank from 0 to 4
 and turn any damage into ContainerError. derandomize=True keeps every run on
 the same examples. A radial mask either meets its +-15% acceleration contract
-or is refused as unachievable.
+or is refused as unachievable. Every conv product is one im2col + GEMM, so
+the input and weight gradients must satisfy their adjoint identities against
+the forward conv, and im2col must equal the np.pad + sliding_window_view
+patch matrix it replaced, bit for bit.
 """
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ktsecret.container import ContainerError, load_tensor, save_tensor
 from ktsecret.encoding import KtData, SamplingMask, adjoint, encode, make_radial_mask, normal_op
+from ktsecret.net import _conv_backward, _conv_forward, _im2col
 from ktsecret.numerics import grad_spatial, grad_temporal
 from conftest import crandn
 
@@ -120,3 +125,46 @@ def test_radial_mask_meets_acceleration_or_is_unachievable(log_h, log_w, accel, 
         assert "acceleration unachievable" in str(exc)
         return
     assert 0.85 * accel <= mask.achieved_accel <= 1.15 * accel
+
+
+@st.composite
+def conv_cases(draw):
+    """(x, w, gy, rng): a 'same' conv with k in {1, 3}, 1..5 channels each way
+    and sides 1..9, odd and size 1 included."""
+    k = draw(st.sampled_from([1, 3]))
+    cin, cout, h, w = (draw(st.integers(1, hi)) for hi in (5, 5, 9, 9))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    x, gy = rng.standard_normal((cin, h, w)), rng.standard_normal((cout, h, w))
+    return x, rng.standard_normal((cout, cin, k, k)), gy, rng
+
+
+@PROPERTY
+@given(conv_cases())
+def test_conv_input_gradient_is_adjoint(case):
+    x, w, gy, _ = case
+    y = _conv_forward(x, w, np.zeros(w.shape[0]))
+    _, _, gx = _conv_backward(gy, x, w)
+    assert gx.shape == x.shape
+    assert abs(np.vdot(y, gy) - np.vdot(x, gx)) <= _inner_bound(y, gy)
+
+
+@PROPERTY
+@given(conv_cases())
+def test_conv_weight_gradient_is_adjoint(case):
+    x, w, gy, rng = case
+    dw, db = rng.standard_normal(w.shape), rng.standard_normal(w.shape[0])
+    gw, gb, _ = _conv_backward(gy, x, w)
+    y_d = _conv_forward(x, dw, db)  # the conv is linear in (w, b)
+    assert abs(np.vdot(gw, dw) + np.vdot(gb, db) - np.vdot(y_d, gy)) <= _inner_bound(y_d, gy)
+
+
+@PROPERTY
+@given(conv_cases())
+def test_im2col_matches_padded_sliding_window(case):
+    x, w, _, _ = case
+    c, h, wd = x.shape
+    k = w.shape[-1]
+    p = k // 2
+    xp = np.pad(x, ((0, 0), (p, p), (p, p)))
+    reference = sliding_window_view(xp, (h, wd), axis=(1, 2)).reshape(c * k * k, h * wd)
+    assert np.array_equal(_im2col(x, k), reference)

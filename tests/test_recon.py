@@ -21,6 +21,7 @@ from ktsecret.recon import (
     secret_loss,
     secret_train,
 )
+from ktsecret import recon
 from ktsecret.recon import _modl_sample_grad
 from conftest import crandn
 
@@ -224,6 +225,35 @@ def test_secret_train_accepts_reference_free_dataset():
     cfg_net = NetConfig(frames=8, base_channels=4)
     params, log = secret_train(ds, SecretConfig(epochs=2, seed=0), cfg_net)
     assert len(log.train_loss) == 2
+
+
+def _grad_norm_case():
+    truth = synthesize(PhantomSpec(h=16, w=16, t=8, seed=30))
+    data = [corrupt(truth, make_radial_mask(8, 16, 16, 4.0, seed=i), 0.0, seed=i) for i in range(2)]
+    return data, NetConfig(frames=8, base_channels=4)
+
+
+def test_train_log_grad_norm_is_mean_minibatch_norm(monkeypatch):
+    data, cfg_net = _grad_norm_case()
+    norms = []
+
+    def recorded(d_u, params, net_cfg):
+        loss, g = secret_loss(d_u, params, net_cfg)
+        norms.append(np.linalg.norm(g))  # batch 1: the minibatch gradient is g
+        return loss, g
+
+    monkeypatch.setattr(recon, "secret_loss", recorded)
+    _, log = secret_train(data, SecretConfig(epochs=3, batch=1, seed=0), cfg_net)
+    assert len(log.grad_norm) == 3 and len(norms) == 6
+    assert np.all(np.isfinite(log.grad_norm))
+    assert log.grad_norm == [np.mean(norms[i:i + 2]) for i in (0, 2, 4)]
+
+
+def test_train_log_grad_norm_of_zero_gradient_is_zero(monkeypatch):
+    data, cfg_net = _grad_norm_case()
+    monkeypatch.setattr(recon, "secret_loss", lambda d_u, params, net_cfg: (1.0, np.zeros(params.size)))
+    _, log = secret_train(data, SecretConfig(epochs=2, seed=0), cfg_net)
+    assert log.grad_norm == [0.0, 0.0]
 
 
 def test_secret_train_divergence_aborts():
