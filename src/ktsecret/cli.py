@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import logging
 import os
 import sys
 import time
@@ -40,6 +41,8 @@ from .recon import (
     secret_infer,
     secret_train,
 )
+
+logger = logging.getLogger(__name__)
 
 RUN_KEYS = ("seed", "phantom", "mask", "method", "output_dir", "method_params")  # the last is optional
 # phantom directory: file stem -> PhantomTruth array (labels are stored as float64)
@@ -169,11 +172,15 @@ def append_metrics(csv_path: Path, method: str, accel: float, phantom_id: str,
 
 
 def write_convergence(path, log) -> None:
+    """Writes a CS ConvergenceLog as CSV; a stalled line search is also logged
+    as a warning that names the file."""
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["iteration", "objective", "backtracks"])
         # backtracks[i] is the number of rejected trials on the step to iterate i + 1
         writer.writerows(zip(range(len(log.objective)), log.objective, ["", *log.backtracks]))
+    if log.line_search_failed:
+        logger.warning("CS line search stalled (%s): returned the last accepted iterate", path)
 
 
 def write_trainlog(path, log) -> None:
@@ -241,8 +248,6 @@ def cmd_recon_cs(args) -> int:
     s, log = cs_mod.cs_reconstruct(d_u, _options_config(args))
     save_tensor(args.out, s)
     write_convergence(Path(args.out).with_suffix(".convergence.csv"), log)
-    if log.line_search_failed:
-        print("warning: line search stalled; returned best iterate", file=sys.stderr)
     return 0
 
 

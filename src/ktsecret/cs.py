@@ -18,6 +18,15 @@ scores every Armijo trial by elementwise arithmetic, updates the images in
 place and takes the next gradient from them (one inverse DFT), however many
 backtracks it needs. There is no per-iteration callback: the ConvergenceLog
 records the objective after every accepted step and the backtracks it took.
+
+cs_reconstruct allocates one workspace at entry: the iterate, the direction
+and the gradient, the three images of the point and of the direction, one
+[2,T,H,W] complex trial/scratch buffer and one real buffer for the smoothed
+moduli. Every step writes into it with ufunc out= or in-place operations, in
+the same order as the plain expressions, so there is no per-iteration
+allocation beyond the DFT outputs (numpy's FFT takes no out=). The direction's
+images are dead while the next gradient is taken and serve as its scratch.
+cs_objective and cs_gradient validate s and allocate their own buffers.
 """
 
 from __future__ import annotations
@@ -26,13 +35,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .encoding import KtData, adjoint, encode
+from .encoding import KtData, adjoint
 from .numerics import (
+    as_complex_tensor,
     dft2,
     grad_spatial,
     grad_spatial_adjoint,
     grad_temporal,
     grad_temporal_adjoint,
+    is_int,
 )
 
 __all__ = ["SMOOTH_EPS", "CsConfig", "ConvergenceLog", "cs_objective", "cs_gradient",
@@ -52,8 +63,8 @@ class CsConfig:
         # written so that NaN fails: every comparison with NaN is False
         if not (0 <= self.lambda1 < np.inf and 0 <= self.lambda2 < np.inf):
             raise ValueError("regularization weights must be finite and >= 0")
-        if not 0 < self.tol < np.inf or self.max_iters < 1:
-            raise ValueError("tol must be positive and finite, and max_iters >= 1")
+        if not 0 < self.tol < np.inf or not is_int(self.max_iters) or self.max_iters < 1:
+            raise ValueError("tol must be positive and finite, and max_iters an integer >= 1")
 
 
 @dataclass
@@ -63,39 +74,90 @@ class ConvergenceLog:
     line_search_failed: bool = False
 
 
-def _images(x: np.ndarray, mask, samples) -> list:
-    """The objective's affine images of x: (E x - samples, grad_s x, grad_t x)."""
-    return [encode(x, mask).samples - samples, grad_spatial(x), grad_temporal(x)]
+def _image_buffers(shape: tuple) -> tuple:
+    """Uninitialised buffers for the three images of a T,H,W point."""
+    return (np.empty(shape, np.complex128), np.empty((2, *shape), np.complex128),
+            np.empty(shape, np.complex128))
 
 
-def _value(images, cfg: CsConfig) -> float:
-    """Objective from its images; given a generator, it holds one image at a time."""
+def _images(x: np.ndarray, mask, samples, out: tuple) -> tuple:
+    """Writes the objective's affine images of x, (E x - samples, grad_s x,
+    grad_t x), into out and returns it; samples None stands for zero."""
+    r, gs, gt = out
+    np.multiply(dft2(x, "forward"), mask.bits, out=r)
+    if samples is not None:
+        np.subtract(r, samples, out=r)
+    grad_spatial(x, out=gs)
+    grad_temporal(x, out=gt)
+    return out
+
+
+def _slab(buf: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """The part of a [2,T,H,W] scratch buffer shaped like im: all of it, or buf[0]."""
+    return buf if im.ndim == buf.ndim else buf[0]
+
+
+def _smoothed_modulus(im: np.ndarray, weight: np.ndarray) -> np.ndarray:
+    """sqrt(|im|^2 + SMOOTH_EPS), written into the real scratch buffer weight."""
+    w = _slab(weight, im)
+    np.abs(im, out=w)
+    np.square(w, out=w)
+    np.add(w, SMOOTH_EPS, out=w)
+    return np.sqrt(w, out=w)
+
+
+def _value(images, cfg: CsConfig, weight: np.ndarray) -> float:
+    """Objective from its images; given a generator, it holds one image at a
+    time. weight is a real [2,T,H,W] scratch buffer."""
     val = 0.0
     for lam, im in zip((None, cfg.lambda1, cfg.lambda2), images):
         if lam is None:
             val += np.vdot(im, im).real
         else:
-            val += lam * np.sqrt(np.abs(im) ** 2 + SMOOTH_EPS).sum()
+            val += lam * _smoothed_modulus(im, weight).sum()
     return float(val)
 
 
-def _gradient(images, cfg: CsConfig) -> np.ndarray:
-    """Gradient w.r.t. the real/imag parts of s, packed complex, from s's images."""
+def _gradient(images, cfg: CsConfig, g: np.ndarray, trial: np.ndarray, weight: np.ndarray,
+              tv: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """Gradient w.r.t. the real/imag parts of s, packed complex, from s's
+    images, written into g. trial ([2,T,H,W] complex), weight ([2,T,H,W]
+    real), tv and work ([T,H,W] complex) are scratch."""
     r, gs, gt = images
     # E^H r; the residual already lives on the sampled set
-    g = 2.0 * dft2(r, "inverse")
-    g = g + cfg.lambda1 * grad_spatial_adjoint(gs / np.sqrt(np.abs(gs) ** 2 + SMOOTH_EPS))
-    g = g + cfg.lambda2 * grad_temporal_adjoint(gt / np.sqrt(np.abs(gt) ** 2 + SMOOTH_EPS))
-    return g
+    np.multiply(2.0, dft2(r, "inverse"), out=g)
+    np.divide(gs, _smoothed_modulus(gs, weight), out=trial)
+    np.multiply(cfg.lambda1, grad_spatial_adjoint(trial, out=tv, work=work), out=tv)
+    np.add(g, tv, out=g)
+    np.divide(gt, _smoothed_modulus(gt, weight), out=trial[0])
+    np.multiply(cfg.lambda2, grad_temporal_adjoint(trial[0], out=tv), out=tv)
+    return np.add(g, tv, out=g)
+
+
+def _trial_images(img, img_d, a: float, trial: np.ndarray):
+    """The images of s + a d, one at a time, each written into trial."""
+    for x, y in zip(img, img_d):
+        buf = np.multiply(a, y, out=_slab(trial, y))
+        yield np.add(x, buf, out=buf)
+
+
+def _point_images(s: np.ndarray, d_u: KtData) -> tuple:
+    s = as_complex_tensor(s)
+    if s.shape != d_u.mask.shape:
+        raise ValueError(f"image shape {s.shape} != mask shape {d_u.mask.shape}")
+    return _images(s, d_u.mask, d_u.samples, _image_buffers(s.shape))
 
 
 def cs_objective(s: np.ndarray, d_u: KtData, cfg: CsConfig) -> float:
-    return _value(_images(s, d_u.mask, d_u.samples), cfg)
+    return _value(_point_images(s, d_u), cfg, np.empty((2, *d_u.mask.shape)))
 
 
 def cs_gradient(s: np.ndarray, d_u: KtData, cfg: CsConfig) -> np.ndarray:
     """Gradient of cs_objective w.r.t. the real/imag parts of s, packed complex."""
-    return _gradient(_images(s, d_u.mask, d_u.samples), cfg)
+    shape = d_u.mask.shape
+    return _gradient(_point_images(s, d_u), cfg, np.empty(shape, np.complex128),
+                     np.empty((2, *shape), np.complex128), np.empty((2, *shape)),
+                     np.empty(shape, np.complex128), np.empty(shape, np.complex128))
 
 
 def cs_reconstruct(d_u: KtData, cfg: CsConfig | None = None):
@@ -103,33 +165,43 @@ def cs_reconstruct(d_u: KtData, cfg: CsConfig | None = None):
 
     Returns (reconstruction, ConvergenceLog). The logged objective sequence is
     non-increasing; if the Armijo search fails 50 backtracks in a row the
-    current iterate is returned with the warning flag set.
+    current iterate is returned with the warning flag set. d_u was validated
+    when the KtData was built; the search directions are encoded straight
+    into the workspace, so nothing is re-validated per iteration.
     """
     cfg = cfg or CsConfig()
-    s = adjoint(d_u)
+    mask, samples = d_u.mask, d_u.samples
+    s = adjoint(d_u)  # the iterate, updated in place and returned
+    # the workspace: every step below writes into these buffers
+    d, g = np.empty_like(s), np.empty_like(s)
+    img, img_d = _image_buffers(s.shape), _image_buffers(s.shape)
+    trial = np.empty((2, *s.shape), np.complex128)
+    weight = np.empty((2, *s.shape))
     log = ConvergenceLog()
-    img = _images(s, d_u.mask, d_u.samples)
-    f = _value(img, cfg)
+    f = _value(_images(s, mask, samples, img), cfg, weight)
     log.objective.append(f)
-    d = gg = None
+    gg = None
     step0 = 1.0
-    for _ in range(cfg.max_iters):
-        g, gg_prev = _gradient(img, cfg), gg
-        gg = np.vdot(g, g).real
+    for it in range(cfg.max_iters):
+        # the direction's images are dead here; two of them serve as scratch
+        _gradient(img, cfg, g, trial, weight, img_d[0], img_d[2])
+        gg_prev, gg = gg, np.vdot(g, g).real
         if gg < 1e-30:
             break
-        # Fletcher-Reeves direction; the first one is steepest descent
-        d = -g if d is None else -g + (gg / gg_prev) * d
+        # Fletcher-Reeves direction -g + (gg / gg_prev) d; the first one is steepest descent
+        if it == 0:
+            np.negative(g, out=d)
+        else:
+            np.subtract(np.multiply(gg / gg_prev, d, out=d), g, out=d)
         # Armijo backtracking: f(s + a d) <= f + c a Re<g, d>
         slope = np.vdot(g, d).real
         if slope >= 0:  # not a descent direction; restart on steepest descent
-            d = -g
+            np.negative(g, out=d)
             slope = -gg
-        del g
-        img_d = _images(d, d_u.mask, 0.0)
+        _images(d, mask, None, img_d)
         a = step0
         for rejected in range(50):
-            f_new = _value((x + a * y for x, y in zip(img, img_d)), cfg)
+            f_new = _value(_trial_images(img, img_d, a, trial), cfg, weight)
             if f_new <= f + 1e-4 * a * slope:
                 break
             a *= 0.5
@@ -137,8 +209,7 @@ def cs_reconstruct(d_u: KtData, cfg: CsConfig | None = None):
             log.line_search_failed = True
             break
         for x, y in zip([s, *img], [d, *img_d]):  # the point and its images
-            x += a * y
-        del img_d, y  # free the direction's images before the next gradient
+            np.add(x, np.multiply(a, y, out=_slab(trial, y)), out=x)
         log.backtracks.append(rejected)
         step0 = min(1.0, a * 2.0)
         f_prev, f = f, f_new

@@ -22,6 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .numerics import is_int
+
 __all__ = [
     "NetConfig",
     "NetworkParams",
@@ -42,8 +44,9 @@ class NetConfig:
     base_channels: int = 16
 
     def __post_init__(self):
-        if self.frames < 1 or self.depth_levels < 1 or self.base_channels < 1:
-            raise ValueError("frames, depth_levels, base_channels must be >= 1")
+        sizes = (self.frames, self.depth_levels, self.base_channels)
+        if not is_int(*sizes) or min(sizes) < 1:
+            raise ValueError("frames, depth_levels, base_channels must be integers >= 1")
 
     @property
     def io_channels(self) -> int:

@@ -1,8 +1,12 @@
 """Complex array core: unitary 2D DFT and periodic finite-difference operators.
 
-All functions operate on complex128 numpy arrays and are pure; the DFT is
-unitary in both directions so the adjoint of the forward transform is exactly
-the inverse transform.
+All functions operate on complex128 numpy arrays and leave their inputs
+unchanged; the DFT is unitary in both directions so the adjoint of the forward
+transform is exactly the inverse transform. The difference operators subtract
+slices (x[1:] - x[:-1], then the wrap-around row) and write into an optional
+preallocated out=, so a solver that owns its buffers allocates nothing per
+call; out must not overlap the input. is_int is the integer check the config
+dataclasses share.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ __all__ = [
     "grad_spatial_adjoint",
     "grad_temporal",
     "grad_temporal_adjoint",
+    "is_int",
 ]
 
 
@@ -26,6 +31,11 @@ def as_complex_tensor(data) -> np.ndarray:
     if not np.all(np.isfinite(arr.view(np.float64))):
         raise ValueError("non-finite values are not admitted")
     return arr
+
+
+def is_int(*values) -> bool:
+    """Whether every value is a Python or numpy integer; a bool is not one."""
+    return all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in values)
 
 
 def check_pow2(*dims: int) -> None:
@@ -50,15 +60,32 @@ def dft2(x: np.ndarray, direction: str = "forward") -> np.ndarray:
     raise ValueError(f"unknown direction {direction!r}")
 
 
-def _fwd_diff(x: np.ndarray, axis: int) -> np.ndarray:
-    # forward difference with periodic wrap: (x[i+1] - x[i])
-    return np.roll(x, -1, axis=axis) - x
+def _output(out, shape: tuple, x: np.ndarray) -> np.ndarray:
+    """A fresh complex128 array of the given shape, or out once it is checked."""
+    if out is None:
+        return np.empty(shape, dtype=np.complex128)
+    if out.shape != shape or out.dtype != np.complex128:
+        raise ValueError(f"out must be complex128 of shape {shape}, got {out.dtype} {out.shape}")
+    if np.may_share_memory(out, x):
+        raise ValueError("out must not share memory with the input")
+    return out
 
 
-def _fwd_diff_adjoint(y: np.ndarray, axis: int) -> np.ndarray:
+def _fwd_diff(x: np.ndarray, axis: int, out: np.ndarray) -> np.ndarray:
+    # forward difference with periodic wrap: out[i] = x[i+1] - x[i]
+    x, o = np.moveaxis(x, axis, 0), np.moveaxis(out, axis, 0)
+    np.subtract(x[1:], x[:-1], out=o[:-1])
+    np.subtract(x[:1], x[-1:], out=o[-1:])
+    return out
+
+
+def _fwd_diff_adjoint(y: np.ndarray, axis: int, out: np.ndarray) -> np.ndarray:
     # adjoint of the periodic forward difference is the negative
-    # backward difference: (y[i-1] - y[i])
-    return np.roll(y, 1, axis=axis) - y
+    # backward difference: out[i] = y[i-1] - y[i]
+    y, o = np.moveaxis(y, axis, 0), np.moveaxis(out, axis, 0)
+    np.subtract(y[:-1], y[1:], out=o[1:])
+    np.subtract(y[-1:], y[:1], out=o[:1])
+    return out
 
 
 def _check_3d(s: np.ndarray, min_t: int = 1) -> np.ndarray:
@@ -70,27 +97,39 @@ def _check_3d(s: np.ndarray, min_t: int = 1) -> np.ndarray:
     return s
 
 
-def grad_spatial(s: np.ndarray) -> np.ndarray:
-    """Forward differences along H and W (periodic), stacked as [2,T,H,W]."""
+def grad_spatial(s: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Forward differences along H and W (periodic), as a [2,T,H,W] stack."""
     s = _check_3d(s)
-    return np.stack([_fwd_diff(s, axis=1), _fwd_diff(s, axis=2)])
+    out = _output(out, (2, *s.shape), s)
+    _fwd_diff(s, 1, out[0])
+    _fwd_diff(s, 2, out[1])
+    return out
 
 
-def grad_spatial_adjoint(g: np.ndarray) -> np.ndarray:
-    """Adjoint of grad_spatial; input shape [2,T,H,W]."""
+def grad_spatial_adjoint(g: np.ndarray, out: np.ndarray | None = None,
+                         work: np.ndarray | None = None) -> np.ndarray:
+    """Adjoint of grad_spatial; input shape [2,T,H,W].
+
+    The result is the H term plus the W term; out receives the H term and
+    then the sum, work ([T,H,W] complex128) the W term.
+    """
     g = np.asarray(g, dtype=np.complex128)
     if g.ndim != 4 or g.shape[0] != 2:
         raise ValueError(f"expected a 2,T,H,W stack, got shape {g.shape}")
-    return _fwd_diff_adjoint(g[0], axis=1) + _fwd_diff_adjoint(g[1], axis=2)
+    out, work = _output(out, g.shape[1:], g), _output(work, g.shape[1:], g)
+    if np.may_share_memory(out, work):
+        raise ValueError("out and work must not share memory")
+    _fwd_diff_adjoint(g[0], 1, out)
+    return np.add(out, _fwd_diff_adjoint(g[1], 2, work), out=out)
 
 
-def grad_temporal(s: np.ndarray) -> np.ndarray:
+def grad_temporal(s: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Forward difference along the frame axis (periodic)."""
     s = _check_3d(s, min_t=2)
-    return _fwd_diff(s, axis=0)
+    return _fwd_diff(s, 0, _output(out, s.shape, s))
 
 
-def grad_temporal_adjoint(g: np.ndarray) -> np.ndarray:
+def grad_temporal_adjoint(g: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Adjoint of grad_temporal."""
     g = _check_3d(g, min_t=2)
-    return _fwd_diff_adjoint(g, axis=0)
+    return _fwd_diff_adjoint(g, 0, _output(out, g.shape, g))

@@ -15,7 +15,7 @@ import numpy as np
 from scipy.integrate import cumulative_trapezoid
 
 from .encoding import KtData, SamplingMask
-from .numerics import dft2
+from .numerics import dft2, is_int
 
 __all__ = ["PhantomSpec", "PhantomTruth", "gamma_variate_aif", "synthesize", "corrupt"]
 
@@ -36,8 +36,9 @@ class PhantomSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.t < 8:
-            raise ValueError("need at least 8 frames")
+        if not is_int(self.h, self.w, self.t, self.n_tissue_regions, self.seed) or self.t < 8:
+            raise ValueError("h, w, t, n_tissue_regions and seed must be integers; "
+                             "need at least 8 frames")
         # written so that NaN fails: every comparison with NaN is False
         if not 0 <= self.noise_sigma < np.inf:
             raise ValueError("noise_sigma must be finite and >= 0")

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .encoding import KtData, SamplingMask, adjoint, encode
-from .numerics import dft2
+from .numerics import dft2, is_int
 from .net import AdamState, NetConfig, NetworkParams, adam_step, init_params, net_backward, net_forward
 
 __all__ = [
@@ -46,6 +46,14 @@ class TrainingDiverged(RuntimeError):
         self.log = log
 
 
+def _check_training(cfg) -> None:
+    """The checks of the fields SecretConfig and ModlConfig share."""
+    if (not is_int(cfg.epochs, cfg.batch, cfg.seed) or cfg.epochs < 1
+            or not 0 < cfg.lr < np.inf or cfg.batch < 0):  # NaN fails the comparison
+        raise ValueError("epochs, batch and seed must be integers, epochs >= 1 and batch >= 0; "
+                         "lr must be positive and finite")
+
+
 @dataclass(frozen=True)
 class ModlConfig:
     K: int = 1
@@ -56,10 +64,9 @@ class ModlConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.K < 1 or not 0 < self.lam < np.inf:  # NaN fails the comparison
-            raise ValueError("K must be >= 1 and lam positive and finite")
-        if self.epochs < 1 or not 0 < self.lr < np.inf or self.batch < 0:
-            raise ValueError("epochs, lr must be positive and lr finite; batch >= 0")
+        if not is_int(self.K) or self.K < 1 or not 0 < self.lam < np.inf:  # NaN fails the comparison
+            raise ValueError("K must be an integer >= 1 and lam positive and finite")
+        _check_training(self)
 
 
 @dataclass(frozen=True)
@@ -70,8 +77,7 @@ class SecretConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.epochs < 1 or not 0 < self.lr < np.inf or self.batch < 0:
-            raise ValueError("epochs, lr must be positive and lr finite; batch >= 0")
+        _check_training(self)
 
 
 @dataclass

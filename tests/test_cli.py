@@ -1,5 +1,6 @@
 import csv
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -22,7 +23,8 @@ from ktsecret.cli import (
 from ktsecret.cs import CsConfig, cs_reconstruct
 from ktsecret.recon import ModlConfig, SecretConfig
 from ktsecret.container import load_tensor
-from ktsecret.encoding import make_radial_mask
+from ktsecret.encoding import adjoint, make_radial_mask
+from ktsecret.net import NetConfig
 from ktsecret.phantom import PhantomSpec, corrupt, synthesize
 
 NAN, INF = float("nan"), float("inf")
@@ -77,6 +79,49 @@ def test_recon_cs_writes_convergence(tmp_path):
     assert (tmp_path / "cs.convergence.csv").exists()
     obj = [float(r[1]) for r in list(csv.reader(open(tmp_path / "cs.convergence.csv")))[1:]]
     assert all(b <= a + 1e-9 for a, b in zip(obj, obj[1:]))
+
+
+def _stub_cs_reconstruct(stalled: bool):
+    """A cs_reconstruct that returns the zero-filled image and a fixed log."""
+    def cs_reconstruct(d_u, cfg):
+        log = cli.cs_mod.ConvergenceLog(objective=[2.0, 1.0], backtracks=[3], line_search_failed=stalled)
+        return adjoint(d_u), log
+    return cs_reconstruct
+
+
+def _warnings(caplog) -> list:
+    return [r.getMessage() for r in caplog.records if r.name == "ktsecret.cli" and r.levelno == logging.WARNING]
+
+
+def test_pipeline_logs_stalled_line_search_per_accel(tmp_path, monkeypatch, caplog):
+    written = {}
+    for stalled in (False, True):
+        monkeypatch.setattr(cli.cs_mod, "cs_reconstruct", _stub_cs_reconstruct(stalled))
+        (tmp_path / str(stalled)).mkdir()
+        config, out = _pipeline_config(tmp_path / str(stalled), "cs", [4.0, 6.0])
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="ktsecret.cli"):
+            assert run("pipeline", "--config", config) == 0
+        warnings = _warnings(caplog)
+        if stalled:
+            assert len(warnings) == 2
+            for accel_dir in ("R4", "R6"):
+                assert sum(str(out / accel_dir) in w and "stalled" in w for w in warnings) == 1
+        else:
+            assert warnings == []
+        written[stalled] = {p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+    assert written[True] == written[False]  # the warning changes no file
+
+
+def test_recon_cs_logs_stalled_line_search(tmp_path, monkeypatch, caplog):
+    truth = synthesize(PhantomSpec(h=16, w=16, t=8, seed=1))
+    d = corrupt(truth, make_radial_mask(8, 16, 16, 4.0, seed=0), 0.0, seed=0)
+    monkeypatch.setattr(cli, "load_ktdata", lambda data, mask: d)
+    monkeypatch.setattr(cli.cs_mod, "cs_reconstruct", _stub_cs_reconstruct(True))
+    with caplog.at_level(logging.WARNING, logger="ktsecret.cli"):
+        assert run("recon-cs", "--data", "d", "--mask", "m", "--out", tmp_path / "cs.ktsr") == 0
+    warnings = _warnings(caplog)
+    assert len(warnings) == 1 and str(tmp_path / "cs.convergence.csv") in warnings[0]
 
 
 def test_convergence_csv_lists_backtracks_per_accepted_step(tmp_path):
@@ -231,6 +276,36 @@ def test_pipeline_rejects_nan_and_infinity_literals(tmp_path, method, accel, par
 def test_config_dataclasses_reject_non_finite_floats(cls, kwargs):
     with pytest.raises(ValueError):
         cls(**kwargs)
+
+
+@pytest.mark.parametrize("cls,kwargs", [
+    (CsConfig, dict(max_iters=2.5)), (CsConfig, dict(max_iters=True)), (CsConfig, dict(max_iters="3")),
+    (SecretConfig, dict(epochs=2.5)), (SecretConfig, dict(batch=True)), (SecretConfig, dict(seed=1.5)),
+    (ModlConfig, dict(K=1.5)), (ModlConfig, dict(K=True)), (ModlConfig, dict(batch=0.5)),
+    (ModlConfig, dict(seed=np.float64(2))),
+    (PhantomSpec, dict(h=16.5, w=16, t=8)), (PhantomSpec, dict(w=True)), (PhantomSpec, dict(t=8.0)),
+    (PhantomSpec, dict(n_tissue_regions=2.0)), (PhantomSpec, dict(seed=np.True_)),
+    (NetConfig, dict(frames=8.0)), (NetConfig, dict(frames=8, depth_levels=True)),
+    (NetConfig, dict(frames=8, base_channels=np.float32(4))),
+], ids=lambda v: v.__name__ if isinstance(v, type) else str(v))
+def test_config_dataclasses_reject_non_integer_ints(cls, kwargs):
+    with pytest.raises(ValueError, match="integer"):
+        cls(**kwargs)
+    # the range check's ValueError, so the pipeline boundary reports it as a ConfigError
+    with pytest.raises(ConfigError, match="integer"):
+        cli._build(cls, {}, "config", **kwargs)
+
+
+def test_config_dataclasses_accept_numpy_integers():
+    spec = PhantomSpec(h=np.int64(16), w=np.int32(16), t=np.int64(8), n_tissue_regions=np.int8(2),
+                       seed=np.uint32(1))
+    truth = synthesize(spec)
+    d = corrupt(truth, make_radial_mask(8, 16, 16, 4.0, seed=0), 0.0, seed=0)
+    _, log = cs_reconstruct(d, CsConfig(max_iters=np.int64(2)))
+    assert len(log.objective) <= 3
+    SecretConfig(epochs=np.int32(2), batch=np.uint8(1), seed=np.int64(4))
+    ModlConfig(K=np.int16(2), epochs=np.int64(1), batch=np.int64(0))
+    NetConfig(frames=np.int64(8), depth_levels=np.int64(1), base_channels=np.int64(4))
 
 
 def test_write_pgm_shape(tmp_path):

@@ -146,6 +146,83 @@ def test_solver_matches_plain_nlcg_at_r6():
     assert_allclose(s, s_ref, rtol=0, atol=1e-8 * np.abs(s_ref).max())
 
 
+def _allocating_images(x, mask, samples):
+    """The objective's images, one fresh array per operation (np.roll differences)."""
+    return [encode(x, mask).samples - samples,
+            np.stack([np.roll(x, -1, axis=1) - x, np.roll(x, -1, axis=2) - x]),
+            np.roll(x, -1, axis=0) - x]
+
+
+def _allocating_value(images, cfg):
+    val = 0.0
+    for lam, im in zip((None, cfg.lambda1, cfg.lambda2), images):
+        if lam is None:
+            val += np.vdot(im, im).real
+        else:
+            val += lam * np.sqrt(np.abs(im) ** 2 + SMOOTH_EPS).sum()
+    return float(val)
+
+
+def _allocating_gradient(images, cfg):
+    r, gs, gt = images
+    g = 2.0 * dft2(r, "inverse")
+    ws = gs / np.sqrt(np.abs(gs) ** 2 + SMOOTH_EPS)
+    g = g + cfg.lambda1 * ((np.roll(ws[0], 1, axis=1) - ws[0]) + (np.roll(ws[1], 1, axis=2) - ws[1]))
+    wt = gt / np.sqrt(np.abs(gt) ** 2 + SMOOTH_EPS)
+    return g + cfg.lambda2 * (np.roll(wt, 1, axis=0) - wt)
+
+
+def _allocating_nlcg(d_u, cfg):
+    """The solver's arithmetic in the same order, allocating a new array for
+    every operation: x + a*y for each trial, encode for each direction."""
+    s = adjoint(d_u)
+    img = _allocating_images(s, d_u.mask, d_u.samples)
+    objective, backtracks = [_allocating_value(img, cfg)], []
+    d = gg = None
+    step0 = 1.0
+    for _ in range(cfg.max_iters):
+        g, gg_prev = _allocating_gradient(img, cfg), gg
+        gg = np.vdot(g, g).real
+        if gg < 1e-30:
+            break
+        d = -g if d is None else -g + (gg / gg_prev) * d
+        slope = np.vdot(g, d).real
+        if slope >= 0:
+            d, slope = -g, -gg
+        img_d = _allocating_images(d, d_u.mask, 0.0)
+        a = step0
+        for rejected in range(50):
+            f_new = _allocating_value([x + a * y for x, y in zip(img, img_d)], cfg)
+            if f_new <= objective[-1] + 1e-4 * a * slope:
+                break
+            a *= 0.5
+        else:
+            break
+        s = s + a * d
+        img = [x + a * y for x, y in zip(img, img_d)]
+        step0 = min(1.0, a * 2.0)
+        objective.append(f_new)
+        backtracks.append(rejected)
+        if abs(objective[-2] - f_new) <= cfg.tol * max(abs(objective[-2]), 1e-30):
+            break
+    return s, objective, backtracks
+
+
+@pytest.mark.parametrize("accel,seed,cfg,stops_on_tol", [
+    (10.0, 4, CsConfig(max_iters=100, tol=1e-12), False),
+    (6.0, 3, CsConfig(), True),
+], ids=["r10-all-iterations", "r6-stops-on-tol"])
+def test_solver_is_bit_identical_to_allocating_reference(accel, seed, cfg, stops_on_tol):
+    d = _phantom_problem(accel, seed)
+    s, log = cs_reconstruct(d, cfg)
+    s_ref, objective, backtracks = _allocating_nlcg(d, cfg)
+    assert np.array_equal(s, s_ref)
+    assert log.objective == objective
+    assert log.backtracks == backtracks
+    assert sum(backtracks) > 0
+    assert (len(objective) <= cfg.max_iters) == stops_on_tol
+
+
 def test_solver_logged_objective_does_not_drift_at_r10():
     d = _phantom_problem(10.0, 4)
     cfg = CsConfig(max_iters=100, tol=1e-12)

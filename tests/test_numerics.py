@@ -106,3 +106,27 @@ def test_grad_temporal_adjoint_identity(seed):
     lhs = np.vdot(grad_temporal(x), y)
     rhs = np.vdot(x, grad_temporal_adjoint(y))
     assert abs(lhs - rhs) / abs(lhs) < 1e-12
+
+
+def test_difference_out_is_checked(rng):
+    x, g = crandn(rng, (3, 4, 4)), crandn(rng, (2, 3, 4, 4))
+    for op, arg, bad in [
+        (grad_spatial, x, np.empty((3, 4, 4), complex)),  # wrong shape
+        (grad_temporal, x, np.empty((3, 4, 4))),  # real
+        (grad_temporal, x, x),  # the input itself
+        (grad_temporal_adjoint, x, x[::-1]),  # overlaps the input
+        (grad_spatial_adjoint, g, g[1]),
+    ]:
+        with pytest.raises(ValueError, match="out"):
+            op(arg, out=bad)
+    out = np.empty((3, 4, 4), complex)
+    with pytest.raises(ValueError, match="share memory"):
+        grad_spatial_adjoint(g, out=out, work=out)
+
+
+def test_differences_leave_input_unchanged(rng):
+    x, g = crandn(rng, (3, 4, 4)), crandn(rng, (2, 3, 4, 4))
+    x0, g0 = x.copy(), g.copy()
+    grad_spatial(x), grad_temporal(x), grad_temporal_adjoint(x)
+    grad_spatial_adjoint(g, out=np.empty((3, 4, 4), complex), work=np.empty((3, 4, 4), complex))
+    assert np.array_equal(x, x0) and np.array_equal(g, g0)

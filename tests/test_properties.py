@@ -10,7 +10,9 @@ the same examples. A radial mask either meets its +-15% acceleration contract
 or is refused as unachievable. Every conv product is one im2col + GEMM, so
 the input and weight gradients must satisfy their adjoint identities against
 the forward conv, and im2col must equal the np.pad + sliding_window_view
-patch matrix it replaced, bit for bit.
+patch matrix it replaced, bit for bit. The periodic difference operators and
+their adjoints subtract slices into an optional out=; with or without it they
+must equal the np.roll formulas they replaced, bit for bit.
 """
 
 import numpy as np
@@ -22,7 +24,7 @@ from hypothesis import strategies as st
 from ktsecret.container import ContainerError, load_tensor, save_tensor
 from ktsecret.encoding import KtData, SamplingMask, adjoint, encode, make_radial_mask, normal_op
 from ktsecret.net import _conv_backward, _conv_forward, _im2col
-from ktsecret.numerics import grad_spatial, grad_temporal
+from ktsecret.numerics import grad_spatial, grad_spatial_adjoint, grad_temporal, grad_temporal_adjoint
 from conftest import crandn
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=40)
@@ -168,3 +170,23 @@ def test_im2col_matches_padded_sliding_window(case):
     xp = np.pad(x, ((0, 0), (p, p), (p, p)))
     reference = sliding_window_view(xp, (h, wd), axis=(1, 2)).reshape(c * k * k, h * wd)
     assert np.array_equal(_im2col(x, k), reference)
+
+
+@PROPERTY
+@given(st.integers(2, 9), st.integers(2, 9), st.integers(2, 9), st.integers(0, 2 ** 32 - 1))
+def test_differences_match_roll_reference(t, h, w, seed):
+    rng = np.random.default_rng(seed)
+    x, g = crandn(rng, (t, h, w)), crandn(rng, (2, t, h, w))
+    cases = [
+        (grad_spatial, (x,), np.stack([np.roll(x, -1, axis=1) - x, np.roll(x, -1, axis=2) - x])),
+        (grad_spatial_adjoint, (g,), (np.roll(g[0], 1, axis=1) - g[0]) + (np.roll(g[1], 1, axis=2) - g[1])),
+        (grad_temporal, (x,), np.roll(x, -1, axis=0) - x),
+        (grad_temporal_adjoint, (x,), np.roll(x, 1, axis=0) - x),
+    ]
+    for op, args, reference in cases:
+        assert np.array_equal(op(*args), reference)
+        out = crandn(rng, reference.shape)  # stale contents must not leak into the result
+        assert op(*args, out=out) is out
+        assert np.array_equal(out, reference)
+    work = crandn(rng, (t, h, w))
+    assert np.array_equal(grad_spatial_adjoint(g, out=crandn(rng, (t, h, w)), work=work), cases[1][2])
