@@ -270,6 +270,8 @@ def cmd_train_modl(args) -> int:
 
 
 def cmd_recon_nn(args) -> int:
+    if args.K < 0:
+        raise ValueError(f"--K must be >= 0 (0 = single-pass SECRET inference), got {args.K}")
     d_u = load_ktdata(args.data, args.mask)
     params, net_cfg = load_params(args.weights)
     t0 = time.perf_counter()
@@ -389,7 +391,7 @@ def _accel_dir(accel) -> str:
 def _parse_config(config):
     """Checks a run config; returns (PhantomSpec, accels, method config, weights)."""
     _check_keys(config, "config", RUN_KEYS, RUN_KEYS[:-1])
-    _check(_typed(config["seed"], 0), "seed", config["seed"])
+    _check(_typed(config["seed"], 0) and config["seed"] >= 0, "seed", config["seed"])
     _check(isinstance(config["output_dir"], str), "output_dir", config["output_dir"])
     spec = _build(PhantomSpec, config["phantom"], "phantom")
     mask = config["mask"]
@@ -398,7 +400,7 @@ def _parse_config(config):
     _check(accels and all(_typed(a, 0.0) and 1 <= a < np.inf for a in accels), "mask.accel", mask["accel"])
     dirs = [_accel_dir(a) for a in accels]  # equal names would have two workers write one directory
     _check(len(set(dirs)) == len(dirs), "mask.accel (duplicate output directory)", mask["accel"])
-    _check(_typed(mask["seed"], 0), "mask.seed", mask["seed"])
+    _check(_typed(mask["seed"], 0) and mask["seed"] >= 0, "mask.seed", mask["seed"])
     _check(config["method"] in METHOD_PARAMS, "method", config["method"])
     return (spec, accels) + _method_config(config["method"], config.get("method_params", {}), config["seed"])
 

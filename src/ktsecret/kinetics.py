@@ -11,8 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
-from scipy.signal import fftconvolve
+from numpy.lib.stride_tricks import sliding_window_view
+
+from .numerics import cumulative_trapezoid
 
 __all__ = ["PatlakMap", "MetricsReport", "patlak_fit", "psnr", "ssim", "nrmse", "evaluate_series"]
 
@@ -65,7 +66,7 @@ def patlak_fit(series: np.ndarray, aif: np.ndarray, dt: float, roi: np.ndarray) 
         raise ValueError("AIF is identically zero")
 
     t_axis_min = np.arange(t) * dt / 60.0
-    int_aif = cumulative_trapezoid(aif, t_axis_min, initial=0.0)
+    int_aif = cumulative_trapezoid(aif, t_axis_min)
     use = aif > 0.05 * aif.max()
     x = np.stack([int_aif[use], aif[use]], axis=1)  # [F,2]
     y = np.abs(series)[use][:, roi]  # [F,Npix]
@@ -110,11 +111,11 @@ def _psnr_db(peak: float, mse: float) -> float:
     return float("inf") if mse == 0 else float(10.0 * np.log10(peak ** 2 / mse))
 
 
-def _gaussian_window(size: int = 11, sigma: float = 1.5) -> np.ndarray:
+def _gaussian_window(size: int = 11) -> np.ndarray:
+    """The normalised 1-D Gaussian (sigma 1.5); the 2-D window is its outer product."""
     ax = np.arange(size) - size // 2
-    g = np.exp(-(ax ** 2) / (2 * sigma ** 2))
-    k = np.outer(g, g)
-    return k / k.sum()
+    g = np.exp(-(ax ** 2) / (2 * 1.5 ** 2))
+    return g / g.sum()
 
 
 def _ssim_frame(x: np.ndarray, ref: np.ndarray, data_range: float) -> float:
@@ -123,14 +124,14 @@ def _ssim_frame(x: np.ndarray, ref: np.ndarray, data_range: float) -> float:
     size = min(11, min(x.shape))
     if size % 2 == 0:
         size -= 1
-    win = _gaussian_window(size)
-    mu_x = fftconvolve(x, win, mode="valid")
-    mu_y = fftconvolve(ref, win, mode="valid")
-    sxx = fftconvolve(x * x, win, mode="valid") - mu_x ** 2
-    syy = fftconvolve(ref * ref, win, mode="valid") - mu_y ** 2
-    sxy = fftconvolve(x * ref, win, mode="valid") - mu_x * mu_y
-    num = (2 * mu_x * mu_y + c1) * (2 * sxy + c2)
-    den = (mu_x ** 2 + mu_y ** 2 + c1) * (sxx + syy + c2)
+    g = _gaussian_window(size)
+    # "valid" filtering by the separable window: one 1-D pass per image axis
+    moments = np.stack([x, ref, x * x, ref * ref, x * ref])
+    for axis in (1, 2):
+        moments = sliding_window_view(moments, size, axis=axis) @ g
+    mu_x, mu_y, exx, eyy, exy = moments  # the means, then E[x^2], E[ref^2], E[x ref]
+    num = (2 * mu_x * mu_y + c1) * (2 * (exy - mu_x * mu_y) + c2)
+    den = (mu_x ** 2 + mu_y ** 2 + c1) * ((exx - mu_x ** 2) + (eyy - mu_y ** 2) + c2)
     return float(np.mean(num / den))
 
 

@@ -1,4 +1,5 @@
-"""Complex array core: unitary 2D DFT and periodic finite-difference operators.
+"""Complex array core: unitary 2D DFT and periodic finite-difference operators,
+plus the cumulative trapezoid integral of the Patlak model.
 
 All functions operate on complex128 numpy arrays and leave their inputs
 unchanged; the DFT is unitary in both directions so the adjoint of the forward
@@ -16,6 +17,7 @@ import numpy as np
 __all__ = [
     "as_complex_tensor",
     "check_pow2",
+    "cumulative_trapezoid",
     "dft2",
     "grad_spatial",
     "grad_spatial_adjoint",
@@ -42,6 +44,11 @@ def check_pow2(*dims: int) -> None:
     for n in dims:
         if n < 1 or (n & (n - 1)) != 0:
             raise ValueError(f"dimension {n} is not a power of two")
+
+
+def cumulative_trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Running trapezoid-rule integral of y over the sample points x, from 0."""
+    return np.concatenate(([0.0], np.cumsum(np.diff(x) * (y[1:] + y[:-1]) / 2.0)))
 
 
 def dft2(x: np.ndarray, direction: str = "forward") -> np.ndarray:

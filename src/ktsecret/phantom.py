@@ -12,10 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .encoding import KtData, SamplingMask
-from .numerics import dft2, is_int
+from .numerics import check_pow2, cumulative_trapezoid, dft2, is_int
 
 __all__ = ["PhantomSpec", "PhantomTruth", "gamma_variate_aif", "synthesize", "corrupt"]
 
@@ -36,9 +35,11 @@ class PhantomSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if not is_int(self.h, self.w, self.t, self.n_tissue_regions, self.seed) or self.t < 8:
-            raise ValueError("h, w, t, n_tissue_regions and seed must be integers; "
-                             "need at least 8 frames")
+        if (not is_int(self.h, self.w, self.t, self.n_tissue_regions, self.seed) or self.t < 8
+                or self.n_tissue_regions < 1 or self.seed < 0):
+            raise ValueError("h, w, t, n_tissue_regions and seed must be integers; need at least "
+                             "8 frames, n_tissue_regions >= 1 and seed >= 0")
+        check_pow2(self.h, self.w)
         # written so that NaN fails: every comparison with NaN is False
         if not 0 <= self.noise_sigma < np.inf:
             raise ValueError("noise_sigma must be finite and >= 0")
@@ -100,7 +101,7 @@ def synthesize(spec: PhantomSpec) -> PhantomTruth:
     duration = t_axis[-1]
     aif = gamma_variate_aif(t_axis, t0=0.1 * duration, alpha=2.5, beta=duration / 14.0, scale=5.0)
     # Patlak integral in minutes so ktrans carries 1/min units
-    int_aif = cumulative_trapezoid(aif, t_axis / 60.0, initial=0.0)
+    int_aif = cumulative_trapezoid(aif, t_axis / 60.0)
 
     labels = np.zeros((h, w), dtype=np.int64)
     ktrans_map = np.zeros((h, w))

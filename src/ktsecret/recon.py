@@ -49,9 +49,9 @@ class TrainingDiverged(RuntimeError):
 def _check_training(cfg) -> None:
     """The checks of the fields SecretConfig and ModlConfig share."""
     if (not is_int(cfg.epochs, cfg.batch, cfg.seed) or cfg.epochs < 1
-            or not 0 < cfg.lr < np.inf or cfg.batch < 0):  # NaN fails the comparison
-        raise ValueError("epochs, batch and seed must be integers, epochs >= 1 and batch >= 0; "
-                         "lr must be positive and finite")
+            or not 0 < cfg.lr < np.inf or cfg.batch < 0 or cfg.seed < 0):  # NaN fails the comparison
+        raise ValueError("epochs, batch and seed must be integers, epochs >= 1, batch >= 0 and "
+                         "seed >= 0; lr must be positive and finite")
 
 
 @dataclass(frozen=True)

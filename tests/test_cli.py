@@ -159,6 +159,18 @@ def test_train_secret_and_recon_nn(tmp_path):
     assert load_tensor(tmp_path / "nn.ktsr").shape == (8, 16, 16)
 
 
+def test_recon_nn_rejects_negative_K(tmp_path, monkeypatch, capsys):
+    truth = synthesize(PhantomSpec(h=16, w=16, t=8, seed=1))
+    d = corrupt(truth, make_radial_mask(8, 16, 16, 4.0, seed=0), 0.0, seed=0)
+    monkeypatch.setattr(cli, "load_ktdata", lambda data, mask: d)
+    monkeypatch.setattr(cli, "load_params", lambda path: (None, NetConfig(frames=8)))
+    monkeypatch.setattr(cli, "secret_infer", lambda d_u, params, net_cfg: adjoint(d_u))
+    assert run("recon-nn", "--data", "d", "--mask", "m", "--weights", "w", "--K", -1,
+               "--out", tmp_path / "nn.ktsr") == 1
+    assert "--K" in capsys.readouterr().err
+    assert not (tmp_path / "nn.ktsr").exists()
+
+
 def test_train_modl_cli(tmp_path):
     ph = tmp_path / "ph"
     run("phantom", "--out", ph, "--h", 16, "--w", 16, "--t", 8, "--regions", 1, "--seed", 4)
@@ -386,6 +398,11 @@ MALFORMED = {
     "NaN noise_sigma": _put("phantom", "noise_sigma", NAN),
     "infinite accel": _put("mask", "accel", [INF]),
     "NaN accel": _put("mask", "accel", [3, NAN]),
+    "negative seed": _put("seed", -1),
+    "negative phantom.seed": _put("phantom", "seed", -1),
+    "negative mask.seed": _put("mask", "seed", -1),
+    "non-power-of-two phantom.h": _put("phantom", "h", 12),
+    "negative n_tissue_regions": _put("phantom", "n_tissue_regions", -1),
 }
 
 

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import cumulative_trapezoid
+from scipy.signal import fftconvolve
 
-from ktsecret.kinetics import evaluate_series, nrmse, patlak_fit, psnr, ssim
+from ktsecret.kinetics import _ssim_frame, evaluate_series, nrmse, patlak_fit, psnr, ssim
 from ktsecret.phantom import PhantomSpec, gamma_variate_aif, synthesize
 
 
@@ -110,6 +111,30 @@ def test_ssim_symmetric_with_shared_data_range(rng):
     x = rng.uniform(size=(1, 16, 16))
     y = rng.uniform(size=(1, 16, 16))
     assert ssim(x, y, data_range=1.0) == pytest.approx(ssim(y, x, data_range=1.0), rel=1e-12)
+
+
+def _ssim_frame_fftconvolve(x, ref, data_range):
+    """SSIM of one frame with the 2-D window applied by scipy's fftconvolve."""
+    c1, c2 = (0.01 * data_range) ** 2, (0.03 * data_range) ** 2
+    size = min(11, min(x.shape))
+    if size % 2 == 0:
+        size -= 1
+    ax = np.arange(size) - size // 2
+    g = np.exp(-(ax ** 2) / (2 * 1.5 ** 2))
+    win = np.outer(g, g) / np.outer(g, g).sum()
+    mu_x, mu_y, exx, eyy, exy = (fftconvolve(a, win, mode="valid") for a in (x, ref, x * x, ref * ref, x * ref))
+    num = (2 * mu_x * mu_y + c1) * (2 * (exy - mu_x * mu_y) + c2)
+    den = (mu_x ** 2 + mu_y ** 2 + c1) * ((exx - mu_x ** 2) + (eyy - mu_y ** 2) + c2)
+    return float(np.mean(num / den))
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 9), (1, 16), (5, 3), (10, 12), (11, 11), (16, 16),
+                                   (32, 64), (64, 64)])
+def test_ssim_frame_matches_fftconvolve_reference(rng, shape):
+    ref = rng.uniform(size=shape)
+    for x in (ref, np.abs(ref + 0.1 * rng.standard_normal(shape)), 1.5 * ref + 0.1):
+        assert _ssim_frame(x, ref, ref.max()) == pytest.approx(
+            _ssim_frame_fftconvolve(x, ref, ref.max()), rel=1e-12, abs=0)
 
 
 def test_nrmse_basics(rng):

@@ -1,8 +1,11 @@
 """The declared runtime dependencies are exactly the third-party imports; every
-import of the package is used and every __all__ name is defined."""
+import of the package is used and every __all__ name is defined. Importing
+the CLI loads no scipy, which only the tests use."""
 
 import ast
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -72,3 +75,10 @@ def test_dunder_all_names_are_defined(path):
             defined.update(t.id for t in node.targets if isinstance(t, ast.Name))
         defined.update(_imported_names(node))
     assert [name for name in _dunder_all(tree) if name not in defined] == []
+
+
+def test_cli_import_loads_no_scipy():
+    probe = "import sys, ktsecret.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=env)
+    assert result.stdout.strip() == "[]"

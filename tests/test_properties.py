@@ -12,7 +12,9 @@ the input and weight gradients must satisfy their adjoint identities against
 the forward conv, and im2col must equal the np.pad + sliding_window_view
 patch matrix it replaced, bit for bit. The periodic difference operators and
 their adjoints subtract slices into an optional out=; with or without it they
-must equal the np.roll formulas they replaced, bit for bit.
+must equal the np.roll formulas they replaced, bit for bit. The package's
+cumulative trapezoid integral must equal scipy's, bit for bit; scipy is the
+tests' reference only.
 """
 
 import numpy as np
@@ -20,11 +22,18 @@ import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import cumulative_trapezoid as scipy_cumulative_trapezoid
 
 from ktsecret.container import ContainerError, load_tensor, save_tensor
 from ktsecret.encoding import KtData, SamplingMask, adjoint, encode, make_radial_mask, normal_op
 from ktsecret.net import _conv_backward, _conv_forward, _im2col
-from ktsecret.numerics import grad_spatial, grad_spatial_adjoint, grad_temporal, grad_temporal_adjoint
+from ktsecret.numerics import (
+    cumulative_trapezoid,
+    grad_spatial,
+    grad_spatial_adjoint,
+    grad_temporal,
+    grad_temporal_adjoint,
+)
 from conftest import crandn
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=40)
@@ -190,3 +199,22 @@ def test_differences_match_roll_reference(t, h, w, seed):
         assert np.array_equal(out, reference)
     work = crandn(rng, (t, h, w))
     assert np.array_equal(grad_spatial_adjoint(g, out=crandn(rng, (t, h, w)), work=work), cases[1][2])
+
+
+@st.composite
+def sampled_curves(draw):
+    """(y, x): 1 to 64 samples of a curve at strictly increasing points."""
+    n = draw(st.integers(1, 64))
+    y = np.array(draw(st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n)))
+    steps = draw(st.lists(st.floats(1e-3, 10.0), min_size=n - 1, max_size=n - 1))
+    x = draw(st.floats(-100.0, 100.0)) + np.concatenate(([0.0], np.cumsum(steps)))
+    return y, x
+
+
+@PROPERTY
+@given(sampled_curves())
+def test_cumulative_trapezoid_matches_scipy_bit_for_bit(curve):
+    y, x = curve
+    assert np.all(np.diff(x) > 0)
+    ours, reference = cumulative_trapezoid(y, x), scipy_cumulative_trapezoid(y, x, initial=0.0)
+    assert ours.dtype == reference.dtype and ours.tobytes() == reference.tobytes()
