@@ -14,19 +14,24 @@ grad_t s); its value and its gradient are both computed from them. E, grad_s
 and grad_t are linear, so the images of a trial point s + a d are
 img(s) + a img(d) (the line search of Lustig, Donoho & Pauly's SparseMRI).
 An iteration therefore encodes its search direction once (one forward DFT),
-scores every Armijo trial by elementwise arithmetic, updates the images in
-place and takes the next gradient from them (one inverse DFT), however many
+scores every Armijo trial by elementwise arithmetic and takes the next
+gradient from the accepted trial's images (one inverse DFT), however many
 backtracks it needs. There is no per-iteration callback: the ConvergenceLog
 records the objective after every accepted step and the backtracks it took.
 
-cs_reconstruct allocates one workspace at entry: the iterate, the direction
-and the gradient, the three images of the point and of the direction, one
-[2,T,H,W] complex trial/scratch buffer and one real buffer for the smoothed
-moduli. Every step writes into it with ufunc out= or in-place operations, in
-the same order as the plain expressions, so there is no per-iteration
-allocation beyond the DFT outputs (numpy's FFT takes no out=). The direction's
-images are dead while the next gradient is taken and serve as its scratch.
-cs_objective and cs_gradient validate s and allocate their own buffers.
+cs_reconstruct allocates one workspace at entry: the iterate and the
+direction, the three images of the point, of the direction and of the trial
+(the trial's residual doubles as the gradient), and the smoothed moduli of the
+two TV images, one real [2,T,H,W] and one real [T,H,W] buffer. The search
+stops at the first accepted trial, so the last trial scored is the new point:
+its images rotate in by swapping references with the point's, the moduli
+buffers already hold its moduli, and only s is updated, s += a d. The point's
+old images and the direction's are dead while the next gradient is taken and
+serve as its scratch. Every step writes with ufunc out= or in-place
+operations, in the same order as the plain expressions, so there is no
+per-iteration allocation beyond the DFT outputs (passing out= to numpy's FFT
+was measured to gain nothing). cs_objective and cs_gradient validate s and
+allocate their own buffers.
 """
 
 from __future__ import annotations
@@ -80,6 +85,10 @@ def _image_buffers(shape: tuple) -> tuple:
             np.empty(shape, np.complex128))
 
 
+def _moduli_buffers(shape: tuple) -> tuple:
+    return np.empty((2, *shape)), np.empty(shape)
+
+
 def _images(x: np.ndarray, mask, samples, out: tuple) -> tuple:
     """Writes the objective's affine images of x, (E x - samples, grad_s x,
     grad_t x), into out and returns it; samples None stands for zero."""
@@ -92,53 +101,41 @@ def _images(x: np.ndarray, mask, samples, out: tuple) -> tuple:
     return out
 
 
-def _slab(buf: np.ndarray, im: np.ndarray) -> np.ndarray:
-    """The part of a [2,T,H,W] scratch buffer shaped like im: all of it, or buf[0]."""
-    return buf if im.ndim == buf.ndim else buf[0]
+def _moduli(images, moduli: tuple) -> tuple:
+    """sqrt(|im|^2 + SMOOTH_EPS) of the two TV images, written into the real
+    buffers moduli = (ws [2,T,H,W], wt [T,H,W]) and returned."""
+    for im, w in zip(images[1:], moduli):
+        np.abs(im, out=w)
+        np.square(w, out=w)
+        np.add(w, SMOOTH_EPS, out=w)
+        np.sqrt(w, out=w)
+    return moduli
 
 
-def _smoothed_modulus(im: np.ndarray, weight: np.ndarray) -> np.ndarray:
-    """sqrt(|im|^2 + SMOOTH_EPS), written into the real scratch buffer weight."""
-    w = _slab(weight, im)
-    np.abs(im, out=w)
-    np.square(w, out=w)
-    np.add(w, SMOOTH_EPS, out=w)
-    return np.sqrt(w, out=w)
-
-
-def _value(images, cfg: CsConfig, weight: np.ndarray) -> float:
-    """Objective from its images; given a generator, it holds one image at a
-    time. weight is a real [2,T,H,W] scratch buffer."""
+def _value(images, cfg: CsConfig, moduli: tuple) -> float:
+    """Objective from its images; leaves their smoothed moduli in moduli."""
+    ws, wt = _moduli(images, moduli)
     val = 0.0
-    for lam, im in zip((None, cfg.lambda1, cfg.lambda2), images):
-        if lam is None:
-            val += np.vdot(im, im).real
-        else:
-            val += lam * _smoothed_modulus(im, weight).sum()
+    val += np.vdot(images[0], images[0]).real
+    val += cfg.lambda1 * ws.sum()
+    val += cfg.lambda2 * wt.sum()
     return float(val)
 
 
-def _gradient(images, cfg: CsConfig, g: np.ndarray, trial: np.ndarray, weight: np.ndarray,
+def _gradient(images, moduli: tuple, cfg: CsConfig, g: np.ndarray, scratch: np.ndarray,
               tv: np.ndarray, work: np.ndarray) -> np.ndarray:
     """Gradient w.r.t. the real/imag parts of s, packed complex, from s's
-    images, written into g. trial ([2,T,H,W] complex), weight ([2,T,H,W]
-    real), tv and work ([T,H,W] complex) are scratch."""
-    r, gs, gt = images
+    images and their smoothed moduli, written into g. scratch ([2,T,H,W]),
+    tv and work ([T,H,W]) are complex scratch."""
+    (r, gs, gt), (ws, wt) = images, moduli
     # E^H r; the residual already lives on the sampled set
     np.multiply(2.0, dft2(r, "inverse"), out=g)
-    np.divide(gs, _smoothed_modulus(gs, weight), out=trial)
-    np.multiply(cfg.lambda1, grad_spatial_adjoint(trial, out=tv, work=work), out=tv)
+    np.divide(gs, ws, out=scratch)
+    np.multiply(cfg.lambda1, grad_spatial_adjoint(scratch, out=tv, work=work), out=tv)
     np.add(g, tv, out=g)
-    np.divide(gt, _smoothed_modulus(gt, weight), out=trial[0])
-    np.multiply(cfg.lambda2, grad_temporal_adjoint(trial[0], out=tv), out=tv)
+    np.divide(gt, wt, out=scratch[0])
+    np.multiply(cfg.lambda2, grad_temporal_adjoint(scratch[0], out=tv), out=tv)
     return np.add(g, tv, out=g)
-
-
-def _trial_images(img, img_d, a: float, trial: np.ndarray):
-    """The images of s + a d, one at a time, each written into trial."""
-    for x, y in zip(img, img_d):
-        buf = np.multiply(a, y, out=_slab(trial, y))
-        yield np.add(x, buf, out=buf)
 
 
 def _point_images(s: np.ndarray, d_u: KtData) -> tuple:
@@ -149,14 +146,14 @@ def _point_images(s: np.ndarray, d_u: KtData) -> tuple:
 
 
 def cs_objective(s: np.ndarray, d_u: KtData, cfg: CsConfig) -> float:
-    return _value(_point_images(s, d_u), cfg, np.empty((2, *d_u.mask.shape)))
+    return _value(_point_images(s, d_u), cfg, _moduli_buffers(d_u.mask.shape))
 
 
 def cs_gradient(s: np.ndarray, d_u: KtData, cfg: CsConfig) -> np.ndarray:
     """Gradient of cs_objective w.r.t. the real/imag parts of s, packed complex."""
-    shape = d_u.mask.shape
-    return _gradient(_point_images(s, d_u), cfg, np.empty(shape, np.complex128),
-                     np.empty((2, *shape), np.complex128), np.empty((2, *shape)),
+    shape, images = d_u.mask.shape, _point_images(s, d_u)
+    return _gradient(images, _moduli(images, _moduli_buffers(shape)), cfg,
+                     np.empty(shape, np.complex128), np.empty((2, *shape), np.complex128),
                      np.empty(shape, np.complex128), np.empty(shape, np.complex128))
 
 
@@ -165,7 +162,8 @@ def cs_reconstruct(d_u: KtData, cfg: CsConfig | None = None):
 
     Returns (reconstruction, ConvergenceLog). The logged objective sequence is
     non-increasing; if the Armijo search fails 50 backtracks in a row the
-    current iterate is returned with the warning flag set. d_u was validated
+    current iterate is returned with the warning flag set. A starting objective
+    that is not finite raises FloatingPointError. d_u was validated
     when the KtData was built; the search directions are encoded straight
     into the workspace, so nothing is re-validated per iteration.
     """
@@ -173,18 +171,22 @@ def cs_reconstruct(d_u: KtData, cfg: CsConfig | None = None):
     mask, samples = d_u.mask, d_u.samples
     s = adjoint(d_u)  # the iterate, updated in place and returned
     # the workspace: every step below writes into these buffers
-    d, g = np.empty_like(s), np.empty_like(s)
-    img, img_d = _image_buffers(s.shape), _image_buffers(s.shape)
-    trial = np.empty((2, *s.shape), np.complex128)
-    weight = np.empty((2, *s.shape))
+    d = np.empty_like(s)
+    # the trial's residual image is also the gradient, dead from the slope on
+    img, img_d, trial = (_image_buffers(s.shape) for _ in range(3))
+    moduli = _moduli_buffers(s.shape)
     log = ConvergenceLog()
-    f = _value(_images(s, mask, samples, img), cfg, weight)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported just below
+        f = _value(_images(s, mask, samples, img), cfg, moduli)
+    if not np.isfinite(f):
+        raise FloatingPointError(f"the starting objective is {f}: the samples are too large")
     log.objective.append(f)
     gg = None
     step0 = 1.0
     for it in range(cfg.max_iters):
-        # the direction's images are dead here; two of them serve as scratch
-        _gradient(img, cfg, g, trial, weight, img_d[0], img_d[2])
+        # moduli holds the point's; the trial's and direction's images are scratch
+        g = trial[0]
+        _gradient(img, moduli, cfg, g, trial[1], img_d[0], img_d[2])
         gg_prev, gg = gg, np.vdot(g, g).real
         if gg < 1e-30:
             break
@@ -201,15 +203,19 @@ def cs_reconstruct(d_u: KtData, cfg: CsConfig | None = None):
         _images(d, mask, None, img_d)
         a = step0
         for rejected in range(50):
-            f_new = _value(_trial_images(img, img_d, a, trial), cfg, weight)
+            for x, y, t in zip(img, img_d, trial):
+                np.add(x, np.multiply(a, y, out=t), out=t)
+            f_new = _value(trial, cfg, moduli)
             if f_new <= f + 1e-4 * a * slope:
                 break
             a *= 0.5
         else:
             log.line_search_failed = True
             break
-        for x, y in zip([s, *img], [d, *img_d]):  # the point and its images
-            np.add(x, np.multiply(a, y, out=_slab(trial, y)), out=x)
+        # the last trial scored is the new point: its images rotate in and
+        # moduli already holds its moduli
+        img, trial = trial, img
+        np.add(s, np.multiply(a, d, out=img_d[0]), out=s)
         log.backtracks.append(rejected)
         step0 = min(1.0, a * 2.0)
         f_prev, f = f, f_new

@@ -112,8 +112,8 @@ def dc_solve(z_k: np.ndarray, d_u: KtData, lam: float):
     Returns (image, DcInfo); iterations is 0 (a direct solve) and residual is
     the relative normal-equation residual, measured in k-space.
     """
-    if lam <= 0:
-        raise ValueError("lam must be > 0")
+    if not 0 < lam < np.inf:  # NaN fails the comparison
+        raise ValueError("lam must be positive and finite")
     rhs_k = d_u.samples + lam * dft2(z_k, "forward")  # F(E^H d_u + lam*z_k)
     s_k = _inverse_normal_k(rhs_k, d_u.mask, lam)
     residual = np.linalg.norm((d_u.mask.bits + lam) * s_k - rhs_k) / max(np.linalg.norm(rhs_k), 1e-300)

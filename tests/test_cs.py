@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from ktsecret.cs import SMOOTH_EPS, CsConfig, cs_gradient, cs_objective, cs_reconstruct
@@ -221,6 +225,48 @@ def test_solver_is_bit_identical_to_allocating_reference(accel, seed, cfg, stops
     assert log.backtracks == backtracks
     assert sum(backtracks) > 0
     assert (len(objective) <= cfg.max_iters) == stops_on_tol
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(seed=st.integers(0, 2 ** 16), accel=st.sampled_from([2.0, 3.0, 6.0]),
+       l1=st.floats(0.0, 1e-2), l2=st.floats(0.0, 1e-2), iters=st.integers(1, 12))
+def test_solver_is_bit_identical_to_allocating_reference_on_drawn_problems(seed, accel, l1, l2,
+                                                                             iters):
+    """The accepted trial's images and moduli become the next point's; over
+    drawn phantoms, masks and weights that must equal recomputing them."""
+    ref = synthesize(PhantomSpec(h=16, w=16, t=8, seed=seed)).ref_images[:4]
+    d = encode(ref, make_radial_mask(4, 16, 16, accel, seed=seed))
+    cfg = CsConfig(lambda1=l1, lambda2=l2, max_iters=iters)
+    s, log = cs_reconstruct(d, cfg)
+    s_ref, objective, backtracks = _allocating_nlcg(d, cfg)
+    assert np.array_equal(s, s_ref)
+    assert log.objective == objective
+    assert log.backtracks == backtracks
+
+
+def _solve_peak_bytes(d, iters):
+    """tracemalloc peak of one solve that runs all iters iterations."""
+    tracemalloc.start()
+    try:
+        _, log = cs_reconstruct(d, CsConfig(max_iters=iters, tol=1e-12))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(log.objective) == iters + 1
+    return peak
+
+
+def test_solver_workspace_does_not_grow_with_iterations():
+    d = _phantom_problem(10.0, 4)
+    one_image = np.empty(d.mask.shape, np.complex128).nbytes
+    assert _solve_peak_bytes(d, 60) - _solve_peak_bytes(d, 3) < one_image
+
+
+def test_solver_refuses_non_finite_start():
+    _, d = _random_problem(7)
+    huge = KtData(samples=1e200 * d.samples, mask=d.mask)
+    with pytest.raises(FloatingPointError, match="starting objective"):
+        cs_reconstruct(huge, CsConfig(max_iters=3))
 
 
 def test_solver_logged_objective_does_not_drift_at_r10():

@@ -42,6 +42,13 @@ def test_dc_solve_small_lam_is_zero_filled():
     assert np.linalg.norm(s - adjoint(d)) / np.linalg.norm(adjoint(d)) < 1e-4
 
 
+@pytest.mark.parametrize("lam", [np.nan, np.inf, 0.0, -1.0])
+def test_dc_solve_rejects_lam_that_is_not_positive_and_finite(lam):
+    _, d = _micro_data(0)
+    with pytest.raises(ValueError, match="lam"):
+        dc_solve(np.zeros((2, 8, 8)), d, lam)
+
+
 def test_dc_solve_large_lam_returns_prior():
     rng, d = _micro_data(2, n=16)
     z = crandn(rng, (2, 16, 16))
