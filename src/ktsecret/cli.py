@@ -209,11 +209,8 @@ def _load_dataset(data_dir: Path, supervised: bool):
 def _options_config(args, **fixed):
     """The subcommand's config dataclass from its SUBCOMMAND_OPTIONS options."""
     cls, names = SUBCOMMAND_OPTIONS[args.command]
-    for key, name in names.items():
-        if name is not None:
-            value = getattr(args, key)
-            fixed[name] = tuple(value) if isinstance(value, list) else value
-    return cls(**fixed)
+    values = {key: getattr(args, key) for key, name in names.items() if name}
+    return _build(cls, values, args.command, names, **fixed)
 
 
 def cmd_phantom(args) -> int:
@@ -336,9 +333,10 @@ def cmd_profile(args) -> int:
 # ------------------------------------------------------------------- pipeline
 
 def _typed(value, default) -> bool:
-    """Whether a JSON value has the type of a config default (a list for a tuple)."""
+    """Whether a JSON or argparse value has the type of a config default (a list or tuple for a tuple)."""
     if isinstance(default, tuple):
-        return isinstance(value, list) and len(value) == len(default) and all(_typed(v, 0.0) for v in value)
+        return (isinstance(value, (list, tuple)) and len(value) == len(default)
+                and all(_typed(v, 0.0) for v in value))
     return not isinstance(value, bool) and isinstance(value, int if isinstance(default, int) else (int, float))
 
 

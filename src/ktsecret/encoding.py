@@ -28,8 +28,8 @@ class SamplingMask:
 
     def __post_init__(self):
         bits = np.asarray(self.bits)
-        if bits.ndim != 3:
-            raise ValueError(f"mask must be T,H,W, got shape {bits.shape}")
+        if bits.ndim != 3 or min(bits.shape) < 1:
+            raise ValueError(f"mask must be T,H,W with at least one frame and H, W >= 1, got {bits.shape}")
         if not np.all((bits == 0) | (bits == 1)):  # before the cast, which would truncate 0.5 to 0
             raise ValueError("mask bits must be 0/1")
         bits = np.ascontiguousarray(bits, dtype=np.uint8)
@@ -95,6 +95,8 @@ def make_radial_mask(t: int, h: int, w: int, accel: float, seed: int) -> Samplin
     raises ValueError "acceleration unachievable". Deterministic for fixed
     arguments.
     """
+    if t < 1:
+        raise ValueError(f"a mask needs at least one frame, got t={t}")
     if accel < 1:
         raise ValueError("acceleration must be >= 1")
     check_pow2(h, w)

@@ -255,10 +255,9 @@ class AdamState:
         return cls(m=np.zeros(n), v=np.zeros(n), step=0)
 
 
-def adam_step(theta: np.ndarray, grad: np.ndarray, state: AdamState,
-              lr: float, beta1: float = 0.9, beta2: float = 0.999,
-              eps: float = 1e-8):
-    """One bias-corrected Adam update on flat parameter vectors."""
+def adam_step(theta: np.ndarray, grad: np.ndarray, state: AdamState, lr: float):
+    """One bias-corrected Adam update on flat parameter vectors (beta1 0.9, beta2 0.999, eps 1e-8)."""
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
     if theta.shape != grad.shape or theta.shape != state.m.shape:
         raise ValueError("theta, grad and state shapes must agree")
     step = state.step + 1

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .encoding import KtData, SamplingMask, adjoint, encode
+from .encoding import KtData, SamplingMask, adjoint
 from .numerics import dft2, is_int
 from .net import AdamState, NetConfig, NetworkParams, adam_step, init_params, net_backward, net_forward
 
@@ -41,6 +41,8 @@ __all__ = [
 
 
 class TrainingDiverged(RuntimeError):
+    """Training met a non-finite loss, gradient or validation loss; log holds the epochs before it."""
+
     def __init__(self, message, log):
         super().__init__(message)
         self.log = log
@@ -160,7 +162,7 @@ def _modl_sample_grad(d_u: KtData, target: np.ndarray, params: NetworkParams,
 def _secret_forward(d_u: KtData, params: NetworkParams, net_cfg: NetConfig):
     """Loss ||r||^2 of the sampled residual r = mask * F(C(s_u)) - d_u, r, and the net cache."""
     s_hat, cache = net_forward(adjoint(d_u), params, net_cfg)
-    r = encode(s_hat, d_u.mask).samples - d_u.samples
+    r = dft2(s_hat, "forward") * d_u.mask.bits - d_u.samples
     return np.vdot(r, r).real, r, cache
 
 
@@ -184,11 +186,11 @@ def _epoch_batches(n: int, batch: int, rng) -> list:
 
 @contextmanager
 def _divergence_check(log: TrainLog):
-    """Raises TrainingDiverged for overflow, invalid values or a ValueError in the block."""
+    """Raises TrainingDiverged for a FloatingPointError in the block; other errors pass through."""
     try:
         with np.errstate(over="raise", invalid="raise"):
             yield
-    except (ValueError, FloatingPointError) as exc:  # ValueError: e.g. encode given non-finite input
+    except FloatingPointError as exc:
         raise TrainingDiverged(str(exc), log) from exc
 
 
@@ -232,7 +234,7 @@ def _fit(dataset, loss_and_grad, loss_only, cfg, net_cfg: NetConfig, val_dataset
                 with _divergence_check(log):
                     loss, g = loss_and_grad(dataset[i], params)
                     if not (np.isfinite(loss) and np.all(np.isfinite(g))):
-                        raise ValueError("training loss or gradient became non-finite")
+                        raise FloatingPointError("training loss or gradient became non-finite")
                 epoch_loss += loss
                 g_total += g
             grad_norms.append(np.linalg.norm(g_total))
@@ -240,6 +242,8 @@ def _fit(dataset, loss_and_grad, loss_only, cfg, net_cfg: NetConfig, val_dataset
             params = params.from_flat(theta)
         with _divergence_check(log):
             val = sum(loss_only(sample, params) for sample in val_dataset) if val_dataset else np.nan
+            if val_dataset and not np.isfinite(val):
+                raise FloatingPointError("validation loss became non-finite")
         if val < best_val:
             best_params, best_val = params, val
         log.append(epoch_loss, val, time.perf_counter() - t_start, np.mean(grad_norms))

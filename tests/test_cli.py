@@ -503,6 +503,22 @@ def test_options_reach_config(tmp_path, monkeypatch, argv, expected):
     assert seen == [expected]
 
 
+@pytest.mark.parametrize("argv", [
+    ["recon-cs", "--data", "d", "--mask", "m", "--out", "o", "--tol", "nan"],
+    ["train-secret", "--data-dir", "d", "--weights", "w", "--lr", "inf"],
+    ["phantom", "--out", "o", "--vp-range", "0.02", "inf"],
+], ids=["recon-cs-tol", "train-secret-lr", "phantom-vp-range"])
+def test_out_of_range_option_is_config_error(argv):
+    with pytest.raises(ConfigError, match=f"^{argv[0]}: "):
+        cli._options_config(build_parser().parse_args(argv))
+
+
+def test_mask_with_zero_frames_exits_1(tmp_path, capsys):
+    assert run("mask", "--out", tmp_path / "m.ktsr", "--t", 0, "--h", 8, "--w", 8, "--accel", 2.0) == 1
+    assert "frame" in capsys.readouterr().err
+    assert not (tmp_path / "m.ktsr").exists()
+
+
 def test_phantom_options_reach_spec(tmp_path):
     assert run("phantom", "--out", tmp_path, "--regions", 2, "--ktrans-range", 0.2, 0.3, "--noise", 0.01) == 0
     spec = PhantomSpec(n_tissue_regions=2, ktrans_range=(0.2, 0.3), noise_sigma=0.01)

@@ -68,6 +68,26 @@ def test_params_round_trip(tmp_path):
     assert np.array_equal(loaded.to_flat(), params.to_flat())
 
 
+def test_params_holding_nan_rejected(tmp_path, capsys):
+    from ktsecret.cli import main
+
+    cfg = NetConfig(frames=8, base_channels=4)
+    params = init_params(cfg, seed=3)
+    flat = params.to_flat()
+    flat[5] = np.nan
+    save_params(tmp_path / "w.ktsr", params.from_flat(flat), cfg)
+    with pytest.raises(ContainerError, match="NaN"):
+        load_params(tmp_path / "w.ktsr")
+    mask = make_radial_mask(8, 16, 16, 4.0, seed=0)
+    save_mask(tmp_path / "m.ktsr", mask, seed=0)
+    save_tensor(tmp_path / "d.ktsr", np.zeros(mask.shape, dtype=complex))
+    argv = ["recon-nn", "--data", str(tmp_path / "d.ktsr"), "--mask", str(tmp_path / "m.ktsr"),
+            "--weights", str(tmp_path / "w.ktsr"), "--out", str(tmp_path / "r.ktsr")]
+    assert main(argv) == 1
+    assert "NaN" in capsys.readouterr().err
+    assert not (tmp_path / "r.ktsr").exists()
+
+
 def test_params_descriptor_mismatch(tmp_path):
     cfg = NetConfig(frames=2, base_channels=4)
     params = init_params(cfg, seed=3)
@@ -99,14 +119,29 @@ def test_overflowing_dims_rejected(tmp_path):
         load_tensor(path)
 
 
-@pytest.mark.xfail(strict=True, reason="the CRC covers the payload only, so an empty tensor's dims are unprotected")
 def test_damaged_dims_of_empty_tensor_rejected(tmp_path):
     path = tmp_path / "t.ktsr"
     save_tensor(path, np.zeros((0, 3)))
     blob = bytearray(path.read_bytes())
-    blob[16] = 5  # dims (0, 3) -> (0, 5): still no payload, and the CRC of nothing still matches
+    blob[16] = 5  # dims (0, 3) -> (0, 5): still no payload, but the CRC covers the dims
     path.write_bytes(bytes(blob))
     with pytest.raises(ContainerError):
+        load_tensor(path)
+
+
+def test_version_1_container_still_loads_with_its_payload_crc(tmp_path):
+    import struct
+    import zlib
+
+    arr = np.arange(6.0).reshape(2, 3)
+    payload = arr.tobytes()
+    path = tmp_path / "v1.ktsr"
+    path.write_bytes(_header(2, arr.shape) + payload + struct.pack("<I", zlib.crc32(payload)))
+    assert np.array_equal(load_tensor(path), arr)
+    blob = bytearray(path.read_bytes())
+    blob[-10] ^= 0xFF  # flip a payload byte
+    path.write_bytes(bytes(blob))
+    with pytest.raises(ContainerError, match="CRC"):
         load_tensor(path)
 
 

@@ -46,6 +46,18 @@ def test_mask_frames_differ_when_undersampled():
         assert not np.array_equal(mask.bits[f], mask.bits[f + 1])
 
 
+@pytest.mark.parametrize("shape", [(0, 4, 4), (2, 0, 4)])
+def test_mask_rejects_empty_shape(shape):
+    with pytest.raises(ValueError, match="at least one frame"):
+        SamplingMask(bits=np.zeros(shape), accel_nominal=2.0)
+
+
+@pytest.mark.parametrize("t", [0, -1])
+def test_radial_mask_rejects_fewer_than_one_frame(t):
+    with pytest.raises(ValueError, match="at least one frame"):
+        make_radial_mask(t, 8, 8, 2.0, 0)
+
+
 def test_mask_rejects_missing_dc():
     bits = np.ones((2, 8, 8), dtype=np.uint8)
     bits[0, 0, 0] = 0

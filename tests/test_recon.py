@@ -283,6 +283,32 @@ def test_secret_train_divergence_in_validation_aborts():
     assert err.value.log.train_loss == []
 
 
+def test_value_error_in_a_training_loss_is_not_relabelled(monkeypatch):
+    def broken(d_u, params, net_cfg):
+        raise ValueError("programming error")
+
+    monkeypatch.setattr(recon, "secret_loss", broken)
+    with pytest.raises(ValueError, match="programming error"):
+        secret_train([_micro_data(0)[1]], SecretConfig(epochs=1, seed=0), MICRO)
+
+
+def test_non_finite_validation_loss_diverges(monkeypatch):
+    _, d = _micro_data(0)
+    monkeypatch.setattr(recon, "_modl_loss", lambda *args: np.nan)
+    pairs = [(d, adjoint(d))]
+    with pytest.raises(TrainingDiverged, match="validation") as err:
+        modl_train(pairs, ModlConfig(epochs=2, seed=0), MICRO, val_dataset=pairs)
+    assert err.value.log.train_loss == []
+
+
+def test_secret_loss_constructs_no_ktdata(monkeypatch):
+    _, d = _micro_data(0)
+    built = []
+    monkeypatch.setattr(KtData, "__post_init__", lambda self: built.append(self))
+    secret_loss(d, init_params(MICRO, seed=0), MICRO)
+    assert built == []
+
+
 def test_secret_train_rejects_mixed_frame_counts():
     # a bad dataset is a ValueError naming the sample, not a TrainingDiverged
     ds = [corrupt(synthesize(PhantomSpec(h=16, w=16, t=t, seed=32)), make_radial_mask(t, 16, 16, 4.0, seed=0),
