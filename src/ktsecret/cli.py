@@ -4,11 +4,14 @@ evaluation, quantification and an end-to-end pipeline.
 All tensors are exchanged via the KTSR container (see container.py); masks
 and weights carry JSON sidecars. Every subcommand is deterministic given its
 --seed: its containers are byte-identical run to run on one machine and
-thread setup. KTSECRET_THREADS caps the worker threads used by the
-pipeline's acceleration sweep. While that pool runs, OpenBLAS gets at most
-cpu_count // workers threads (at least 1), so pool and BLAS threads together
-do not oversubscribe the cores; a user-set OPENBLAS_NUM_THREADS or
-OMP_NUM_THREADS wins, and the previous count is restored when the sweep ends.
+thread setup. Zero-filled and CS outputs are also the same at any BLAS thread
+count, so a pipeline acceleration's files do not depend on the others in its
+sweep; a trained network's outputs do. KTSECRET_THREADS caps the worker
+threads used by the pipeline's acceleration sweep. While that pool runs,
+OpenBLAS gets at most cpu_count // workers threads (at least 1), so pool and
+BLAS threads together do not oversubscribe the cores; a user-set
+OPENBLAS_NUM_THREADS or OMP_NUM_THREADS wins, and the previous count is
+restored when the sweep ends.
 """
 
 from __future__ import annotations
@@ -65,8 +68,9 @@ PIPELINE_OVERRIDES = {"secret": {"epochs": 30}, "modl": {"epochs": 10}}
 # Config options of the subcommands, in the same form: key -> config field,
 # given as --key with "_" written "-" (every subcommand has its own --seed).
 SUBCOMMAND_OPTIONS = {
-    "phantom": (PhantomSpec, {{"n_tissue_regions": "regions", "noise_sigma": "noise"}.get(f.name, f.name): f.name
-                              for f in fields(PhantomSpec) if f.name != "seed"}),
+    # noise_sigma is the pipeline's alone: corrupt takes its own --noise
+    "phantom": (PhantomSpec, {"regions" if f.name == "n_tissue_regions" else f.name: f.name
+                              for f in fields(PhantomSpec) if f.name not in ("seed", "noise_sigma")}),
     "recon-cs": METHOD_PARAMS["cs"],
     "train-secret": (SecretConfig, {**METHOD_PARAMS["secret"][1], "batch": "batch"}),
     "train-modl": (ModlConfig, {**METHOD_PARAMS["modl"][1], "batch": "batch"}),
@@ -310,6 +314,8 @@ def cmd_profile(args) -> int:
     shapes = {s.shape for s in series_list}
     if len(shapes) != 1:
         raise ValueError("all input series must share one shape")
+    if series_list[0].ndim != 3:
+        raise ValueError(f"expected [T,H,W] series, got shape {series_list[0].shape}")
     t, h, w = series_list[0].shape
     if not 0 <= args.row < h:
         raise ValueError(f"row {args.row} out of range [0,{h})")

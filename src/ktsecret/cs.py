@@ -9,29 +9,29 @@ backtracking on the smoothed objective
 where the square root is applied per difference component of the complex
 modulus and eps is the module constant SMOOTH_EPS.
 
-The objective sees s only through three affine images, (E s - d_u, grad_s s,
-grad_t s); its value and its gradient are both computed from them. E, grad_s
-and grad_t are linear, so the images of a trial point s + a d are
-img(s) + a img(d) (the line search of Lustig, Donoho & Pauly's SparseMRI).
-An iteration therefore encodes its search direction once (one forward DFT),
-scores every Armijo trial by elementwise arithmetic and takes the next
-gradient from the accepted trial's images (one inverse DFT), however many
-backtracks it needs. There is no per-iteration callback: the ConvergenceLog
-records the objective after every accepted step and the backtracks it took.
+The objective sees s only through four affine images, held in one complex
+[4,T,H,W] array: E s - d_u, grad_s s (two slices) and grad_t s. Its value and
+gradient are computed from them. E, grad_s and grad_t are linear, so the images
+of a trial point s + a d are img(s) + a img(d) (the line search of Lustig,
+Donoho & Pauly's SparseMRI): an iteration encodes its search direction once
+(one forward DFT), scores every Armijo trial by one elementwise expression and
+takes the next gradient from the accepted trial's images (one inverse DFT),
+however many backtracks it needs. The ConvergenceLog records the objective
+after every accepted step and the backtracks it took.
 
-cs_reconstruct allocates one workspace at entry: the iterate and the
-direction, the three images of the point, of the direction and of the trial
-(the trial's residual doubles as the gradient), and the smoothed moduli of the
-two TV images, one real [2,T,H,W] and one real [T,H,W] buffer. The search
-stops at the first accepted trial, so the last trial scored is the new point:
-its images rotate in by swapping references with the point's, the moduli
-buffers already hold its moduli, and only s is updated, s += a d. The point's
-old images and the direction's are dead while the next gradient is taken and
-serve as its scratch. Every step writes with ufunc out= or in-place
-operations, in the same order as the plain expressions, so there is no
-per-iteration allocation beyond the DFT outputs (passing out= to numpy's FFT
-was measured to gain nothing). cs_objective and cs_gradient validate s and
-allocate their own buffers.
+cs_reconstruct allocates its workspace at entry: s, the direction d, the
+images of the point, of the direction and of the trial (the trial's residual
+slice doubles as the gradient), and the smoothed moduli of the three TV slices,
+one real [3,T,H,W] array. The search stops at the first accepted trial, so the
+last trial scored is the new point: its images rotate in by swapping
+references with the point's, the moduli already are its own, and only s is
+updated, s += a d. The point's old images and the direction's serve as the
+next gradient's scratch. Every step writes with ufunc out= or in place, in the
+same order as the plain expressions, so nothing is allocated per iteration
+beyond the DFT outputs (out= for numpy's FFT was measured to gain nothing).
+The real inner products are summed by numpy's einsum loop, not by BLAS, so the
+result does not depend on the BLAS thread count. cs_objective and cs_gradient
+validate s and allocate their own buffers.
 """
 
 from __future__ import annotations
@@ -79,81 +79,68 @@ class ConvergenceLog:
     line_search_failed: bool = False
 
 
-def _image_buffers(shape: tuple) -> tuple:
-    """Uninitialised buffers for the three images of a T,H,W point."""
-    return (np.empty(shape, np.complex128), np.empty((2, *shape), np.complex128),
-            np.empty(shape, np.complex128))
-
-
-def _moduli_buffers(shape: tuple) -> tuple:
-    return np.empty((2, *shape)), np.empty(shape)
-
-
-def _images(x: np.ndarray, mask, samples, out: tuple) -> tuple:
-    """Writes the objective's affine images of x, (E x - samples, grad_s x,
-    grad_t x), into out and returns it; samples None stands for zero."""
-    r, gs, gt = out
-    np.multiply(dft2(x, "forward"), mask.bits, out=r)
+def _images(x: np.ndarray, mask, samples, out: np.ndarray) -> np.ndarray:
+    """Writes the objective's affine images of x into the complex [4,T,H,W]
+    out and returns it: E x - samples, then grad_s x (2), then grad_t x;
+    samples None stands for zero."""
+    np.multiply(dft2(x, "forward"), mask.bits, out=out[0])
     if samples is not None:
-        np.subtract(r, samples, out=r)
-    grad_spatial(x, out=gs)
-    grad_temporal(x, out=gt)
+        np.subtract(out[0], samples, out=out[0])
+    grad_spatial(x, out=out[1:3])
+    grad_temporal(x, out=out[3])
     return out
 
 
-def _moduli(images, moduli: tuple) -> tuple:
-    """sqrt(|im|^2 + SMOOTH_EPS) of the two TV images, written into the real
-    buffers moduli = (ws [2,T,H,W], wt [T,H,W]) and returned."""
-    for im, w in zip(images[1:], moduli):
-        np.abs(im, out=w)
-        np.square(w, out=w)
-        np.add(w, SMOOTH_EPS, out=w)
-        np.sqrt(w, out=w)
-    return moduli
+def _moduli(images: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """sqrt(|im|^2 + SMOOTH_EPS) of the three TV images, written into the
+    real [3,T,H,W] w and returned."""
+    np.abs(images[1:], out=w)
+    np.square(w, out=w)
+    np.add(w, SMOOTH_EPS, out=w)
+    return np.sqrt(w, out=w)
 
 
-def _value(images, cfg: CsConfig, moduli: tuple) -> float:
-    """Objective from its images; leaves their smoothed moduli in moduli."""
-    ws, wt = _moduli(images, moduli)
-    val = 0.0
-    val += np.vdot(images[0], images[0]).real
-    val += cfg.lambda1 * ws.sum()
-    val += cfg.lambda2 * wt.sum()
-    return float(val)
+def _re_dot(a: np.ndarray, b: np.ndarray) -> float:
+    """Re<a, b> of contiguous complex arrays by einsum's own loop: a BLAS sum varies with its threads."""
+    return float(np.einsum("i,i->", a.view(np.float64).ravel(), b.view(np.float64).ravel()))
 
 
-def _gradient(images, moduli: tuple, cfg: CsConfig, g: np.ndarray, scratch: np.ndarray,
-              tv: np.ndarray, work: np.ndarray) -> np.ndarray:
+def _value(images: np.ndarray, cfg: CsConfig, w: np.ndarray) -> float:
+    """Objective from its images; leaves their smoothed moduli in w."""
+    _moduli(images, w)
+    return float(_re_dot(images[0], images[0]) + cfg.lambda1 * w[:2].sum() + cfg.lambda2 * w[2].sum())
+
+
+def _gradient(images: np.ndarray, w: np.ndarray, cfg: CsConfig, g: np.ndarray,
+              scratch: np.ndarray, tv: np.ndarray, work: np.ndarray) -> np.ndarray:
     """Gradient w.r.t. the real/imag parts of s, packed complex, from s's
-    images and their smoothed moduli, written into g. scratch ([2,T,H,W]),
+    images and their smoothed moduli w, written into g. scratch ([3,T,H,W]),
     tv and work ([T,H,W]) are complex scratch."""
-    (r, gs, gt), (ws, wt) = images, moduli
     # E^H r; the residual already lives on the sampled set
-    np.multiply(2.0, dft2(r, "inverse"), out=g)
-    np.divide(gs, ws, out=scratch)
-    np.multiply(cfg.lambda1, grad_spatial_adjoint(scratch, out=tv, work=work), out=tv)
+    np.multiply(2.0, dft2(images[0], "inverse"), out=g)
+    np.divide(images[1:], w, out=scratch)
+    np.multiply(cfg.lambda1, grad_spatial_adjoint(scratch[:2], out=tv, work=work), out=tv)
     np.add(g, tv, out=g)
-    np.divide(gt, wt, out=scratch[0])
-    np.multiply(cfg.lambda2, grad_temporal_adjoint(scratch[0], out=tv), out=tv)
+    np.multiply(cfg.lambda2, grad_temporal_adjoint(scratch[2], out=tv), out=tv)
     return np.add(g, tv, out=g)
 
 
-def _point_images(s: np.ndarray, d_u: KtData) -> tuple:
+def _point_images(s: np.ndarray, d_u: KtData) -> np.ndarray:
     s = as_complex_tensor(s)
     if s.shape != d_u.mask.shape:
         raise ValueError(f"image shape {s.shape} != mask shape {d_u.mask.shape}")
-    return _images(s, d_u.mask, d_u.samples, _image_buffers(s.shape))
+    return _images(s, d_u.mask, d_u.samples, np.empty((4, *s.shape), np.complex128))
 
 
 def cs_objective(s: np.ndarray, d_u: KtData, cfg: CsConfig) -> float:
-    return _value(_point_images(s, d_u), cfg, _moduli_buffers(d_u.mask.shape))
+    return _value(_point_images(s, d_u), cfg, np.empty((3, *d_u.mask.shape)))
 
 
 def cs_gradient(s: np.ndarray, d_u: KtData, cfg: CsConfig) -> np.ndarray:
     """Gradient of cs_objective w.r.t. the real/imag parts of s, packed complex."""
     shape, images = d_u.mask.shape, _point_images(s, d_u)
-    return _gradient(images, _moduli(images, _moduli_buffers(shape)), cfg,
-                     np.empty(shape, np.complex128), np.empty((2, *shape), np.complex128),
+    return _gradient(images, _moduli(images, np.empty((3, *shape))), cfg,
+                     np.empty(shape, np.complex128), np.empty((3, *shape), np.complex128),
                      np.empty(shape, np.complex128), np.empty(shape, np.complex128))
 
 
@@ -172,9 +159,9 @@ def cs_reconstruct(d_u: KtData, cfg: CsConfig | None = None):
     s = adjoint(d_u)  # the iterate, updated in place and returned
     # the workspace: every step below writes into these buffers
     d = np.empty_like(s)
-    # the trial's residual image is also the gradient, dead from the slope on
-    img, img_d, trial = (_image_buffers(s.shape) for _ in range(3))
-    moduli = _moduli_buffers(s.shape)
+    # the trial's residual slice is also the gradient, dead from the slope on
+    img, img_d, trial = (np.empty((4, *s.shape), np.complex128) for _ in range(3))
+    moduli = np.empty((3, *s.shape))
     log = ConvergenceLog()
     with np.errstate(over="ignore", invalid="ignore"):  # reported just below
         f = _value(_images(s, mask, samples, img), cfg, moduli)
@@ -185,9 +172,8 @@ def cs_reconstruct(d_u: KtData, cfg: CsConfig | None = None):
     step0 = 1.0
     for it in range(cfg.max_iters):
         # moduli holds the point's; the trial's and direction's images are scratch
-        g = trial[0]
-        _gradient(img, moduli, cfg, g, trial[1], img_d[0], img_d[2])
-        gg_prev, gg = gg, np.vdot(g, g).real
+        g = _gradient(img, moduli, cfg, trial[0], trial[1:], img_d[0], img_d[1])
+        gg_prev, gg = gg, _re_dot(g, g)
         if gg < 1e-30:
             break
         # Fletcher-Reeves direction -g + (gg / gg_prev) d; the first one is steepest descent
@@ -196,15 +182,14 @@ def cs_reconstruct(d_u: KtData, cfg: CsConfig | None = None):
         else:
             np.subtract(np.multiply(gg / gg_prev, d, out=d), g, out=d)
         # Armijo backtracking: f(s + a d) <= f + c a Re<g, d>
-        slope = np.vdot(g, d).real
+        slope = _re_dot(g, d)
         if slope >= 0:  # not a descent direction; restart on steepest descent
             np.negative(g, out=d)
             slope = -gg
         _images(d, mask, None, img_d)
         a = step0
         for rejected in range(50):
-            for x, y, t in zip(img, img_d, trial):
-                np.add(x, np.multiply(a, y, out=t), out=t)
+            np.add(img, np.multiply(a, img_d, out=trial), out=trial)
             f_new = _value(trial, cfg, moduli)
             if f_new <= f + 1e-4 * a * slope:
                 break

@@ -97,8 +97,8 @@ def make_radial_mask(t: int, h: int, w: int, accel: float, seed: int) -> Samplin
     """
     if t < 1:
         raise ValueError(f"a mask needs at least one frame, got t={t}")
-    if accel < 1:
-        raise ValueError("acceleration must be >= 1")
+    if not 1 <= accel < np.inf:  # NaN fails too
+        raise ValueError(f"acceleration must be >= 1 and finite, got {accel}")
     check_pow2(h, w)
     n_spokes = int(round(max(h, w) * np.pi / 2.0 / accel))
     if n_spokes < 1:

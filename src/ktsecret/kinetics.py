@@ -46,6 +46,20 @@ class MetricsReport:
         return float(np.nanmean(self.nrmse_frames))
 
 
+def _check_series(x: np.ndarray) -> np.ndarray:
+    if x.ndim != 3:
+        raise ValueError(f"expected a [T,H,W] series, got shape {x.shape}")
+    return x
+
+
+def _magnitudes(x, ref) -> tuple:
+    """|x| and |ref|, which the metrics compare: they must share one shape."""
+    x, ref = np.abs(np.asarray(x)), np.abs(np.asarray(ref))
+    if x.shape != ref.shape:
+        raise ValueError(f"shape mismatch: {x.shape} vs {ref.shape}")
+    return x, ref
+
+
 def patlak_fit(series: np.ndarray, aif: np.ndarray, dt: float, roi: np.ndarray) -> PatlakMap:
     """Pixelwise Patlak regression inside a binary ROI.
 
@@ -53,10 +67,12 @@ def patlak_fit(series: np.ndarray, aif: np.ndarray, dt: float, roi: np.ndarray) 
     so the fitted slope is in 1/min. Pixels with a singular design matrix are
     set to NaN and dropped from the ROI.
     """
-    series = np.asarray(series)
+    series = _check_series(np.asarray(series))
     aif = np.asarray(aif, dtype=float)
     roi = np.asarray(roi, dtype=bool)
     t, h, w = series.shape
+    if not 0 < dt < np.inf:  # NaN fails too
+        raise ValueError(f"dt must be positive and finite, got {dt}")
     if t < 3:
         raise ValueError("need at least 3 frames")
     if roi.shape != (h, w) or aif.shape != (t,):
@@ -97,9 +113,7 @@ def patlak_fit(series: np.ndarray, aif: np.ndarray, dt: float, roi: np.ndarray) 
 
 def psnr(x: np.ndarray, ref: np.ndarray) -> float:
     """Peak SNR in dB over the whole series; peak is max |ref|."""
-    x, ref = np.abs(np.asarray(x)), np.abs(np.asarray(ref))
-    if x.shape != ref.shape:
-        raise ValueError("shape mismatch")
+    x, ref = _magnitudes(x, ref)
     peak = ref.max()
     if peak <= 0:
         raise ValueError("reference peak must be > 0")
@@ -136,16 +150,16 @@ def _ssim_frame(x: np.ndarray, ref: np.ndarray, data_range: float) -> float:
 
 
 def ssim(x: np.ndarray, ref: np.ndarray, data_range: float | None = None) -> float:
-    """Mean per-frame SSIM (11x11 Gaussian window, sigma 1.5, K1/K2 defaults).
+    """Mean per-frame SSIM (11x11 Gaussian window, sigma 1.5, K1/K2 defaults)
+    of a [T,H,W] series or one [H,W] frame.
 
     data_range defaults to max |ref|; pass a shared constant to make the
     measure symmetric in its arguments.
     """
-    x, ref = np.abs(np.asarray(x)), np.abs(np.asarray(ref))
-    if x.shape != ref.shape:
-        raise ValueError("shape mismatch")
+    x, ref = _magnitudes(x, ref)
     if x.ndim == 2:
         x, ref = x[None], ref[None]
+    _check_series(x)
     dr = float(ref.max()) if data_range is None else float(data_range)
     return float(np.mean([_ssim_frame(x[i], ref[i], dr) for i in range(x.shape[0])]))
 
@@ -164,9 +178,8 @@ def nrmse(x: np.ndarray, ref: np.ndarray) -> float:
 def evaluate_series(x: np.ndarray, ref: np.ndarray) -> MetricsReport:
     """Per-frame PSNR/SSIM with the series peak of |ref|, and NRMSE by each
     reference frame's norm (NaN on an all-zero reference frame)."""
-    x, ref = np.abs(np.asarray(x)), np.abs(np.asarray(ref))
-    if x.shape != ref.shape:
-        raise ValueError("shape mismatch")
+    x, ref = _magnitudes(x, ref)
+    _check_series(x)
     peak = ref.max()
     if peak <= 0:
         raise ValueError("reference peak must be > 0")

@@ -150,6 +150,8 @@ def corrupt(truth: PhantomTruth, mask: SamplingMask, noise_sigma: float, seed: i
     Noise std is noise_sigma times the peak magnitude of the DC row of the
     reference k-space; complex Gaussian, split evenly between components.
     """
+    if not 0 <= noise_sigma < np.inf:  # NaN fails too
+        raise ValueError(f"noise_sigma must be >= 0 and finite, got {noise_sigma}")
     kspace = dft2(truth.ref_images, "forward")
     if kspace.shape != mask.shape:
         raise ValueError(f"phantom shape {kspace.shape} != mask shape {mask.shape}")

@@ -473,9 +473,9 @@ def test_cli_defaults_come_from_config_dataclasses():
     assert (modl.K, getattr(modl, "lambda"), modl.epochs, modl.lr, modl.batch) == (
         ModlConfig.K, ModlConfig.lam, ModlConfig.epochs, ModlConfig.lr, ModlConfig.batch)
     ph = parser.parse_args(["phantom", "--out", "o"])
-    assert (ph.h, ph.w, ph.t, ph.dt, ph.regions, tuple(ph.ktrans_range), tuple(ph.vp_range), ph.noise,
+    assert (ph.h, ph.w, ph.t, ph.dt, ph.regions, tuple(ph.ktrans_range), tuple(ph.vp_range),
             ph.seed) == (PhantomSpec.h, PhantomSpec.w, PhantomSpec.t, PhantomSpec.dt, PhantomSpec.n_tissue_regions,
-                         PhantomSpec.ktrans_range, PhantomSpec.vp_range, PhantomSpec.noise_sigma, PhantomSpec.seed)
+                         PhantomSpec.ktrans_range, PhantomSpec.vp_range, PhantomSpec.seed)
 
 
 def test_train_modl_batch_reaches_config(monkeypatch):
@@ -519,10 +519,53 @@ def test_mask_with_zero_frames_exits_1(tmp_path, capsys):
     assert not (tmp_path / "m.ktsr").exists()
 
 
+@pytest.mark.parametrize("command, value, message", [
+    ("mask", "nan", "acceleration must be >= 1 and finite, got nan"),
+    ("corrupt", "nan", "noise_sigma must be >= 0 and finite, got nan"),
+    ("corrupt", "-0.5", "noise_sigma must be >= 0 and finite, got -0.5"),
+    ("quantify", "-2", "dt must be positive and finite, got -2.0"),
+    ("quantify", "nan", "dt must be positive and finite, got nan"),
+], ids=["mask-accel-nan", "corrupt-noise-nan", "corrupt-noise-negative", "quantify-dt-negative",
+        "quantify-dt-nan"])
+def test_bad_value_at_a_boundary_exits_1(tmp_path, capsys, command, value, message):
+    ph, mask = tmp_path / "ph", tmp_path / "m.ktsr"
+    assert run("phantom", "--out", ph, "--h", 16, "--w", 16, "--t", 8, "--seed", 3) == 0
+    assert run("mask", "--out", mask, "--t", 8, "--h", 16, "--w", 16, "--accel", 2) == 0
+    out = tmp_path / "out.ktsr"
+    argv = {
+        "mask": ["--out", out, "--t", 8, "--h", 16, "--w", 16, "--accel", value],
+        "corrupt": ["--phantom", ph, "--mask", mask, "--out", out, "--noise", value],
+        "quantify": ["--recon", ph / "ref_images.ktsr", "--aif", ph / "aif_signal.ktsr",
+                     "--roi", ph / "labels.ktsr", "--dt", value, "--out-prefix", tmp_path / "q"],
+    }[command]
+    capsys.readouterr()
+    assert run(command, *argv) == 1
+    assert message in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.ktsr", "m.ktsr.json", "ph"]
+
+
+@pytest.mark.parametrize("command", ["evaluate", "quantify", "profile"])
+def test_two_dimensional_series_exits_1_naming_its_shape(tmp_path, capsys, command):
+    from ktsecret.container import save_tensor
+    frame = tmp_path / "frame.ktsr"
+    save_tensor(frame, np.ones((8, 8)))
+    argv = {
+        "evaluate": ["--recon", frame, "--ref", frame, "--out", tmp_path / "metrics.csv"],
+        "quantify": ["--recon", frame, "--aif", frame, "--roi", frame, "--dt", 2.0,
+                     "--out-prefix", tmp_path / "q"],
+        "profile": ["--inputs", frame, "--row", 0, "--out-prefix", tmp_path / "prof"],
+    }[command]
+    assert run(command, *argv) == 1
+    assert "[T,H,W] series, got shape (8, 8)" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["frame.ktsr"]
+
+
 def test_phantom_options_reach_spec(tmp_path):
-    assert run("phantom", "--out", tmp_path, "--regions", 2, "--ktrans-range", 0.2, 0.3, "--noise", 0.01) == 0
-    spec = PhantomSpec(n_tissue_regions=2, ktrans_range=(0.2, 0.3), noise_sigma=0.01)
+    assert run("phantom", "--out", tmp_path, "--regions", 2, "--ktrans-range", 0.2, 0.3) == 0
+    spec = PhantomSpec(n_tissue_regions=2, ktrans_range=(0.2, 0.3))
     assert json.loads((tmp_path / "spec.json").read_text()) == json.loads(json.dumps(spec.__dict__))
+    with pytest.raises(SystemExit):  # the noise is corrupt's --noise
+        build_parser().parse_args(["phantom", "--out", "o", "--noise", "0.01"])
 
 
 @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
@@ -608,6 +651,21 @@ def test_user_thread_setting_leaves_blas_threads_alone(tmp_path, monkeypatch, bl
     seen = _record_blas_threads(monkeypatch, blas_threads)
     assert run_pipeline(_valid_config(tmp_path)) == 0
     assert seen == [before] * 2
+
+
+def test_pipeline_cs_files_do_not_depend_on_the_other_accelerations(tmp_path, blas_threads):
+    """Alone, R6 gets every BLAS thread; in a sweep of three it shares them.
+    Its files must not tell the two runs apart."""
+    runs = []
+    for accels in ([6], [3, 6, 10]):
+        cfg = _valid_config(tmp_path / str(len(accels)), "cs", iters=2)
+        cfg["phantom"].update(h=64, w=64)
+        cfg["mask"] = {"accel": accels, "seed": 2}
+        assert run_pipeline(cfg) == 0
+        runs.append(sorted((Path(cfg["output_dir"]) / "R6").iterdir()))
+    assert [p.name for p in runs[0]] == [p.name for p in runs[1]]
+    for alone, swept in zip(*runs):
+        assert alone.read_bytes() == swept.read_bytes(), alone.name
 
 
 def test_import_leaves_blas_threads_and_environment_alone():

@@ -157,11 +157,16 @@ def _allocating_images(x, mask, samples):
             np.roll(x, -1, axis=0) - x]
 
 
+def _re_dot(a, b):
+    """Re<a, b> by numpy's einsum loop, which no BLAS thread count changes."""
+    return float(np.einsum("i,i->", a.view(np.float64).ravel(), b.view(np.float64).ravel()))
+
+
 def _allocating_value(images, cfg):
     val = 0.0
     for lam, im in zip((None, cfg.lambda1, cfg.lambda2), images):
         if lam is None:
-            val += np.vdot(im, im).real
+            val += _re_dot(im, im)
         else:
             val += lam * np.sqrt(np.abs(im) ** 2 + SMOOTH_EPS).sum()
     return float(val)
@@ -186,11 +191,11 @@ def _allocating_nlcg(d_u, cfg):
     step0 = 1.0
     for _ in range(cfg.max_iters):
         g, gg_prev = _allocating_gradient(img, cfg), gg
-        gg = np.vdot(g, g).real
+        gg = _re_dot(g, g)
         if gg < 1e-30:
             break
         d = -g if d is None else -g + (gg / gg_prev) * d
-        slope = np.vdot(g, d).real
+        slope = _re_dot(g, d)
         if slope >= 0:
             d, slope = -g, -gg
         img_d = _allocating_images(d, d_u.mask, 0.0)

@@ -52,6 +52,12 @@ def test_mask_rejects_empty_shape(shape):
         SamplingMask(bits=np.zeros(shape), accel_nominal=2.0)
 
 
+@pytest.mark.parametrize("accel", [float("nan"), float("inf"), 0.5])
+def test_radial_mask_rejects_non_finite_or_sub_unit_acceleration(accel):
+    with pytest.raises(ValueError, match=f"acceleration must be >= 1 and finite, got {accel}"):
+        make_radial_mask(2, 8, 8, accel, 0)
+
+
 @pytest.mark.parametrize("t", [0, -1])
 def test_radial_mask_rejects_fewer_than_one_frame(t):
     with pytest.raises(ValueError, match="at least one frame"):

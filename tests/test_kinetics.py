@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -56,6 +58,27 @@ def test_patlak_singular_design_flags_pixels():
 def test_patlak_rejects_zero_aif():
     with pytest.raises(ValueError):
         patlak_fit(np.ones((5, 2, 2), dtype=complex), np.zeros(5), 1.0, np.ones((2, 2), dtype=bool))
+
+
+@pytest.mark.parametrize("dt", [-2.0, 0.0, float("nan"), float("inf")])
+def test_patlak_rejects_non_positive_or_non_finite_dt(dt):
+    aif, _ = _aif()
+    with pytest.raises(ValueError, match=f"dt must be positive and finite, got {dt}"):
+        patlak_fit(np.ones((20, 4, 4), dtype=complex), aif, dt, np.ones((4, 4), dtype=bool))
+
+
+@pytest.mark.parametrize("shape", [(20,), (20, 4), (20, 4, 4, 1)])
+def test_series_functions_reject_a_series_of_another_rank(shape):
+    aif, dt = _aif()
+    series = np.ones(shape)
+    msg = re.escape(f"expected a [T,H,W] series, got shape {shape}")
+    with pytest.raises(ValueError, match=msg):
+        patlak_fit(series, aif, dt, np.ones((4, 4), dtype=bool))
+    with pytest.raises(ValueError, match=msg):
+        evaluate_series(series, series)
+    if len(shape) != 2:  # ssim also takes one [H,W] frame
+        with pytest.raises(ValueError, match=msg):
+            ssim(series, series)
 
 
 @pytest.mark.parametrize("roi_shape, aif_len", [((4, 5), 20), ((4, 4), 19)])
@@ -170,6 +193,14 @@ def test_evaluate_series_nrmse_skips_zero_reference_frames(rng):
     report = evaluate_series(1.1 * ref, ref)
     assert np.isnan(report.nrmse_frames[0])
     assert report.nrmse == pytest.approx(0.1, rel=1e-12)
+
+
+def test_metrics_reject_mismatched_shapes_and_ssim_promotes_one_frame(rng):
+    x, ref = rng.uniform(size=(2, 16, 16)), rng.uniform(size=(2, 16, 16))
+    for metric in (psnr, ssim, evaluate_series):
+        with pytest.raises(ValueError, match=r"shape mismatch: \(2, 16, 16\) vs \(2, 16, 8\)"):
+            metric(x, ref[..., :8])
+    assert ssim(x[0], ref[0]) == ssim(x[:1], ref[:1])
 
 
 def test_evaluate_series_rejects_all_zero_reference(rng):

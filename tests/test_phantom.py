@@ -80,6 +80,13 @@ def test_corrupt_seed_reproducible():
     assert np.array_equal(a.samples, b.samples)
 
 
+@pytest.mark.parametrize("sigma", [float("nan"), -0.5, float("inf")])
+def test_corrupt_rejects_negative_or_non_finite_noise(sigma):
+    truth = synthesize(PhantomSpec(h=16, w=16, t=8, seed=6))
+    with pytest.raises(ValueError, match=f"noise_sigma must be >= 0 and finite, got {sigma}"):
+        corrupt(truth, make_radial_mask(8, 16, 16, 2.0, seed=0), sigma, seed=0)
+
+
 def test_corrupt_zero_filled_psnr_regression():
     # pinned pipeline baseline: noiseless 10x undersampling of the seed-7 phantom
     truth = synthesize(PhantomSpec(h=64, w=64, t=16, dt=2.0, seed=7))
