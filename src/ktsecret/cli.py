@@ -35,6 +35,7 @@ from . import kinetics
 from .container import load_params, load_tensor, read_sidecar, save_params, save_tensor
 from .encoding import KtData, SamplingMask, adjoint, make_radial_mask
 from .net import NetConfig
+from .numerics import is_int, is_real
 from .phantom import PhantomSpec, PhantomTruth, corrupt, synthesize
 from .recon import (
     ModlConfig,
@@ -338,14 +339,6 @@ def cmd_profile(args) -> int:
 
 # ------------------------------------------------------------------- pipeline
 
-def _typed(value, default) -> bool:
-    """Whether a JSON or argparse value has the type of a config default (a list or tuple for a tuple)."""
-    if isinstance(default, tuple):
-        return (isinstance(value, (list, tuple)) and len(value) == len(default)
-                and all(_typed(v, 0.0) for v in value))
-    return not isinstance(value, bool) and isinstance(value, int if isinstance(default, int) else (int, float))
-
-
 def _check(ok, where: str, value) -> None:
     if not ok:
         raise ConfigError(f"{where}: invalid value {value!r}")
@@ -360,13 +353,11 @@ def _check_keys(obj, where: str, allowed, required=()) -> None:
 
 
 def _build(cls, values, where: str, names=None, **fixed):
-    """cls(**fixed, **values), with config keys renamed to fields by names
-    (default: the field names); each value must have its field default's type."""
-    defaults = {f.name: f.default for f in fields(cls)}
-    names = names or {name: name for name in defaults}
+    """cls(**fixed, **values), keys renamed to fields by names (default: the field
+    names) and lists made tuples; cls checks them, its ValueError a ConfigError."""
+    names = names or {f.name: f.name for f in fields(cls)}
     _check_keys(values, where, names)
     for key, value in values.items():
-        _check(_typed(value, defaults[names[key]]), f"{where}.{key}", value)
         fixed[names[key]] = tuple(value) if isinstance(value, list) else value
     try:
         return cls(**fixed)
@@ -395,16 +386,16 @@ def _accel_dir(accel) -> str:
 def _parse_config(config):
     """Checks a run config; returns (PhantomSpec, accels, method config, weights)."""
     _check_keys(config, "config", RUN_KEYS, RUN_KEYS[:-1])
-    _check(_typed(config["seed"], 0) and config["seed"] >= 0, "seed", config["seed"])
+    _check(is_int(config["seed"]) and config["seed"] >= 0, "seed", config["seed"])
     _check(isinstance(config["output_dir"], str), "output_dir", config["output_dir"])
     spec = _build(PhantomSpec, config["phantom"], "phantom")
     mask = config["mask"]
     _check_keys(mask, "mask", ("accel", "seed"), ("accel", "seed"))
     accels = mask["accel"] if isinstance(mask["accel"], list) else [mask["accel"]]
-    _check(accels and all(_typed(a, 0.0) and 1 <= a < np.inf for a in accels), "mask.accel", mask["accel"])
+    _check(accels and all(is_real(a) and a >= 1 for a in accels), "mask.accel", mask["accel"])
     dirs = [_accel_dir(a) for a in accels]  # equal names would have two workers write one directory
     _check(len(set(dirs)) == len(dirs), "mask.accel (duplicate output directory)", mask["accel"])
-    _check(_typed(mask["seed"], 0) and mask["seed"] >= 0, "mask.seed", mask["seed"])
+    _check(is_int(mask["seed"]) and mask["seed"] >= 0, "mask.seed", mask["seed"])
     _check(config["method"] in METHOD_PARAMS, "method", config["method"])
     return (spec, accels) + _method_config(config["method"], config.get("method_params", {}), config["seed"])
 

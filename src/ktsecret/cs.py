@@ -47,8 +47,8 @@ from .numerics import (
     grad_spatial,
     grad_spatial_adjoint,
     grad_temporal,
+    check_fields,
     grad_temporal_adjoint,
-    is_int,
 )
 
 __all__ = ["SMOOTH_EPS", "CsConfig", "ConvergenceLog", "cs_objective", "cs_gradient",
@@ -65,11 +65,9 @@ class CsConfig:
     tol: float = 1e-6
 
     def __post_init__(self):
-        # written so that NaN fails: every comparison with NaN is False
-        if not (0 <= self.lambda1 < np.inf and 0 <= self.lambda2 < np.inf):
-            raise ValueError("regularization weights must be finite and >= 0")
-        if not 0 < self.tol < np.inf or not is_int(self.max_iters) or self.max_iters < 1:
-            raise ValueError("tol must be positive and finite, and max_iters an integer >= 1")
+        check_fields(self)
+        if self.lambda1 < 0 or self.lambda2 < 0 or self.tol <= 0 or self.max_iters < 1:
+            raise ValueError("lambda1 and lambda2 must be >= 0, tol positive and max_iters >= 1")
 
 
 @dataclass

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import as_complex_tensor, check_pow2, dft2
+from .numerics import as_complex_tensor, check_pow2, dft2, is_real
 
 GOLDEN_ANGLE_DEG = 111.246117975
 
@@ -97,7 +97,7 @@ def make_radial_mask(t: int, h: int, w: int, accel: float, seed: int) -> Samplin
     """
     if t < 1:
         raise ValueError(f"a mask needs at least one frame, got t={t}")
-    if not 1 <= accel < np.inf:  # NaN fails too
+    if not (is_real(accel) and accel >= 1):
         raise ValueError(f"acceleration must be >= 1 and finite, got {accel}")
     check_pow2(h, w)
     n_spokes = int(round(max(h, w) * np.pi / 2.0 / accel))

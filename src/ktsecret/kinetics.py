@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .numerics import cumulative_trapezoid
+from .numerics import cumulative_trapezoid, is_real
 
 __all__ = ["PatlakMap", "MetricsReport", "patlak_fit", "psnr", "ssim", "nrmse", "evaluate_series"]
 
@@ -71,7 +71,7 @@ def patlak_fit(series: np.ndarray, aif: np.ndarray, dt: float, roi: np.ndarray) 
     aif = np.asarray(aif, dtype=float)
     roi = np.asarray(roi, dtype=bool)
     t, h, w = series.shape
-    if not 0 < dt < np.inf:  # NaN fails too
+    if not (is_real(dt) and dt > 0):
         raise ValueError(f"dt must be positive and finite, got {dt}")
     if t < 3:
         raise ValueError("need at least 3 frames")

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import is_int
+from .numerics import check_fields
 
 __all__ = [
     "NetConfig",
@@ -44,9 +44,9 @@ class NetConfig:
     base_channels: int = 16
 
     def __post_init__(self):
-        sizes = (self.frames, self.depth_levels, self.base_channels)
-        if not is_int(*sizes) or min(sizes) < 1:
-            raise ValueError("frames, depth_levels, base_channels must be integers >= 1")
+        check_fields(self)
+        if min(self.frames, self.depth_levels, self.base_channels) < 1:
+            raise ValueError("frames, depth_levels, base_channels must be >= 1")
 
     @property
     def io_channels(self) -> int:

@@ -12,10 +12,14 @@ dataclasses share.
 
 from __future__ import annotations
 
+import math
+from dataclasses import fields
+
 import numpy as np
 
 __all__ = [
     "as_complex_tensor",
+    "check_fields",
     "check_pow2",
     "cumulative_trapezoid",
     "dft2",
@@ -24,6 +28,7 @@ __all__ = [
     "grad_temporal",
     "grad_temporal_adjoint",
     "is_int",
+    "is_real",
 ]
 
 
@@ -38,6 +43,28 @@ def as_complex_tensor(data) -> np.ndarray:
 def is_int(*values) -> bool:
     """Whether every value is a Python or numpy integer; a bool is not one."""
     return all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in values)
+
+
+def is_real(*values) -> bool:
+    """Whether every value is a Python or numpy real, not a bool, that is finite as a float64."""
+    try:
+        return all(isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool)
+                   and math.isfinite(v) for v in values)
+    except OverflowError:  # an integer beyond the float64 range
+        return False
+
+
+def check_fields(cfg) -> None:
+    """Raises ValueError naming the first field of the dataclass cfg not of its annotated type."""
+    for f in fields(cfg):
+        v = getattr(cfg, f.name)
+        if f.type == "tuple":  # as many reals as the default holds
+            n = len(f.default)
+            ok, kind = isinstance(v, tuple) and len(v) == n and is_real(*v), f"a tuple of {n} finite reals"
+        else:
+            ok, kind = (is_int(v), "an integer") if f.type == "int" else (is_real(v), "a finite real number")
+        if not ok:
+            raise ValueError(f"{f.name} must be {kind}, got {v!r}")
 
 
 def check_pow2(*dims: int) -> None:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .encoding import KtData, SamplingMask
-from .numerics import check_pow2, cumulative_trapezoid, dft2, is_int
+from .numerics import check_fields, check_pow2, cumulative_trapezoid, dft2, is_real
 
 __all__ = ["PhantomSpec", "PhantomTruth", "gamma_variate_aif", "synthesize", "corrupt"]
 
@@ -35,19 +35,14 @@ class PhantomSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if (not is_int(self.h, self.w, self.t, self.n_tissue_regions, self.seed) or self.t < 8
-                or self.n_tissue_regions < 1 or self.seed < 0):
-            raise ValueError("h, w, t, n_tissue_regions and seed must be integers; need at least "
-                             "8 frames, n_tissue_regions >= 1 and seed >= 0")
+        check_fields(self)
+        if (self.t < 8 or self.n_tissue_regions < 1 or self.seed < 0
+                or self.noise_sigma < 0 or self.dt <= 0):
+            raise ValueError("need t >= 8, n_tissue_regions >= 1, seed >= 0, noise_sigma >= 0, dt > 0")
         check_pow2(self.h, self.w)
-        # written so that NaN fails: every comparison with NaN is False
-        if not 0 <= self.noise_sigma < np.inf:
-            raise ValueError("noise_sigma must be finite and >= 0")
         for lo, hi in (self.ktrans_range, self.vp_range):
-            if not 0 <= lo <= hi < np.inf:
-                raise ValueError("parameter ranges must be finite and non-negative with max >= min")
-        if not 0 < self.dt < np.inf:
-            raise ValueError("dt must be positive and finite")
+            if not 0 <= lo <= hi:
+                raise ValueError("parameter ranges must be non-negative with max >= min")
 
 
 @dataclass(frozen=True)
@@ -150,7 +145,7 @@ def corrupt(truth: PhantomTruth, mask: SamplingMask, noise_sigma: float, seed: i
     Noise std is noise_sigma times the peak magnitude of the DC row of the
     reference k-space; complex Gaussian, split evenly between components.
     """
-    if not 0 <= noise_sigma < np.inf:  # NaN fails too
+    if not (is_real(noise_sigma) and noise_sigma >= 0):
         raise ValueError(f"noise_sigma must be >= 0 and finite, got {noise_sigma}")
     kspace = dft2(truth.ref_images, "forward")
     if kspace.shape != mask.shape:

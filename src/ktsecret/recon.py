@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .encoding import KtData, SamplingMask, adjoint
-from .numerics import dft2, is_int
+from .numerics import check_fields, dft2, is_real
 from .net import AdamState, NetConfig, NetworkParams, adam_step, init_params, net_backward, net_forward
 
 __all__ = [
@@ -48,38 +48,30 @@ class TrainingDiverged(RuntimeError):
         self.log = log
 
 
-def _check_training(cfg) -> None:
-    """The checks of the fields SecretConfig and ModlConfig share."""
-    if (not is_int(cfg.epochs, cfg.batch, cfg.seed) or cfg.epochs < 1
-            or not 0 < cfg.lr < np.inf or cfg.batch < 0 or cfg.seed < 0):  # NaN fails the comparison
-        raise ValueError("epochs, batch and seed must be integers, epochs >= 1, batch >= 0 and "
-                         "seed >= 0; lr must be positive and finite")
-
-
-@dataclass(frozen=True)
-class ModlConfig:
-    K: int = 1
-    lam: float = 0.05
-    epochs: int = 20
-    batch: int = 0  # 0 = full-batch gradient
-    lr: float = 1e-4
-    seed: int = 0
-
-    def __post_init__(self):
-        if not is_int(self.K) or self.K < 1 or not 0 < self.lam < np.inf:  # NaN fails the comparison
-            raise ValueError("K must be an integer >= 1 and lam positive and finite")
-        _check_training(self)
-
-
 @dataclass(frozen=True)
 class SecretConfig:
     epochs: int = 100
     lr: float = 1e-4
-    batch: int = 1
+    batch: int = 1  # 0 = full-batch gradient
     seed: int = 0
 
     def __post_init__(self):
-        _check_training(self)
+        check_fields(self)
+        if self.epochs < 1 or self.lr <= 0 or self.batch < 0 or self.seed < 0:
+            raise ValueError("epochs must be >= 1, lr positive, batch >= 0 and seed >= 0")
+
+
+@dataclass(frozen=True)
+class ModlConfig(SecretConfig):
+    epochs: int = 20  # SecretConfig's fields and check, with these two defaults
+    batch: int = 0
+    K: int = 1
+    lam: float = 0.05
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.K < 1 or self.lam <= 0:
+            raise ValueError("K must be >= 1 and lam positive")
 
 
 @dataclass
@@ -114,7 +106,7 @@ def dc_solve(z_k: np.ndarray, d_u: KtData, lam: float):
     Returns (image, DcInfo); iterations is 0 (a direct solve) and residual is
     the relative normal-equation residual, measured in k-space.
     """
-    if not 0 < lam < np.inf:  # NaN fails the comparison
+    if not (is_real(lam) and lam > 0):
         raise ValueError("lam must be positive and finite")
     rhs_k = d_u.samples + lam * dft2(z_k, "forward")  # F(E^H d_u + lam*z_k)
     s_k = _inverse_normal_k(rhs_k, d_u.mask, lam)
