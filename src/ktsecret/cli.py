@@ -32,7 +32,7 @@ import numpy as np
 
 from . import cs as cs_mod
 from . import kinetics
-from .container import load_params, load_tensor, read_sidecar, save_params, save_tensor
+from .container import ContainerError, load_params, load_tensor, read_sidecar, save_params, save_tensor
 from .encoding import KtData, SamplingMask, adjoint, make_radial_mask
 from .net import NetConfig
 from .numerics import is_int, is_real
@@ -272,13 +272,17 @@ def cmd_train_modl(args) -> int:
 
 
 def cmd_recon_nn(args) -> int:
+    lam = getattr(args, "lambda")
     if args.K < 0:
         raise ValueError(f"--K must be >= 0 (0 = single-pass SECRET inference), got {args.K}")
+    if args.K == 0 and lam is not None:
+        raise ValueError("--lambda needs --K >= 1: single-pass SECRET inference has no DC block")
+    values = {"K": args.K} if lam is None else {"K": args.K, "lambda": lam}
+    cfg = _build(ModlConfig, values, args.command, METHOD_PARAMS["modl"][1]) if args.K > 0 else None
     d_u = load_ktdata(args.data, args.mask)
     params, net_cfg = load_params(args.weights)
     t0 = time.perf_counter()
-    if args.K > 0:
-        cfg = ModlConfig(K=args.K, lam=getattr(args, "lambda"))
+    if cfg is not None:
         s = modl_forward(adjoint(d_u), d_u, params, cfg, net_cfg)
     else:
         s = secret_infer(d_u, params, net_cfg)
@@ -383,8 +387,23 @@ def _accel_dir(accel) -> str:
     return f"R{accel:g}"
 
 
+def _load_weights(path, spec: PhantomSpec):
+    """(params, NetConfig) of a pretrained weight file whose network fits the phantom."""
+    try:
+        params, net_cfg = load_params(path)
+    except (ContainerError, OSError) as exc:
+        raise ConfigError(f"method_params.weights: {exc}") from exc
+    step = 2 ** net_cfg.depth_levels
+    if net_cfg.frames != spec.t or spec.h % step or spec.w % step:
+        raise ConfigError(f"method_params.weights: a network of {net_cfg.frames} frames and "
+                          f"{net_cfg.depth_levels} pooling levels does not fit a "
+                          f"{spec.t}x{spec.h}x{spec.w} phantom")
+    return params, net_cfg
+
+
 def _parse_config(config):
-    """Checks a run config; returns (PhantomSpec, accels, method config, weights)."""
+    """Checks a run config, and loads its pretrained weights; returns (PhantomSpec,
+    accels, method config, (params, NetConfig) or None)."""
     _check_keys(config, "config", RUN_KEYS, RUN_KEYS[:-1])
     _check(is_int(config["seed"]) and config["seed"] >= 0, "seed", config["seed"])
     _check(isinstance(config["output_dir"], str), "output_dir", config["output_dir"])
@@ -397,16 +416,17 @@ def _parse_config(config):
     _check(len(set(dirs)) == len(dirs), "mask.accel (duplicate output directory)", mask["accel"])
     _check(is_int(mask["seed"]) and mask["seed"] >= 0, "mask.seed", mask["seed"])
     _check(config["method"] in METHOD_PARAMS, "method", config["method"])
-    return (spec, accels) + _method_config(config["method"], config.get("method_params", {}), config["seed"])
+    cfg, weights = _method_config(config["method"], config.get("method_params", {}), config["seed"])
+    return spec, accels, cfg, None if weights is None else _load_weights(weights, spec)
 
 
-def _reconstruct(method: str, d_u: KtData, truth: PhantomTruth, cfg, weights):
+def _reconstruct(method: str, d_u: KtData, truth: PhantomTruth, cfg, pretrained):
     if method == "zf":
         return adjoint(d_u), None
     if method == "cs":
         return cs_mod.cs_reconstruct(d_u, cfg)
-    if weights is not None:
-        params, net_cfg = load_params(weights)
+    if pretrained is not None:
+        params, net_cfg = pretrained
     else:
         net_cfg = NetConfig(frames=d_u.samples.shape[0])
         if method == "secret":
@@ -419,7 +439,7 @@ def _reconstruct(method: str, d_u: KtData, truth: PhantomTruth, cfg, weights):
 
 
 def run_pipeline(config: dict) -> int:
-    spec, accels, cfg, weights = _parse_config(config)
+    spec, accels, cfg, pretrained = _parse_config(config)
     workers = min(worker_count(), len(accels))
     out_dir = Path(config["output_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -435,7 +455,7 @@ def run_pipeline(config: dict) -> int:
         save_mask(sub / "mask.ktsr", mask, config["mask"]["seed"])
         d_u = corrupt(truth, mask, spec.noise_sigma, seed)
         save_tensor(sub / "data.ktsr", d_u.samples)
-        recon, cs_log = _reconstruct(method, d_u, truth, cfg, weights)
+        recon, cs_log = _reconstruct(method, d_u, truth, cfg, pretrained)
         save_tensor(sub / "recon.ktsr", recon)
         zf = adjoint(d_u)
         save_tensor(sub / "recon_zf.ktsr", zf)
@@ -515,7 +535,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("recon-nn", cmd_recon_nn, "network inference (SECRET or unrolled)", "data", "mask", "weights")
     p.add_argument("--K", type=int, default=0, help="0 = single-pass SECRET inference")
-    p.add_argument("--lambda", type=float, default=ModlConfig.lam)
+    p.add_argument("--lambda", type=float, help=f"needs --K >= 1 (default {ModlConfig.lam})")
     p.add_argument("--out", required=True)
 
     p = command("evaluate", cmd_evaluate, "PSNR/SSIM/NRMSE against a reference", "recon", "ref")

@@ -43,11 +43,11 @@ import numpy as np
 from .encoding import KtData, adjoint
 from .numerics import (
     as_complex_tensor,
+    check_fields,
     dft2,
     grad_spatial,
     grad_spatial_adjoint,
     grad_temporal,
-    check_fields,
     grad_temporal_adjoint,
 )
 

@@ -153,15 +153,18 @@ def ssim(x: np.ndarray, ref: np.ndarray, data_range: float | None = None) -> flo
     """Mean per-frame SSIM (11x11 Gaussian window, sigma 1.5, K1/K2 defaults)
     of a [T,H,W] series or one [H,W] frame.
 
-    data_range defaults to max |ref|; pass a shared constant to make the
-    measure symmetric in its arguments.
+    data_range defaults to max |ref|, which must be positive; pass a shared
+    positive constant to make the measure symmetric in its arguments.
     """
     x, ref = _magnitudes(x, ref)
     if x.ndim == 2:
         x, ref = x[None], ref[None]
     _check_series(x)
-    dr = float(ref.max()) if data_range is None else float(data_range)
-    return float(np.mean([_ssim_frame(x[i], ref[i], dr) for i in range(x.shape[0])]))
+    dr = ref.max() if data_range is None else data_range
+    if not (is_real(dr) and dr > 0):
+        raise ValueError("reference peak must be > 0" if data_range is None
+                         else f"data_range must be positive and finite, got {data_range}")
+    return float(np.mean([_ssim_frame(x[i], ref[i], float(dr)) for i in range(x.shape[0])]))
 
 
 def nrmse(x: np.ndarray, ref: np.ndarray) -> float:

@@ -6,8 +6,14 @@ unchanged; the DFT is unitary in both directions so the adjoint of the forward
 transform is exactly the inverse transform. The difference operators subtract
 slices (x[1:] - x[:-1], then the wrap-around row) and write into an optional
 preallocated out=, so a solver that owns its buffers allocates nothing per
-call; out must not overlap the input. is_int is the integer check the config
-dataclasses share.
+call; out must not overlap the input.
+
+Every setting is checked by one rule. is_int admits Python and numpy integers;
+is_real admits Python and numpy reals that are finite as a float64. Neither
+admits a bool, and neither raises or warns, whatever it is given.
+check_fields applies them to each field of a config dataclass by its
+annotation: "int", "float", or "tuple" (as many reals as the default holds).
+A config's __post_init__ calls it first and then applies its range rules.
 """
 
 from __future__ import annotations

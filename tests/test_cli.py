@@ -22,9 +22,9 @@ from ktsecret.cli import (
 )
 from ktsecret.cs import CsConfig, cs_reconstruct
 from ktsecret.recon import ModlConfig, SecretConfig
-from ktsecret.container import load_tensor
+from ktsecret.container import load_tensor, save_params
 from ktsecret.encoding import adjoint, make_radial_mask
-from ktsecret.net import NetConfig
+from ktsecret.net import NetConfig, init_params
 from ktsecret.phantom import PhantomSpec, corrupt, synthesize
 
 NAN, INF = float("nan"), float("inf")
@@ -159,16 +159,46 @@ def test_train_secret_and_recon_nn(tmp_path):
     assert load_tensor(tmp_path / "nn.ktsr").shape == (8, 16, 16)
 
 
-def test_recon_nn_rejects_negative_K(tmp_path, monkeypatch, capsys):
+def _stub_recon_nn(monkeypatch, seen):
+    """recon-nn on a phantom measurement with stub weights; modl_forward records its config."""
     truth = synthesize(PhantomSpec(h=16, w=16, t=8, seed=1))
     d = corrupt(truth, make_radial_mask(8, 16, 16, 4.0, seed=0), 0.0, seed=0)
     monkeypatch.setattr(cli, "load_ktdata", lambda data, mask: d)
     monkeypatch.setattr(cli, "load_params", lambda path: (None, NetConfig(frames=8)))
     monkeypatch.setattr(cli, "secret_infer", lambda d_u, params, net_cfg: adjoint(d_u))
+    monkeypatch.setattr(cli, "modl_forward", lambda s_u, d_u, params, cfg, net_cfg: seen.append(cfg) or s_u)
+
+
+def test_recon_nn_rejects_negative_K(tmp_path, monkeypatch, capsys):
+    _stub_recon_nn(monkeypatch, [])
     assert run("recon-nn", "--data", "d", "--mask", "m", "--weights", "w", "--K", -1,
                "--out", tmp_path / "nn.ktsr") == 1
     assert "--K" in capsys.readouterr().err
     assert not (tmp_path / "nn.ktsr").exists()
+
+
+@pytest.mark.parametrize("options, message", [
+    (["--K", 0, "--lambda", "nan"], "--lambda needs --K >= 1"),
+    (["--lambda", 0.1], "--lambda needs --K >= 1"),
+    (["--K", 1, "--lambda", "nan"], "recon-nn: lam must be a finite real number, got nan"),
+    (["--K", 1, "--lambda", 0], "recon-nn: K must be >= 1 and lam positive"),
+], ids=["K0-nan", "K0-default", "K1-nan", "K1-zero"])
+def test_recon_nn_rejects_a_bad_lambda_before_writing(tmp_path, monkeypatch, capsys, options, message):
+    seen = []
+    _stub_recon_nn(monkeypatch, seen)
+    assert run("recon-nn", "--data", "d", "--mask", "m", "--weights", "w", *options,
+               "--out", tmp_path / "nn.ktsr") == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "nn.ktsr").exists() and seen == []
+
+
+def test_recon_nn_lambda_reaches_config_and_defaults_to_modl_config(tmp_path, monkeypatch):
+    seen = []
+    _stub_recon_nn(monkeypatch, seen)
+    for options in (["--K", 2], ["--K", 2, "--lambda", 0.1]):
+        assert run("recon-nn", "--data", "d", "--mask", "m", "--weights", "w", *options,
+                   "--out", tmp_path / "nn.ktsr") == 0
+    assert seen == [ModlConfig(K=2), ModlConfig(K=2, lam=0.1)]
 
 
 def test_train_modl_cli(tmp_path):
@@ -398,6 +428,8 @@ MALFORMED = {
     "NaN noise_sigma": _put("phantom", "noise_sigma", NAN),
     "infinite accel": _put("mask", "accel", [INF]),
     "NaN accel": _put("mask", "accel", [3, NAN]),
+    "phantom.dt beyond float64": _put("phantom", "dt", 10**400),
+    "accel beyond float64": _put("mask", "accel", [3, 10**400]),
     "negative seed": _put("seed", -1),
     "negative phantom.seed": _put("phantom", "seed", -1),
     "negative mask.seed": _put("mask", "seed", -1),
@@ -681,3 +713,34 @@ def test_import_leaves_blas_threads_and_environment_alone():
     env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
     env["PYTHONPATH"] = os.pathsep.join([str(Path(cli.__file__).resolve().parents[1]), env.get("PYTHONPATH", "")])
     subprocess.run([sys.executable, "-c", probe], check=True, env=env)
+
+
+def _save_weights(path, **net):
+    net_cfg = NetConfig(**{"frames": 8, "base_channels": 4, **net})
+    save_params(path, init_params(net_cfg, 0), net_cfg)
+    return str(path)
+
+
+@pytest.mark.parametrize("case", ["missing", "corrupt", "frames", "depth"])
+def test_pipeline_checks_pretrained_weights_before_writing(tmp_path, case):
+    weights = tmp_path / "w.ktsr"
+    if case == "corrupt":
+        _save_weights(weights)
+        weights.write_bytes(b"not a container")
+    elif case != "missing":
+        _save_weights(weights, **({"frames": 16} if case == "frames" else {"depth_levels": 5}))
+    cfg = _valid_config(tmp_path, "secret", weights=str(weights))  # a 16x16x8 phantom
+    with pytest.raises(ConfigError, match="^method_params.weights: "):
+        run_pipeline(cfg)
+    assert not (tmp_path / "out").exists()
+
+
+def test_pipeline_reads_pretrained_weights_once_per_sweep(tmp_path, monkeypatch):
+    weights = _save_weights(tmp_path / "w.ktsr")
+    calls, load = [], cli.load_params
+    monkeypatch.setattr(cli, "load_params", lambda path: calls.append(path) or load(path))
+    cfg = _valid_config(tmp_path, "secret", weights=weights)
+    assert len(cfg["mask"]["accel"]) == 2
+    assert run_pipeline(cfg) == 0
+    assert calls == [weights]
+    assert all((tmp_path / "out" / sub / "recon.ktsr").exists() for sub in ("R3", "R4"))

@@ -203,9 +203,21 @@ def test_metrics_reject_mismatched_shapes_and_ssim_promotes_one_frame(rng):
     assert ssim(x[0], ref[0]) == ssim(x[:1], ref[:1])
 
 
+@pytest.mark.parametrize("data_range", [-1.0, 0.0, float("nan"), float("inf"), True, "1"])
+def test_ssim_rejects_a_data_range_that_is_not_positive_and_finite(rng, data_range):
+    x = rng.uniform(size=(2, 8, 8))
+    message = f"data_range must be positive and finite, got {data_range}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ssim(x, x, data_range=data_range)
+
+
+def test_ssim_takes_a_numpy_or_integer_data_range(rng):
+    x, y = rng.uniform(size=(2, 8, 8)), rng.uniform(size=(2, 8, 8))
+    assert ssim(x, y, data_range=np.float32(2.0)) == ssim(x, y, data_range=2) == ssim(x, y, data_range=2.0)
+
+
 def test_evaluate_series_rejects_all_zero_reference(rng):
     ref = np.zeros((3, 8, 8))
-    with pytest.raises(ValueError, match="reference peak must be > 0"):
-        psnr(rng.uniform(size=ref.shape), ref)
-    with pytest.raises(ValueError, match="reference peak must be > 0"):
-        evaluate_series(rng.uniform(size=ref.shape), ref)
+    for metric in (psnr, ssim, evaluate_series):
+        with pytest.raises(ValueError, match="reference peak must be > 0"):
+            metric(rng.uniform(size=ref.shape), ref)
