@@ -33,7 +33,7 @@ import numpy as np
 from . import cs as cs_mod
 from . import kinetics
 from .container import ContainerError, load_params, load_tensor, read_sidecar, save_params, save_tensor
-from .encoding import KtData, SamplingMask, adjoint, make_radial_mask
+from .encoding import KtData, SamplingMask, adjoint, make_radial_mask, radial_budget
 from .net import NetConfig
 from .numerics import is_int, is_real
 from .phantom import PhantomSpec, PhantomTruth, corrupt, synthesize
@@ -415,6 +415,11 @@ def _parse_config(config):
     dirs = [_accel_dir(a) for a in accels]  # equal names would have two workers write one directory
     _check(len(set(dirs)) == len(dirs), "mask.accel (duplicate output directory)", mask["accel"])
     _check(is_int(mask["seed"]) and mask["seed"] >= 0, "mask.seed", mask["seed"])
+    for accel in accels:  # each worker's mask, refused here before anything is written
+        try:
+            radial_budget(spec.h, spec.w, accel)
+        except ValueError as exc:
+            raise ConfigError(f"mask.accel: {exc}") from exc
     _check(config["method"] in METHOD_PARAMS, "method", config["method"])
     cfg, weights = _method_config(config["method"], config.get("method_params", {}), config["seed"])
     return spec, accels, cfg, None if weights is None else _load_weights(weights, spec)

@@ -16,7 +16,8 @@ from .numerics import as_complex_tensor, check_pow2, dft2, is_real
 
 GOLDEN_ANGLE_DEG = 111.246117975
 
-__all__ = ["SamplingMask", "KtData", "make_radial_mask", "encode", "adjoint", "normal_op", "GOLDEN_ANGLE_DEG"]
+__all__ = ["SamplingMask", "KtData", "make_radial_mask", "radial_budget", "encode", "adjoint", "normal_op",
+           "GOLDEN_ANGLE_DEG"]
 
 
 @dataclass(frozen=True)
@@ -68,53 +69,61 @@ class KtData:
 
 
 def _rasterize_spokes(h: int, w: int, angles: np.ndarray) -> np.ndarray:
-    """Rasterize diametral spokes through the grid center onto an H,W grid."""
-    frame = np.zeros((h, w), dtype=np.uint8)
+    """Rasterize diametral spokes through the grid center: angles [T, n] -> bits [T, H, W],
+    every spoke of every frame in one pass."""
+    t = angles.shape[0]
+    frames = np.zeros((t, h, w), dtype=np.uint8)
     cy, cx = h // 2, w // 2
     rmax = 0.5 * float(np.hypot(h, w))
     radii = np.arange(-rmax, rmax + 0.25, 0.25)
-    for ang in angles:
-        ys = np.rint(cy + radii * np.sin(ang)).astype(int)
-        xs = np.rint(cx + radii * np.cos(ang)).astype(int)
-        keep = (ys >= 0) & (ys < h) & (xs >= 0) & (xs < w)
-        frame[ys[keep], xs[keep]] = 1
+    ys = np.rint(cy + radii * np.sin(angles)[..., None]).astype(int)
+    xs = np.rint(cx + radii * np.cos(angles)[..., None]).astype(int)
+    fs = np.broadcast_to(np.arange(t)[:, None, None], ys.shape)
+    keep = (ys >= 0) & (ys < h) & (xs >= 0) & (xs < w)
+    frames[fs[keep], ys[keep], xs[keep]] = 1
     # centered rasterization -> unshifted FFT convention
-    return np.fft.ifftshift(frame)
+    return np.fft.ifftshift(frames, axes=(1, 2))
+
+
+def radial_budget(h: int, w: int, accel: float) -> tuple[int, int]:
+    """(spokes, samples) per frame of an h x w radial mask at acceleration accel >= 1:
+    round(max(h,w)*pi/2 / accel) spokes and round(h*w/accel) samples. Raises
+    ValueError "acceleration unachievable" for less than one spoke, or for a
+    sample count whose acceleration h*w/samples misses +-15% of accel
+    (possible on small grids: 4x4 at 11x gets 1 sample)."""
+    n_spokes = int(round(max(h, w) * np.pi / 2.0 / accel))
+    if n_spokes < 1:
+        raise ValueError(f"acceleration unachievable: {accel} leaves fewer than one spoke "
+                         f"per frame of {h}x{w}")
+    budget = int(round(h * w / accel))
+    if budget < 1 or not 0.85 * accel <= h * w / budget <= 1.15 * accel:
+        raise ValueError(f"acceleration unachievable: {budget} samples per frame of {h}x{w} "
+                         f"miss +-15% of {accel}")
+    return n_spokes, budget
 
 
 def make_radial_mask(t: int, h: int, w: int, accel: float, seed: int) -> SamplingMask:
     """Golden-angle radial (k,t) mask at a requested acceleration factor.
 
-    Per frame, round(max(h,w)*pi/2 / accel) diametral spokes are rasterized,
-    with the spoke set rotated by the golden angle from frame to frame plus a
-    seed-derived global offset. The rasterized pattern is then pruned (or
-    padded) with seeded randomness to hit the per-frame sample budget
-    round(h*w/accel), so the achieved acceleration is h*w/budget. A factor
-    that leaves less than one spoke per frame, or whose rounded budget misses
-    the +-15% contract (possible on small grids: 4x4 at 11x gets 1 sample),
-    raises ValueError "acceleration unachievable". Deterministic for fixed
-    arguments.
+    Per frame, the radial_budget spokes are rasterized, with the spoke set
+    rotated by the golden angle from frame to frame plus a seed-derived global
+    offset. The rasterized pattern is then pruned (or padded) with seeded
+    randomness to hit radial_budget's per-frame sample count, so the achieved
+    acceleration is h*w/budget; an acceleration radial_budget refuses raises
+    its ValueError. Deterministic for fixed arguments.
     """
     if t < 1:
         raise ValueError(f"a mask needs at least one frame, got t={t}")
     if not (is_real(accel) and accel >= 1):
         raise ValueError(f"acceleration must be >= 1 and finite, got {accel}")
     check_pow2(h, w)
-    n_spokes = int(round(max(h, w) * np.pi / 2.0 / accel))
-    if n_spokes < 1:
-        raise ValueError("acceleration unachievable: fewer than one spoke per frame")
-    budget = int(round(h * w / accel))
-    if budget < 1 or not 0.85 * accel <= h * w / budget <= 1.15 * accel:
-        raise ValueError(f"acceleration unachievable: {budget} samples per frame of {h}x{w} "
-                         f"miss +-15% of {accel}")
+    n_spokes, budget = radial_budget(h, w, accel)
     rng = np.random.default_rng(seed)
     offset = rng.uniform(0.0, np.pi)
     golden = np.deg2rad(GOLDEN_ANGLE_DEG)
+    angles = (offset + np.arange(t) * golden)[:, None] + np.arange(n_spokes) * np.pi / n_spokes
     bits = np.zeros((t, h, w), dtype=np.uint8)
-    for f in range(t):
-        base = offset + f * golden
-        angles = base + np.arange(n_spokes) * np.pi / n_spokes
-        frame = _rasterize_spokes(h, w, angles)
+    for f, frame in enumerate(_rasterize_spokes(h, w, angles)):
         frame[0, 0] = 1
         n_on = int(frame.sum())
         flat = frame.ravel()

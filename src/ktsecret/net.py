@@ -6,11 +6,15 @@ pairs, 2x average pooling down, nearest-neighbor upsampling with skip
 concatenation up, a final 1x1 conv back to 2T channels, and a residual path
 that adds the temporal-average image of the input to every output frame.
 
-Every layer, 3x3 or 1x1, is one convolution whose forward, weight gradient
-and input gradient are each one im2col plus one GEMM: im2col builds the
-zero-padded patch matrix, the kernel size is read from the weight's shape,
-and the input gradient convolves the output gradient with the kernel flipped
-in space and transposed (in <-> out).
+Every layer, 3x3 or 1x1, is one 'same' convolution with the kernel size read
+from the weight's shape, computed without a patch matrix: the input is
+zero-padded by p = k//2 and flattened once per channel, and each of the k*k
+taps is one GEMM of its [out, in] weight slice with a shifted window of that
+row, summed on an output raster whose rows carry 2p extra columns that are
+dropped. The weight gradient is one GEMM per tap of the output gradient,
+laid out on the same raster, with the tap's window; the input gradient is
+the same tap-sum convolution of the output gradient with the kernel flipped
+in space and transposed (in <-> out). A 1x1 kernel is one GEMM, no copy.
 
 Forward caches every intermediate needed for an exact reverse pass; gradients
 are validated against central finite differences in the test suite.
@@ -143,38 +147,64 @@ def to_complex(x: np.ndarray) -> np.ndarray:
     return x[:t] + 1j * x[t:]
 
 
-def _im2col(x, k):
-    """[C,H,W] -> [C*k*k, H*W] zero-padded k x k patches, rows ordered (c, dy, dx)."""
+def _pad_flat(x, p):
+    """[C,H,W] -> [C, (H+2p)(W+2p) + 2p]: each channel zero-padded by p on every
+    side and flattened, then 2p trailing zeros so the last tap's window stays in
+    the row. p = 0 is a reshape, with no copy for a contiguous x."""
     c, h, w = x.shape
-    if k == 1:
+    if p == 0:
         return x.reshape(c, h * w)
-    p = k // 2
-    xp = np.zeros((c, h + 2 * p, w + 2 * p), dtype=x.dtype)
-    xp[:, p:p + h, p:p + w] = x
-    cols = np.empty((c, k, k, h, w), dtype=x.dtype)
-    for dy, dx in np.ndindex(k, k):
-        cols[:, dy, dx] = xp[:, dy:dy + h, dx:dx + w]
-    return cols.reshape(c * k * k, h * w)
+    hp, wp = h + 2 * p, w + 2 * p
+    xp = np.zeros((c, hp * wp + 2 * p), dtype=x.dtype)
+    xp[:, :hp * wp].reshape(c, hp, wp)[:, p:p + h, p:p + w] = x
+    return xp
+
+
+def _tap_sum(xp, w, h, wd):
+    """'Same' conv of the padded, flattened input xp with w [out, in, k, k], no bias.
+
+    Tap (dy, dx) is one GEMM of w[:, :, dy, dx] with the window of H*(W+2p)
+    columns starting at dy*(W+2p) + dx; the k*k products are summed in raster
+    order on an output raster with rows of W+2p, whose last 2p columns are
+    dropped. Returns a [out, H, W] view of that raster."""
+    cout, _, k, _ = w.shape
+    wp = wd + k - 1
+    n = h * wp
+    y = w[:, :, 0, 0] @ xp[:, :n]
+    if k > 1:
+        prod = np.empty_like(y)
+        for dy, dx in list(np.ndindex(k, k))[1:]:
+            off = dy * wp + dx
+            y += np.matmul(w[:, :, dy, dx], xp[:, off:off + n], out=prod)
+    return y.reshape(cout, h, wp)[:, :, :wd]
 
 
 def _conv_forward(x, w, b):
     """'Same' convolution of x [C,H,W] with w [out, C, k, k] plus bias b."""
-    cout, _, k, _ = w.shape
     _, h, wd = x.shape
-    y = w.reshape(cout, -1) @ _im2col(x, k) + b[:, None]
-    return y.reshape(cout, h, wd)
+    return _tap_sum(_pad_flat(x, w.shape[2] // 2), w, h, wd) + b[:, None, None]
 
 
 def _conv_backward(gy, x, w):
-    """Returns (weight, bias, input) gradients, each from one im2col + GEMM:
-    gW = gY im2col(x)^T, and gX is the same zero-padded conv of gY with the
-    kernel flipped in space and transposed to [in, out, k, k] (k odd)."""
+    """Returns (weight, bias, input) gradients from the padded copies of x and gY.
+
+    gX is the same tap-sum conv of gY with the kernel flipped in space and
+    transposed to [in, out, k, k] (k odd). gW[:, :, dy, dx] is one GEMM of gY,
+    laid out on the padded raster (zeros in the 2p extra columns of each row),
+    with the transposed window of tap (dy, dx)."""
     cout, cin, k, _ = w.shape
     _, h, wd = x.shape
-    gw = (gy.reshape(cout, h * wd) @ _im2col(x, k).T).reshape(w.shape)
-    w_adj = w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(cin, cout * k * k)
-    gx = (w_adj @ _im2col(gy, k)).reshape(cin, h, wd)
-    return gw, gy.reshape(cout, -1).sum(axis=1), gx
+    p = k // 2
+    wp = wd + 2 * p
+    n = h * wp
+    xp, gyp = _pad_flat(x, p), _pad_flat(gy, p)
+    gy_raster = gyp[:, p * wp + p:p * wp + p + n]  # the centre tap's window of the padded gY
+    gw = np.empty((k, k, cout, cin))
+    for dy, dx in np.ndindex(k, k):
+        off = dy * wp + dx
+        np.matmul(gy_raster, xp[:, off:off + n].T, out=gw[dy, dx])
+    gx = _tap_sum(gyp, w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3), h, wd)
+    return gw.transpose(2, 3, 0, 1), gy.reshape(cout, -1).sum(axis=1), gx
 
 
 def net_forward(s_u: np.ndarray, params: NetworkParams, cfg: NetConfig):

@@ -70,7 +70,15 @@ def check_fields(cfg) -> None:
         else:
             ok, kind = (is_int(v), "an integer") if f.type == "int" else (is_real(v), "a finite real number")
         if not ok:
-            raise ValueError(f"{f.name} must be {kind}, got {v!r}")
+            raise ValueError(f"{f.name} must be {kind}, got {_shown(v)}")
+
+
+def _shown(value) -> str:
+    """repr(value), or its type name where repr raises (an int past str's digit limit)."""
+    try:
+        return repr(value)
+    except Exception:
+        return f"a value of type {type(value).__name__}"
 
 
 def check_pow2(*dims: int) -> None:

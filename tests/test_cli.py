@@ -338,6 +338,15 @@ def test_config_dataclasses_reject_non_integer_ints(cls, kwargs):
         cli._build(cls, {}, "config", **kwargs)
 
 
+@pytest.mark.parametrize("kwargs", [dict(dt=10 ** 5000), dict(ktrans_range=(0.1, 10 ** 5000))],
+                         ids=["float field", "tuple field"])
+def test_rejected_value_too_long_to_print_still_names_its_field(kwargs):
+    # str() refuses an int of more than 4300 digits; the message must not fail with it
+    (name,) = kwargs
+    with pytest.raises(ValueError, match=f"^{name} must be .*, got a value of type"):
+        PhantomSpec(**kwargs)
+
+
 def test_config_dataclasses_accept_numpy_integers():
     spec = PhantomSpec(h=np.int64(16), w=np.int32(16), t=np.int64(8), n_tissue_regions=np.int8(2),
                        seed=np.uint32(1))
@@ -443,6 +452,16 @@ def test_pipeline_rejects_malformed_config(tmp_path, case):
     cfg = _valid_config(tmp_path)
     MALFORMED[case](cfg)
     with pytest.raises(ConfigError):
+        run_pipeline(cfg)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("accel", [[3, 1000], 1000])
+def test_pipeline_refuses_unachievable_accel_before_writing(tmp_path, accel):
+    # 1000x leaves no spoke on a 16x16 frame; the sweep must not start and write the 3x outputs first
+    cfg = _valid_config(tmp_path)
+    cfg["mask"]["accel"] = accel
+    with pytest.raises(ConfigError, match="^mask.accel: acceleration unachievable"):
         run_pipeline(cfg)
     assert not (tmp_path / "out").exists()
 

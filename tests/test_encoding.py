@@ -4,7 +4,16 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from ktsecret.encoding import KtData, SamplingMask, adjoint, encode, make_radial_mask, normal_op
+from ktsecret.encoding import (
+    GOLDEN_ANGLE_DEG,
+    KtData,
+    SamplingMask,
+    adjoint,
+    encode,
+    make_radial_mask,
+    normal_op,
+    radial_budget,
+)
 from ktsecret.numerics import dft2
 from conftest import crandn
 
@@ -31,6 +40,43 @@ def test_mask_achieved_within_tolerance(accel):
     mask = make_radial_mask(8, 64, 64, accel, seed=1)
     assert 0.85 * accel <= mask.achieved_accel <= 1.15 * accel
     assert np.all(mask.bits[:, 0, 0] == 1)
+
+
+def _one_spoke_at_a_time_mask(t, h, w, accel, seed):
+    """make_radial_mask as specified, rasterizing one spoke of one frame at a time."""
+    n_spokes, budget = radial_budget(h, w, accel)
+    rng = np.random.default_rng(seed)
+    offset = rng.uniform(0.0, np.pi)
+    golden = np.deg2rad(GOLDEN_ANGLE_DEG)
+    rmax = 0.5 * float(np.hypot(h, w))
+    radii = np.arange(-rmax, rmax + 0.25, 0.25)
+    bits = np.zeros((t, h, w), dtype=np.uint8)
+    for f in range(t):
+        frame = np.zeros((h, w), dtype=np.uint8)
+        for ang in offset + f * golden + np.arange(n_spokes) * np.pi / n_spokes:
+            ys = np.rint(h // 2 + radii * np.sin(ang)).astype(int)
+            xs = np.rint(w // 2 + radii * np.cos(ang)).astype(int)
+            keep = (ys >= 0) & (ys < h) & (xs >= 0) & (xs < w)
+            frame[ys[keep], xs[keep]] = 1
+        frame = np.fft.ifftshift(frame)
+        frame[0, 0] = 1
+        flat = frame.ravel()
+        n_on = int(flat.sum())
+        if n_on > budget:
+            on = np.flatnonzero(flat)
+            flat[rng.choice(on[on != 0], size=n_on - budget, replace=False)] = 0
+        elif n_on < budget:
+            flat[rng.choice(np.flatnonzero(flat == 0), size=budget - n_on, replace=False)] = 1
+        bits[f] = frame
+    return bits
+
+
+@pytest.mark.parametrize("shape", [(8, 32, 32), (16, 64, 64), (8, 16, 16), (8, 64, 32), (12, 32, 64)])
+def test_mask_equals_one_spoke_at_a_time_rasterization(shape):
+    for accel in (2.0, 3.0, 6.0, 10.0):
+        for seed in range(6):
+            expected = _one_spoke_at_a_time_mask(*shape, accel, seed)
+            assert np.array_equal(make_radial_mask(*shape, accel, seed).bits, expected), (accel, seed)
 
 
 def test_mask_unachievable_acceleration():

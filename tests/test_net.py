@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -5,6 +7,7 @@ from numpy.testing import assert_allclose
 from ktsecret.net import (
     AdamState,
     NetConfig,
+    _conv_backward,
     _conv_forward,
     adam_step,
     init_params,
@@ -126,6 +129,21 @@ def test_conv_forward_matches_direct_tap_sum(rng, k):
     expected = b[:, None, None] + sum(np.tensordot(w[:, :, dy, dx], xp[:, dy:dy + 4, dx:dx + 6], axes=1)
                                       for dy in range(k) for dx in range(k))
     assert_allclose(_conv_forward(x, w, b), expected, rtol=0, atol=1e-12)
+
+
+def test_conv_peak_memory_stays_below_one_patch_matrix(rng):
+    # the largest 3x3 layer of the default net at 32x32: an im2col patch matrix would be [9*48, 32*32]
+    x, gy = rng.standard_normal((48, 32, 32)), rng.standard_normal((16, 32, 32))
+    w, b = rng.standard_normal((16, 48, 3, 3)), rng.standard_normal(16)
+    patch_matrix_bytes = 9 * 48 * 32 * 32 * 8
+    for conv in (lambda: _conv_forward(x, w, b), lambda: _conv_backward(gy, x, w)):
+        tracemalloc.start()
+        try:
+            conv()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < patch_matrix_bytes
 
 
 def test_input_gradient_finite_differences():

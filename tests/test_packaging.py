@@ -1,6 +1,7 @@
 """The declared runtime dependencies are exactly the third-party imports; every
-import of the package is used and every __all__ name is defined. Importing
-the CLI loads no scipy, which only the tests use."""
+import of the package is used, every __all__ name is defined and every
+private top-level helper is referenced. Importing the CLI loads no scipy,
+which only the tests use."""
 
 import ast
 import os
@@ -75,6 +76,24 @@ def test_dunder_all_names_are_defined(path):
             defined.update(t.id for t in node.targets if isinstance(t, ast.Name))
         defined.update(_imported_names(node))
     assert [name for name in _dunder_all(tree) if name not in defined] == []
+
+
+def _references(node, name: str) -> bool:
+    return ((isinstance(node, ast.Name) and node.id == name)
+            or (isinstance(node, ast.Attribute) and node.attr == name))
+
+
+def test_every_private_helper_is_used():
+    # a top-level _name function or class must be referenced in src/ outside its own definition
+    trees = [_parse(path) for path in MODULES]
+    unused = []
+    for path, tree in zip(MODULES, trees):
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_"):
+                own = {id(n) for n in ast.walk(node)}
+                if not any(id(n) not in own and _references(n, node.name) for t in trees for n in ast.walk(t)):
+                    unused.append(f"{path.name}:{node.name}")
+    assert unused == []
 
 
 def test_cli_import_loads_no_scipy():

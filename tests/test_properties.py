@@ -7,26 +7,26 @@ from img(s) + a img(d), which holds only because encode, grad_spatial and
 grad_temporal are linear. Containers must round-trip every rank from 0 to 4
 and turn any damage into ContainerError. derandomize=True keeps every run on
 the same examples. A radial mask either meets its +-15% acceleration contract
-or is refused as unachievable. Every conv product is one im2col + GEMM, so
-the input and weight gradients must satisfy their adjoint identities against
-the forward conv, and im2col must equal the np.pad + sliding_window_view
-patch matrix it replaced, bit for bit. The periodic difference operators and
-their adjoints subtract slices into an optional out=; with or without it they
-must equal the np.roll formulas they replaced, bit for bit. The package's
+or is refused as unachievable. Every conv product is a sum of one GEMM per
+kernel tap over a zero-padded, flattened copy of its input, so the input and
+weight gradients must satisfy their adjoint identities against the forward
+conv, and the padded copy must be np.pad's, flattened, followed by 2p zeros
+that keep the last tap's window in the row. The periodic difference
+operators and their adjoints subtract slices into an optional out=; with or
+without it they must equal the np.roll formulas they replaced, bit for bit. The package's
 cumulative trapezoid integral must equal scipy's, bit for bit; scipy is the
 tests' reference only.
 """
 
 import numpy as np
 import pytest
-from numpy.lib.stride_tricks import sliding_window_view
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import cumulative_trapezoid as scipy_cumulative_trapezoid
 
 from ktsecret.container import ContainerError, load_tensor, save_tensor
 from ktsecret.encoding import KtData, SamplingMask, adjoint, encode, make_radial_mask, normal_op
-from ktsecret.net import _conv_backward, _conv_forward, _im2col
+from ktsecret.net import _conv_backward, _conv_forward, _pad_flat
 from ktsecret.numerics import (
     cumulative_trapezoid,
     grad_spatial,
@@ -140,9 +140,9 @@ def test_radial_mask_meets_acceleration_or_is_unachievable(log_h, log_w, accel, 
 
 @st.composite
 def conv_cases(draw):
-    """(x, w, gy, rng): a 'same' conv with k in {1, 3}, 1..5 channels each way
+    """(x, w, gy, rng): a 'same' conv with k in {1, 3, 5}, 1..5 channels each way
     and sides 1..9, odd and size 1 included."""
-    k = draw(st.sampled_from([1, 3]))
+    k = draw(st.sampled_from([1, 3, 5]))
     cin, cout, h, w = (draw(st.integers(1, hi)) for hi in (5, 5, 9, 9))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     x, gy = rng.standard_normal((cin, h, w)), rng.standard_normal((cout, h, w))
@@ -171,14 +171,14 @@ def test_conv_weight_gradient_is_adjoint(case):
 
 @PROPERTY
 @given(conv_cases())
-def test_im2col_matches_padded_sliding_window(case):
+def test_pad_flat_is_padded_channels_then_trailing_zeros(case):
     x, w, _, _ = case
-    c, h, wd = x.shape
-    k = w.shape[-1]
-    p = k // 2
-    xp = np.pad(x, ((0, 0), (p, p), (p, p)))
-    reference = sliding_window_view(xp, (h, wd), axis=(1, 2)).reshape(c * k * k, h * wd)
-    assert np.array_equal(_im2col(x, k), reference)
+    p = w.shape[-1] // 2
+    padded = np.pad(x, ((0, 0), (p, p), (p, p))).reshape(x.shape[0], -1)
+    xp = _pad_flat(x, p)
+    assert xp.shape == (x.shape[0], padded.shape[1] + 2 * p)
+    assert np.array_equal(xp[:, :padded.shape[1]], padded)
+    assert not xp[:, padded.shape[1]:].any()
 
 
 @PROPERTY
