@@ -27,8 +27,11 @@ last trial scored is the new point: its images rotate in by swapping
 references with the point's, the moduli already are its own, and only s is
 updated, s += a d. The point's old images and the direction's serve as the
 next gradient's scratch. Every step writes with ufunc out= or in place, in the
-same order as the plain expressions, so nothing is allocated per iteration
-beyond the DFT outputs (out= for numpy's FFT was measured to gain nothing).
+same order as the plain expressions, so nothing is allocated per iteration:
+each DFT writes through dft2's out= into a slice of the images it belongs to
+(out must be C-contiguous complex128 of the input's shape and not overlap
+it), and the gradient's TV weights multiply by the moduli's reciprocals,
+formed in the moduli array.
 The real inner products are summed by numpy's einsum loop, not by BLAS, so the
 result does not depend on the BLAS thread count. cs_objective and cs_gradient
 validate s and allocate their own buffers.
@@ -81,7 +84,8 @@ def _images(x: np.ndarray, mask, samples, out: np.ndarray) -> np.ndarray:
     """Writes the objective's affine images of x into the complex [4,T,H,W]
     out and returns it: E x - samples, then grad_s x (2), then grad_t x;
     samples None stands for zero."""
-    np.multiply(dft2(x, "forward"), mask.bits, out=out[0])
+    dft2(x, "forward", out=out[0])
+    np.multiply(out[0], mask.bits, out=out[0])
     if samples is not None:
         np.subtract(out[0], samples, out=out[0])
     grad_spatial(x, out=out[1:3])
@@ -113,10 +117,15 @@ def _gradient(images: np.ndarray, w: np.ndarray, cfg: CsConfig, g: np.ndarray,
               scratch: np.ndarray, tv: np.ndarray, work: np.ndarray) -> np.ndarray:
     """Gradient w.r.t. the real/imag parts of s, packed complex, from s's
     images and their smoothed moduli w, written into g. scratch ([3,T,H,W]),
-    tv and work ([T,H,W]) are complex scratch."""
+    tv and work ([T,H,W]) are complex scratch. w is overwritten by its
+    reciprocal: the TV weights images[1:] / w are formed as
+    images[1:] * (1 / w), which numpy's complex-by-real division also
+    computes, up to the sign of an exact zero. Nothing reads the moduli
+    again before the next trial rewrites them."""
     # E^H r; the residual already lives on the sampled set
-    np.multiply(2.0, dft2(images[0], "inverse"), out=g)
-    np.divide(images[1:], w, out=scratch)
+    dft2(images[0], "inverse", out=g)
+    np.multiply(2.0, g, out=g)
+    np.multiply(images[1:], np.divide(1.0, w, out=w), out=scratch)
     np.multiply(cfg.lambda1, grad_spatial_adjoint(scratch[:2], out=tv, work=work), out=tv)
     np.add(g, tv, out=g)
     np.multiply(cfg.lambda2, grad_temporal_adjoint(scratch[2], out=tv), out=tv)

@@ -3,10 +3,16 @@ plus the cumulative trapezoid integral of the Patlak model.
 
 All functions operate on complex128 numpy arrays and leave their inputs
 unchanged; the DFT is unitary in both directions so the adjoint of the forward
-transform is exactly the inverse transform. The difference operators subtract
-slices (x[1:] - x[:-1], then the wrap-around row) and write into an optional
-preallocated out=, so a solver that owns its buffers allocates nothing per
-call; out must not overlap the input.
+transform is exactly the inverse transform. The DFT and the difference
+operators write into an optional preallocated out=, so a solver that owns its
+buffers allocates nothing per call; out must be a C-contiguous complex128 array
+of the result's shape that does not overlap the input, or a ValueError names
+it. dft2 is the only caller of numpy's transforms: it runs np.fft.fftn/ifftn
+over the last two axes, which honour out= (numpy's ifft2 ignores it). A
+periodic difference views the volume as rows [prod(shape[:axis]),
+prod(shape[axis:])] and subtracts the whole interior in one contiguous pass at
+the axis's stride, then overwrites each row's wrap-around block; every element
+is the same subtraction as x[1:] - x[:-1] along the axis.
 
 Every setting is checked by one rule. is_int admits Python and numpy integers;
 is_real admits Python and numpy reals that are finite as a float64. Neither
@@ -92,8 +98,8 @@ def cumulative_trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.concatenate(([0.0], np.cumsum(np.diff(x) * (y[1:] + y[:-1]) / 2.0)))
 
 
-def dft2(x: np.ndarray, direction: str = "forward") -> np.ndarray:
-    """Unitary 2D DFT over the last two axes.
+def dft2(x: np.ndarray, direction: str = "forward", out: np.ndarray | None = None) -> np.ndarray:
+    """Unitary 2D DFT over the last two axes, into out if given; returns the result.
 
     Both directions scale by 1/sqrt(h*w), so forward and inverse are
     adjoint/inverse of each other exactly. Dimensions must be powers of two.
@@ -101,11 +107,10 @@ def dft2(x: np.ndarray, direction: str = "forward") -> np.ndarray:
     h, w = x.shape[-2], x.shape[-1]
     check_pow2(h, w)
     x = np.asarray(x, dtype=np.complex128)
-    if direction == "forward":
-        return np.fft.fft2(x, axes=(-2, -1), norm="ortho")
-    if direction == "inverse":
-        return np.fft.ifft2(x, axes=(-2, -1), norm="ortho")
-    raise ValueError(f"unknown direction {direction!r}")
+    if direction not in ("forward", "inverse"):
+        raise ValueError(f"unknown direction {direction!r}")
+    transform = np.fft.fftn if direction == "forward" else np.fft.ifftn
+    return transform(x, axes=(-2, -1), norm="ortho", out=_output(out, x.shape, x))
 
 
 def _output(out, shape: tuple, x: np.ndarray) -> np.ndarray:
@@ -114,30 +119,41 @@ def _output(out, shape: tuple, x: np.ndarray) -> np.ndarray:
         return np.empty(shape, dtype=np.complex128)
     if out.shape != shape or out.dtype != np.complex128:
         raise ValueError(f"out must be complex128 of shape {shape}, got {out.dtype} {out.shape}")
+    if not out.flags.c_contiguous:
+        raise ValueError("out must be C-contiguous")
     if np.may_share_memory(out, x):
         raise ValueError("out must not share memory with the input")
     return out
 
 
+def _rows(x: np.ndarray, out: np.ndarray, axis: int):
+    """x and out as [prod(shape[:axis]), prod(shape[axis:])] rows, and the
+    stride of one step along axis within a row."""
+    rows = math.prod(x.shape[:axis])
+    return x.reshape(rows, -1), out.reshape(rows, -1), math.prod(x.shape[axis + 1:])
+
+
 def _fwd_diff(x: np.ndarray, axis: int, out: np.ndarray) -> np.ndarray:
-    # forward difference with periodic wrap: out[i] = x[i+1] - x[i]
-    x, o = np.moveaxis(x, axis, 0), np.moveaxis(out, axis, 0)
-    np.subtract(x[1:], x[:-1], out=o[:-1])
-    np.subtract(x[:1], x[-1:], out=o[-1:])
+    # forward difference with periodic wrap: out[i] = x[i+1] - x[i]; the flat
+    # pass is wrong only in each row's last block, which the wrap overwrites
+    x, o, step = _rows(x, out, axis)
+    np.subtract(x.ravel()[step:], x.ravel()[:-step], out=o.ravel()[:-step])
+    np.subtract(x[:, :step], x[:, -step:], out=o[:, -step:])
     return out
 
 
 def _fwd_diff_adjoint(y: np.ndarray, axis: int, out: np.ndarray) -> np.ndarray:
     # adjoint of the periodic forward difference is the negative
-    # backward difference: out[i] = y[i-1] - y[i]
-    y, o = np.moveaxis(y, axis, 0), np.moveaxis(out, axis, 0)
-    np.subtract(y[:-1], y[1:], out=o[1:])
-    np.subtract(y[-1:], y[:1], out=o[:1])
+    # backward difference: out[i] = y[i-1] - y[i]; the wrap overwrites each
+    # row's first block
+    y, o, step = _rows(y, out, axis)
+    np.subtract(y.ravel()[:-step], y.ravel()[step:], out=o.ravel()[step:])
+    np.subtract(y[:, -step:], y[:, :step], out=o[:, :step])
     return out
 
 
 def _check_3d(s: np.ndarray, min_t: int = 1) -> np.ndarray:
-    s = np.asarray(s, dtype=np.complex128)
+    s = np.ascontiguousarray(s, dtype=np.complex128)
     if s.ndim != 3:
         raise ValueError(f"expected a T,H,W volume, got shape {s.shape}")
     if s.shape[0] < min_t or s.shape[1] < 2 or s.shape[2] < 2:
@@ -161,7 +177,7 @@ def grad_spatial_adjoint(g: np.ndarray, out: np.ndarray | None = None,
     The result is the H term plus the W term; out receives the H term and
     then the sum, work ([T,H,W] complex128) the W term.
     """
-    g = np.asarray(g, dtype=np.complex128)
+    g = np.ascontiguousarray(g, dtype=np.complex128)
     if g.ndim != 4 or g.shape[0] != 2:
         raise ValueError(f"expected a 2,T,H,W stack, got shape {g.shape}")
     out, work = _output(out, g.shape[1:], g), _output(work, g.shape[1:], g)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from ktsecret import cs as cs_module
 from ktsecret.cs import SMOOTH_EPS, CsConfig, cs_gradient, cs_objective, cs_reconstruct
 from ktsecret.encoding import KtData, adjoint, encode, make_radial_mask
 from ktsecret.kinetics import psnr
@@ -265,6 +266,25 @@ def test_solver_workspace_does_not_grow_with_iterations():
     d = _phantom_problem(10.0, 4)
     one_image = np.empty(d.mask.shape, np.complex128).nbytes
     assert _solve_peak_bytes(d, 60) - _solve_peak_bytes(d, 3) < one_image
+
+
+def test_solver_transforms_into_its_workspace(monkeypatch):
+    """Every DFT of a solve writes into a slice of one of the workspace's
+    [4,T,H,W] image arrays; a tracemalloc peak cannot tell this apart from a
+    fresh output per call, which the entry's adjoint outweighs."""
+    d = _phantom_problem(10.0, 4)
+    outs = []
+
+    def recording_dft2(x, direction, **kwargs):
+        outs.append(kwargs.get("out"))
+        return dft2(x, direction, **kwargs)
+
+    monkeypatch.setattr(cs_module, "dft2", recording_dft2)
+    _, log = cs_reconstruct(d, CsConfig(max_iters=20, tol=1e-12))
+    assert len(outs) == 1 + 2 * len(log.backtracks)
+    assert all(out is not None and out.base is not None and out.base.shape == (4, *d.mask.shape)
+               for out in outs)
+    assert len({id(out.base) for out in outs}) <= 3
 
 
 def test_solver_refuses_non_finite_start():

@@ -194,6 +194,13 @@ def test_normal_op_rejects_negative_lam(rng):
         normal_op(crandn(rng, (2, 16, 16)), mask, -0.1)
 
 
+@pytest.mark.parametrize("lam", [np.nan, np.inf, -np.inf, True, "1"], ids=repr)
+def test_normal_op_rejects_lam_that_is_not_a_finite_real(rng, lam):
+    mask = make_radial_mask(2, 16, 16, 2.0, seed=0)
+    with pytest.raises(ValueError, match="lam must be a finite real"):
+        normal_op(crandn(rng, (2, 16, 16)), mask, lam)
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_normal_op_self_adjoint_psd(seed):
     rng = np.random.default_rng(seed)

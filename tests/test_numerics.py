@@ -55,6 +55,30 @@ def test_dft2_rejects_non_pow2(shape):
         dft2(np.zeros(shape), "forward")
 
 
+@pytest.mark.parametrize("shape", [(4, 4), (2, 16, 8), (3, 32, 32), (2, 1, 64)])
+@pytest.mark.parametrize("direction,reference", [("forward", np.fft.fft2), ("inverse", np.fft.ifft2)])
+def test_dft2_writes_into_out_the_bytes_it_returns(rng, shape, direction, reference):
+    x = crandn(rng, shape)
+    fresh = dft2(x, direction)
+    assert fresh.tobytes() == reference(x, axes=(-2, -1), norm="ortho").tobytes()
+    out = crandn(rng, shape)  # stale contents must not leak into the result
+    assert dft2(x, direction, out=out) is out
+    assert out.tobytes() == fresh.tobytes()
+
+
+def test_dft2_out_is_checked(rng):
+    x = crandn(rng, (2, 8, 8))
+    for bad, why in [
+        (np.empty((2, 8, 4), complex), "shape"),
+        (np.empty((2, 8, 8)), "complex128"),
+        (x, "share memory"),
+        (np.empty((2, 8, 16), complex)[..., ::2], "C-contiguous"),
+    ]:
+        for direction in ("forward", "inverse"):
+            with pytest.raises(ValueError, match=why):
+                dft2(x, direction, out=bad)
+
+
 def test_as_complex_tensor_rejects_nonfinite():
     with pytest.raises(ValueError):
         as_complex_tensor([1.0, np.nan])
@@ -116,6 +140,7 @@ def test_difference_out_is_checked(rng):
         (grad_temporal, x, x),  # the input itself
         (grad_temporal_adjoint, x, x[::-1]),  # overlaps the input
         (grad_spatial_adjoint, g, g[1]),
+        (grad_temporal, x, np.empty((3, 4, 8), complex)[..., ::2]),  # not contiguous
     ]:
         with pytest.raises(ValueError, match="out"):
             op(arg, out=bad)

@@ -1,7 +1,7 @@
 """The declared runtime dependencies are exactly the third-party imports; every
 import of the package is used, every __all__ name is defined and every
-private top-level helper is referenced. Importing the CLI loads no scipy,
-which only the tests use."""
+private top-level helper is referenced. Only numerics.dft2 names numpy's
+transforms. Importing the CLI loads no scipy, which only the tests use."""
 
 import ast
 import os
@@ -94,6 +94,41 @@ def test_every_private_helper_is_used():
                 if not any(id(n) not in own and _references(n, node.name) for t in trees for n in ast.walk(t)):
                     unused.append(f"{path.name}:{node.name}")
     assert unused == []
+
+
+FFT_HELPERS = {"fftshift", "ifftshift", "fftfreq"}  # index shuffles and frequencies, not transforms
+
+
+def _numpy_transform_uses(tree) -> list:
+    """(line, name) of every numpy transform the tree names outside dft2:
+    np.fft.<name> with "fft" in the name, or an import from numpy.fft."""
+    skip = {id(n) for f in tree.body if isinstance(f, ast.FunctionDef) and f.name == "dft2" for n in ast.walk(f)}
+    uses = []
+    for node in ast.walk(tree):
+        if id(node) in skip:
+            continue
+        if (isinstance(node, ast.Attribute) and "fft" in node.attr and node.attr not in FFT_HELPERS
+                and isinstance(node.value, ast.Attribute) and node.value.attr == "fft"
+                and isinstance(node.value.value, ast.Name) and node.value.value.id in ("np", "numpy")):
+            uses.append((node.lineno, node.attr))
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy.fft"):
+            uses.extend((node.lineno, alias.name) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module == "numpy":
+            uses.extend((node.lineno, alias.name) for alias in node.names if alias.name == "fft")
+    return uses
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_only_dft2_calls_numpy_transforms(path):
+    # a raw transform would skip dft2's checks and the benchmark's numerics.dft2 span
+    assert _numpy_transform_uses(_parse(path)) == []
+
+
+def test_transform_scan_sees_a_raw_call():
+    tree = ast.parse("import numpy as np\nfrom numpy.fft import fft\n"
+                     "def f(x):\n    return np.fft.ifft2(np.fft.fftshift(x))\n"
+                     "def dft2(x):\n    return np.fft.fftn(x)\n")
+    assert _numpy_transform_uses(tree) == [(2, "fft"), (4, "ifft2")]
 
 
 def test_cli_import_loads_no_scipy():

@@ -182,23 +182,28 @@ def test_pad_flat_is_padded_channels_then_trailing_zeros(case):
 
 
 @PROPERTY
-@given(st.integers(2, 9), st.integers(2, 9), st.integers(2, 9), st.integers(0, 2 ** 32 - 1))
+@given(st.integers(1, 9), st.integers(2, 9), st.integers(2, 9), st.integers(0, 2 ** 32 - 1))
 def test_differences_match_roll_reference(t, h, w, seed):
     rng = np.random.default_rng(seed)
     x, g = crandn(rng, (t, h, w)), crandn(rng, (2, t, h, w))
-    cases = [
-        (grad_spatial, (x,), np.stack([np.roll(x, -1, axis=1) - x, np.roll(x, -1, axis=2) - x])),
-        (grad_spatial_adjoint, (g,), (np.roll(g[0], 1, axis=1) - g[0]) + (np.roll(g[1], 1, axis=2) - g[1])),
-        (grad_temporal, (x,), np.roll(x, -1, axis=0) - x),
-        (grad_temporal_adjoint, (x,), np.roll(x, 1, axis=0) - x),
-    ]
-    for op, args, reference in cases:
-        assert np.array_equal(op(*args), reference)
-        out = crandn(rng, reference.shape)  # stale contents must not leak into the result
-        assert op(*args, out=out) is out
-        assert np.array_equal(out, reference)
-    work = crandn(rng, (t, h, w))
-    assert np.array_equal(grad_spatial_adjoint(g, out=crandn(rng, (t, h, w)), work=work), cases[1][2])
+    # the reversed views are not contiguous; the temporal operators need two frames
+    for x, g in [(x, g), (x[:, ::-1], g[:, :, ::-1])]:
+        cases = [
+            (grad_spatial, (x,), np.stack([np.roll(x, -1, axis=1) - x, np.roll(x, -1, axis=2) - x])),
+            (grad_spatial_adjoint, (g,), (np.roll(g[0], 1, axis=1) - g[0]) + (np.roll(g[1], 1, axis=2) - g[1])),
+        ]
+        if t > 1:
+            cases += [
+                (grad_temporal, (x,), np.roll(x, -1, axis=0) - x),
+                (grad_temporal_adjoint, (x,), np.roll(x, 1, axis=0) - x),
+            ]
+        for op, args, reference in cases:
+            assert np.array_equal(op(*args), reference)
+            out = crandn(rng, reference.shape)  # stale contents must not leak into the result
+            assert op(*args, out=out) is out
+            assert np.array_equal(out, reference)
+        work = crandn(rng, (t, h, w))
+        assert np.array_equal(grad_spatial_adjoint(g, out=crandn(rng, (t, h, w)), work=work), cases[1][2])
 
 
 @st.composite
