@@ -3,10 +3,11 @@ evaluation, quantification and an end-to-end pipeline.
 
 All tensors are exchanged via the KTSR container (see container.py); masks
 and weights carry JSON sidecars. Every subcommand is deterministic given its
---seed: its containers are byte-identical run to run on one machine and
-thread setup. Zero-filled and CS outputs are also the same at any BLAS thread
-count, so a pipeline acceleration's files do not depend on the others in its
-sweep; a trained network's outputs do. KTSECRET_THREADS caps the worker
+--seed: its containers are byte-identical run to run on one machine. For every
+method, no container, PGM, metric or logged loss depends on the BLAS thread count
+(tested at 1 and 2 threads): every sum of products is numerics.re_dot, not a
+BLAS reduction. So a pipeline acceleration's files and metrics.csv rows do not
+depend on the others in its sweep. KTSECRET_THREADS caps the worker
 threads used by the pipeline's acceleration sweep. While that pool runs,
 OpenBLAS gets at most cpu_count // workers threads (at least 1), so pool and
 BLAS threads together do not oversubscribe the cores; a user-set
@@ -124,8 +125,12 @@ def _blas_threads_per_worker(workers: int):
 
 
 def write_pgm(path, image: np.ndarray, lo: float | None = None, hi: float | None = None) -> None:
-    """8-bit binary PGM; values clipped to [lo, hi] (default min/max)."""
+    """8-bit binary PGM; values clipped to [lo, hi] (default min/max).
+    Raises ValueError if the image holds a NaN or infinity, which would blank
+    the whole scale."""
     img = np.abs(np.asarray(image, dtype=float))
+    if not np.all(np.isfinite(img)):
+        raise ValueError("image holds non-finite values")
     lo = img.min() if lo is None else lo
     hi = img.max() if hi is None else hi
     span = hi - lo if hi > lo else 1.0

@@ -32,9 +32,9 @@ each DFT writes through dft2's out= into a slice of the images it belongs to
 (out must be C-contiguous complex128 of the input's shape and not overlap
 it), and the gradient's TV weights multiply by the moduli's reciprocals,
 formed in the moduli array.
-The real inner products are summed by numpy's einsum loop, not by BLAS, so the
-result does not depend on the BLAS thread count. cs_objective and cs_gradient
-validate s and allocate their own buffers.
+The real inner products (the data term, ||g||^2 and the Armijo slope) are
+numerics.re_dot, so the result does not depend on the BLAS thread count.
+cs_objective and cs_gradient validate s and allocate their own buffers.
 """
 
 from __future__ import annotations
@@ -52,6 +52,7 @@ from .numerics import (
     grad_spatial_adjoint,
     grad_temporal,
     grad_temporal_adjoint,
+    re_dot,
 )
 
 __all__ = ["SMOOTH_EPS", "CsConfig", "ConvergenceLog", "cs_objective", "cs_gradient",
@@ -102,15 +103,10 @@ def _moduli(images: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.sqrt(w, out=w)
 
 
-def _re_dot(a: np.ndarray, b: np.ndarray) -> float:
-    """Re<a, b> of contiguous complex arrays by einsum's own loop: a BLAS sum varies with its threads."""
-    return float(np.einsum("i,i->", a.view(np.float64).ravel(), b.view(np.float64).ravel()))
-
-
 def _value(images: np.ndarray, cfg: CsConfig, w: np.ndarray) -> float:
     """Objective from its images; leaves their smoothed moduli in w."""
     _moduli(images, w)
-    return float(_re_dot(images[0], images[0]) + cfg.lambda1 * w[:2].sum() + cfg.lambda2 * w[2].sum())
+    return float(re_dot(images[0], images[0]) + cfg.lambda1 * w[:2].sum() + cfg.lambda2 * w[2].sum())
 
 
 def _gradient(images: np.ndarray, w: np.ndarray, cfg: CsConfig, g: np.ndarray,
@@ -180,7 +176,7 @@ def cs_reconstruct(d_u: KtData, cfg: CsConfig | None = None):
     for it in range(cfg.max_iters):
         # moduli holds the point's; the trial's and direction's images are scratch
         g = _gradient(img, moduli, cfg, trial[0], trial[1:], img_d[0], img_d[1])
-        gg_prev, gg = gg, _re_dot(g, g)
+        gg_prev, gg = gg, re_dot(g, g)
         if gg < 1e-30:
             break
         # Fletcher-Reeves direction -g + (gg / gg_prev) d; the first one is steepest descent
@@ -189,7 +185,7 @@ def cs_reconstruct(d_u: KtData, cfg: CsConfig | None = None):
         else:
             np.subtract(np.multiply(gg / gg_prev, d, out=d), g, out=d)
         # Armijo backtracking: f(s + a d) <= f + c a Re<g, d>
-        slope = _re_dot(g, d)
+        slope = re_dot(g, d)
         if slope >= 0:  # not a descent direction; restart on steepest descent
             np.negative(g, out=d)
             slope = -gg

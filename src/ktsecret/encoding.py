@@ -149,8 +149,10 @@ def encode(s: np.ndarray, mask: SamplingMask) -> KtData:
 
 
 def adjoint(d: KtData) -> np.ndarray:
-    """Adjoint encoding (zero-filled reconstruction): mask, then inverse DFT."""
-    return dft2(d.samples * d.mask.bits, "inverse")
+    """Adjoint encoding (zero-filled reconstruction): the inverse DFT of the
+    samples. Masking first is not needed: KtData admits only samples that are
+    zero off the mask."""
+    return dft2(d.samples, "inverse")
 
 
 def normal_op(s: np.ndarray, mask: SamplingMask, lam: float = 0.0) -> np.ndarray:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .numerics import cumulative_trapezoid, is_real
+from .numerics import cumulative_trapezoid, is_real, norm
 
 __all__ = ["PatlakMap", "MetricsReport", "patlak_fit", "psnr", "ssim", "nrmse", "evaluate_series"]
 
@@ -172,10 +172,10 @@ def nrmse(x: np.ndarray, ref: np.ndarray) -> float:
     x, ref = np.asarray(x), np.asarray(ref)
     if x.shape != ref.shape:
         raise ValueError("shape mismatch")
-    denom = np.linalg.norm(ref)
+    denom = norm(ref)
     if denom == 0:
         raise ValueError("zero reference")
-    return float(np.linalg.norm(x - ref) / denom)
+    return norm(x - ref) / denom
 
 
 def evaluate_series(x: np.ndarray, ref: np.ndarray) -> MetricsReport:
@@ -191,6 +191,6 @@ def evaluate_series(x: np.ndarray, ref: np.ndarray) -> MetricsReport:
     for i in range(x.shape[0]):
         psnrs.append(_psnr_db(peak, np.mean((x[i] - ref[i]) ** 2)))
         ssims.append(_ssim_frame(x[i], ref[i], dr))
-        denom = np.linalg.norm(ref[i])
-        nrmses.append(np.linalg.norm(x[i] - ref[i]) / denom if denom > 0 else np.nan)
+        denom = norm(ref[i])
+        nrmses.append(norm(x[i] - ref[i]) / denom if denom > 0 else np.nan)
     return MetricsReport(np.asarray(psnrs), np.asarray(ssims), np.asarray(nrmses))

@@ -14,6 +14,14 @@ prod(shape[axis:])] and subtracts the whole interior in one contiguous pass at
 the axis's stride, then overwrites each row's wrap-around block; every element
 is the same subtraction as x[1:] - x[:-1] along the axis.
 
+re_dot is the package's one reduction of a sum of products: Re<a, b> of two
+arrays of one shape, converted to contiguous float64 (complex128 when either is
+complex) and summed by a single einsum loop over the float64 view. norm is
+sqrt(re_dot(x, x)). numpy's vdot, dot and linalg.norm call BLAS, whose sums
+change with its thread count once an array has about 10,000 elements; einsum's
+loop gives the same bits at any thread count, so no loss, log or metric that
+the package writes depends on the thread count.
+
 Every setting is checked by one rule. is_int admits Python and numpy integers;
 is_real admits Python and numpy reals that are finite as a float64. Neither
 admits a bool, and neither raises or warns, whatever it is given.
@@ -41,6 +49,8 @@ __all__ = [
     "grad_temporal_adjoint",
     "is_int",
     "is_real",
+    "norm",
+    "re_dot",
 ]
 
 
@@ -98,15 +108,34 @@ def cumulative_trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.concatenate(([0.0], np.cumsum(np.diff(x) * (y[1:] + y[:-1]) / 2.0)))
 
 
+def re_dot(a, b) -> float:
+    """Re<a, b> of two array-likes of one shape, by einsum's loop over their
+    float64 views; the same bits at any BLAS thread count."""
+    a, b = np.asarray(a), np.asarray(b)
+    if a.shape != b.shape:
+        raise ValueError(f"shape mismatch: {a.shape} and {b.shape}")
+    # convert before viewing: the view reinterprets bits, so an int64 must become a float64 first
+    dtype = np.complex128 if np.iscomplexobj(a) or np.iscomplexobj(b) else np.float64
+    a, b = (np.ascontiguousarray(v, dtype=dtype).view(np.float64).ravel() for v in (a, b))
+    return float(np.einsum("i,i->", a, b))
+
+
+def norm(x) -> float:
+    """2-norm of x over all its elements, sqrt(re_dot(x, x))."""
+    return math.sqrt(re_dot(x, x))
+
+
 def dft2(x: np.ndarray, direction: str = "forward", out: np.ndarray | None = None) -> np.ndarray:
     """Unitary 2D DFT over the last two axes, into out if given; returns the result.
 
     Both directions scale by 1/sqrt(h*w), so forward and inverse are
-    adjoint/inverse of each other exactly. Dimensions must be powers of two.
+    adjoint/inverse of each other exactly. x is converted to complex128
+    first; it must have at least 2 dimensions, the last two powers of two.
     """
-    h, w = x.shape[-2], x.shape[-1]
-    check_pow2(h, w)
     x = np.asarray(x, dtype=np.complex128)
+    if x.ndim < 2:
+        raise ValueError(f"dft2 needs at least 2 dimensions, got shape {x.shape}")
+    check_pow2(*x.shape[-2:])
     if direction not in ("forward", "inverse"):
         raise ValueError(f"unknown direction {direction!r}")
     transform = np.fft.fftn if direction == "forward" else np.fft.ifftn

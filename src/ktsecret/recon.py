@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .encoding import KtData, SamplingMask, adjoint
-from .numerics import check_fields, dft2, is_real
+from .numerics import check_fields, dft2, is_real, norm, re_dot
 from .net import AdamState, NetConfig, NetworkParams, adam_step, init_params, net_backward, net_forward
 
 __all__ = [
@@ -110,7 +110,7 @@ def dc_solve(z_k: np.ndarray, d_u: KtData, lam: float):
         raise ValueError("lam must be positive and finite")
     rhs_k = d_u.samples + lam * dft2(z_k, "forward")  # F(E^H d_u + lam*z_k)
     s_k = _inverse_normal_k(rhs_k, d_u.mask, lam)
-    residual = np.linalg.norm((d_u.mask.bits + lam) * s_k - rhs_k) / max(np.linalg.norm(rhs_k), 1e-300)
+    residual = norm((d_u.mask.bits + lam) * s_k - rhs_k) / max(norm(rhs_k), 1e-300)
     return dft2(s_k, "inverse"), DcInfo(residual, bool(np.isfinite(residual)), iterations=0)
 
 
@@ -131,7 +131,7 @@ def _modl_loss(d_u: KtData, target: np.ndarray, params: NetworkParams,
                cfg: ModlConfig, net_cfg: NetConfig) -> float:
     """Forward-only loss ||s_K - t||^2."""
     diff = modl_forward(adjoint(d_u), d_u, params, cfg, net_cfg) - target
-    return np.vdot(diff, diff).real
+    return re_dot(diff, diff)
 
 
 def _modl_sample_grad(d_u: KtData, target: np.ndarray, params: NetworkParams,
@@ -140,7 +140,7 @@ def _modl_sample_grad(d_u: KtData, target: np.ndarray, params: NetworkParams,
     s_u = adjoint(d_u)
     s_k, caches = modl_forward(s_u, d_u, params, cfg, net_cfg, want_cache=True)
     diff = s_k - target
-    loss = np.vdot(diff, diff).real
+    loss = re_dot(diff, diff)
     g = 2.0 * diff
     g_theta = np.zeros(params.size)
     for cache in reversed(caches):
@@ -155,7 +155,7 @@ def _secret_forward(d_u: KtData, params: NetworkParams, net_cfg: NetConfig):
     """Loss ||r||^2 of the sampled residual r = mask * F(C(s_u)) - d_u, r, and the net cache."""
     s_hat, cache = net_forward(adjoint(d_u), params, net_cfg)
     r = dft2(s_hat, "forward") * d_u.mask.bits - d_u.samples
-    return np.vdot(r, r).real, r, cache
+    return re_dot(r, r), r, cache
 
 
 def secret_loss(d_u: KtData, params: NetworkParams, net_cfg: NetConfig):
@@ -229,7 +229,7 @@ def _fit(dataset, loss_and_grad, loss_only, cfg, net_cfg: NetConfig, val_dataset
                         raise FloatingPointError("training loss or gradient became non-finite")
                 epoch_loss += loss
                 g_total += g
-            grad_norms.append(np.linalg.norm(g_total))
+            grad_norms.append(norm(g_total))
             theta, state = adam_step(theta, g_total, state, lr=cfg.lr)
             params = params.from_flat(theta)
         with _divergence_check(log):

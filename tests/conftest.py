@@ -1,3 +1,5 @@
+import ctypes
+
 import numpy as np
 import pytest
 
@@ -10,3 +12,36 @@ def crandn(rng, shape):
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+def _openblas(symbol: str):
+    """scipy_openblas_<symbol>64_ of numpy's bundled scipy-openblas; skips without it."""
+    from numpy.linalg import _umath_linalg  # linked against numpy's BLAS
+
+    fn = getattr(ctypes.CDLL(_umath_linalg.__file__), f"scipy_openblas_{symbol}64_", None)
+    if fn is None:
+        pytest.skip("numpy's bundled scipy-openblas not found")
+    return fn
+
+
+def openblas_threads():
+    """get_num_threads of numpy's bundled scipy-openblas; skips without it."""
+    get = _openblas("get_num_threads")
+    get.argtypes, get.restype = [], ctypes.c_int
+    return get
+
+
+def at_1_and_2_blas_threads(compute) -> list:
+    """[compute() with OpenBLAS at 1 thread, compute() at 2 threads]; the
+    previous count is restored after. On one core both runs may use one."""
+    get, set_n = openblas_threads(), _openblas("set_num_threads")
+    set_n.argtypes, set_n.restype = [ctypes.c_int], None
+    before = get()
+    results = []
+    try:
+        for n in (1, 2):
+            set_n(n)
+            results.append(compute())
+    finally:
+        set_n(before)
+    return results

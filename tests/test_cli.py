@@ -26,6 +26,7 @@ from ktsecret.container import load_tensor, save_params
 from ktsecret.encoding import adjoint, make_radial_mask
 from ktsecret.net import NetConfig, init_params
 from ktsecret.phantom import PhantomSpec, corrupt, synthesize
+from conftest import openblas_threads
 
 NAN, INF = float("nan"), float("inf")
 
@@ -253,6 +254,16 @@ def test_profile_cli(tmp_path):
     # row out of range is an error
     assert run("profile", "--inputs", tmp_path / "a.ktsr", "--row", 99,
                "--out-prefix", tmp_path / "bad") == 1
+
+
+def test_profile_refuses_a_non_finite_pixel(tmp_path, capsys):
+    from ktsecret.container import save_tensor
+    series = np.ones((4, 8, 8))
+    series[2, 3, 5] = np.nan
+    save_tensor(tmp_path / "a.ktsr", series)
+    assert run("profile", "--inputs", tmp_path / "a.ktsr", "--row", 3, "--out-prefix", tmp_path / "prof") == 1
+    assert "image holds non-finite values" in capsys.readouterr().err
+    assert not (tmp_path / "prof.pgm").exists()
 
 
 def test_pipeline_minimal_file_set(tmp_path):
@@ -642,25 +653,13 @@ def test_load_mask_rejects_fractional_bits(tmp_path):
         load_mask(tmp_path / "m.ktsr")
 
 
-def _openblas_threads():
-    """get_num_threads of numpy's bundled scipy-openblas; skips without it."""
-    import ctypes
-    from numpy.linalg import _umath_linalg
-
-    get = getattr(ctypes.CDLL(_umath_linalg.__file__), "scipy_openblas_get_num_threads64_", None)
-    if get is None:
-        pytest.skip("numpy's bundled scipy-openblas not found")
-    get.argtypes, get.restype = [], ctypes.c_int
-    return get
-
-
 @pytest.fixture
 def blas_threads(monkeypatch):
     """get_num_threads, with no thread variable set and two pipeline workers."""
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
         monkeypatch.delenv(var, raising=False)
     monkeypatch.setenv("KTSECRET_THREADS", "2")
-    return _openblas_threads()
+    return openblas_threads()
 
 
 def _record_blas_threads(monkeypatch, get, fail=False):
@@ -704,23 +703,37 @@ def test_user_thread_setting_leaves_blas_threads_alone(tmp_path, monkeypatch, bl
     assert seen == [before] * 2
 
 
-def test_pipeline_cs_files_do_not_depend_on_the_other_accelerations(tmp_path, blas_threads):
+def _assert_r6_alone_equals_r6_swept(tmp_path, method, size, **params):
     """Alone, R6 gets every BLAS thread; in a sweep of three it shares them.
-    Its files must not tell the two runs apart."""
-    runs = []
+    Its files and its metrics.csv rows must not tell the two runs apart."""
+    files, rows = [], []
     for accels in ([6], [3, 6, 10]):
-        cfg = _valid_config(tmp_path / str(len(accels)), "cs", iters=2)
-        cfg["phantom"].update(h=64, w=64)
+        cfg = _valid_config(tmp_path / method / str(len(accels)), method, **params)
+        cfg["phantom"].update(h=size, w=size)
         cfg["mask"] = {"accel": accels, "seed": 2}
         assert run_pipeline(cfg) == 0
-        runs.append(sorted((Path(cfg["output_dir"]) / "R6").iterdir()))
-    assert [p.name for p in runs[0]] == [p.name for p in runs[1]]
-    for alone, swept in zip(*runs):
+        out = Path(cfg["output_dir"])
+        files.append(sorted((out / "R6").iterdir()))
+        rows.append([r for r in csv.reader(open(out / "metrics.csv")) if r[1] == "6"])
+    assert [p.name for p in files[0]] == [p.name for p in files[1]]
+    for alone, swept in zip(*files):
         assert alone.read_bytes() == swept.read_bytes(), alone.name
+    assert len(rows[0]) == 9 and rows[0] == rows[1]
+
+
+def test_pipeline_cs_files_do_not_depend_on_the_other_accelerations(tmp_path, blas_threads):
+    # at 128² a frame has more elements than BLAS sums in one thread
+    _assert_r6_alone_equals_r6_swept(tmp_path, "zf", 128)
+    _assert_r6_alone_equals_r6_swept(tmp_path, "cs", 128, iters=2)
+
+
+@pytest.mark.parametrize("method", ["secret", "modl"])
+def test_pipeline_learned_files_do_not_depend_on_the_other_accelerations(tmp_path, blas_threads, method):
+    _assert_r6_alone_equals_r6_swept(tmp_path, method, 32, epochs=2)
 
 
 def test_import_leaves_blas_threads_and_environment_alone():
-    _openblas_threads()
+    openblas_threads()
     probe = (
         "import ctypes, os\n"
         "from numpy.linalg import _umath_linalg\n"

@@ -8,6 +8,7 @@ from scipy.signal import fftconvolve
 
 from ktsecret.kinetics import _ssim_frame, evaluate_series, nrmse, patlak_fit, psnr, ssim
 from ktsecret.phantom import PhantomSpec, gamma_variate_aif, synthesize
+from conftest import at_1_and_2_blas_threads
 
 
 def _aif(t=20, dt=2.0):
@@ -167,6 +168,8 @@ def test_nrmse_basics(rng):
     assert nrmse(1.1 * ref, ref) == pytest.approx(0.1, rel=1e-12)
     with pytest.raises(ValueError):
         nrmse(ref, np.zeros_like(ref))
+    ints = np.arange(1, 13).reshape(3, 4)  # converted before summing, not reinterpreted
+    assert nrmse(ints, ints + 1) == pytest.approx(np.sqrt(12 / np.sum((ints + 1) ** 2)), rel=1e-12)
 
 
 def test_psnr_nrmse_monotone_relation(rng):
@@ -185,6 +188,19 @@ def test_evaluate_series_aggregates_are_frame_means(rng):
     assert report.psnr == pytest.approx(np.mean(report.psnr_frames))
     assert report.ssim == pytest.approx(np.mean(report.ssim_frames))
     assert report.nrmse == pytest.approx(np.mean(report.nrmse_frames))
+
+
+def test_metrics_do_not_depend_on_the_blas_thread_count(rng):
+    # a 128² frame has more elements than BLAS sums in one thread
+    x, ref = rng.uniform(size=(16, 128, 128)), rng.uniform(size=(16, 128, 128))
+
+    def metrics():
+        report = evaluate_series(x, ref)
+        return report.psnr_frames.tobytes(), report.ssim_frames.tobytes(), report.nrmse_frames.tobytes(), \
+            nrmse(x, ref)
+
+    one, two = at_1_and_2_blas_threads(metrics)
+    assert one == two
 
 
 def test_evaluate_series_nrmse_skips_zero_reference_frames(rng):

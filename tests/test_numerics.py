@@ -9,6 +9,8 @@ from ktsecret.numerics import (
     grad_spatial_adjoint,
     grad_temporal,
     grad_temporal_adjoint,
+    norm,
+    re_dot,
 )
 from conftest import crandn
 
@@ -53,6 +55,17 @@ def test_dft2_inner_product_preserved(seed):
 def test_dft2_rejects_non_pow2(shape):
     with pytest.raises(ValueError):
         dft2(np.zeros(shape), "forward")
+
+
+@pytest.mark.parametrize("x", [[[1, 2], [3, 4]], [[1.0, 0.5j], [0.0, 2.0]]])
+def test_dft2_converts_a_nested_list(x):
+    assert_allclose(dft2(x, "forward"), np.fft.fft2(np.asarray(x)) / 2, rtol=1e-15, atol=1e-15)
+
+
+@pytest.mark.parametrize("x", [np.zeros(4), np.float64(1.0), [1.0, 2.0]])
+def test_dft2_rejects_fewer_than_two_dimensions(x):
+    with pytest.raises(ValueError, match="at least 2 dimensions"):
+        dft2(x, "forward")
 
 
 @pytest.mark.parametrize("shape", [(4, 4), (2, 16, 8), (3, 32, 32), (2, 1, 64)])
@@ -155,3 +168,34 @@ def test_differences_leave_input_unchanged(rng):
     grad_spatial(x), grad_temporal(x), grad_temporal_adjoint(x)
     grad_spatial_adjoint(g, out=np.empty((3, 4, 4), complex), work=np.empty((3, 4, 4), complex))
     assert np.array_equal(x, x0) and np.array_equal(g, g0)
+
+
+def test_re_dot_and_norm_match_numpy(rng):
+    ints = np.arange(1, 13).reshape(3, 4)
+    big = crandn(rng, (4, 64, 64))  # beyond the size at which BLAS sums in threads
+    cases = [  # real, complex, integer, mixed, non-contiguous
+        (rng.standard_normal((3, 5)), rng.standard_normal((3, 5))),
+        (crandn(rng, (2, 8, 8)), crandn(rng, (2, 8, 8))),
+        (ints, ints[::-1] * 3),
+        (ints, crandn(rng, (3, 4))),
+        (rng.standard_normal((6, 8))[:, ::2], crandn(rng, (4, 6)).T),
+        (big[:, ::2], big[:, 1::2]),
+        (big, big),
+    ]
+    for a, b in cases:
+        expected = np.vdot(np.asarray(a, dtype=complex), b).real  # vdot conjugates its first argument
+        assert re_dot(a, b) == pytest.approx(expected, rel=1e-12)
+        assert norm(a) == pytest.approx(np.linalg.norm(a), rel=1e-12)
+        assert isinstance(re_dot(a, b), float) and isinstance(norm(b), float)
+
+
+def test_re_dot_converts_integers_before_viewing_their_bits():
+    x = np.arange(1, 13).reshape(3, 4)
+    assert re_dot(x, x) == 650.0
+    assert norm([3, 4]) == 5.0
+    assert norm(np.zeros((2, 2))) == 0.0
+
+
+def test_re_dot_rejects_a_shape_mismatch():
+    with pytest.raises(ValueError, match="shape mismatch"):
+        re_dot(np.ones((2, 3)), np.ones((3, 2)))

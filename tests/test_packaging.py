@@ -1,7 +1,7 @@
 """The declared runtime dependencies are exactly the third-party imports; every
 import of the package is used, every __all__ name is defined and every
 private top-level helper is referenced. Only numerics.dft2 names numpy's
-transforms. Importing the CLI loads no scipy, which only the tests use."""
+transforms, and only numerics.re_dot sums products. Importing the CLI loads no scipy, which only the tests use."""
 
 import ast
 import os
@@ -99,14 +99,17 @@ def test_every_private_helper_is_used():
 FFT_HELPERS = {"fftshift", "ifftshift", "fftfreq"}  # index shuffles and frequencies, not transforms
 
 
+def _outside(tree, function: str):
+    """The nodes of tree, less those of its top-level function of that name."""
+    skip = {id(n) for f in tree.body if isinstance(f, ast.FunctionDef) and f.name == function for n in ast.walk(f)}
+    return (node for node in ast.walk(tree) if id(node) not in skip)
+
+
 def _numpy_transform_uses(tree) -> list:
     """(line, name) of every numpy transform the tree names outside dft2:
     np.fft.<name> with "fft" in the name, or an import from numpy.fft."""
-    skip = {id(n) for f in tree.body if isinstance(f, ast.FunctionDef) and f.name == "dft2" for n in ast.walk(f)}
     uses = []
-    for node in ast.walk(tree):
-        if id(node) in skip:
-            continue
+    for node in _outside(tree, "dft2"):
         if (isinstance(node, ast.Attribute) and "fft" in node.attr and node.attr not in FFT_HELPERS
                 and isinstance(node.value, ast.Attribute) and node.value.attr == "fft"
                 and isinstance(node.value.value, ast.Name) and node.value.value.id in ("np", "numpy")):
@@ -129,6 +132,39 @@ def test_transform_scan_sees_a_raw_call():
                      "def f(x):\n    return np.fft.ifft2(np.fft.fftshift(x))\n"
                      "def dft2(x):\n    return np.fft.fftn(x)\n")
     assert _numpy_transform_uses(tree) == [(2, "fft"), (4, "ifft2")]
+
+
+REDUCTIONS = {"vdot", "dot", "inner", "einsum"}  # BLAS or einsum sums of products
+
+
+def _reductions(tree, allowed: str | None) -> list:
+    """(line, name) of every sum of products the tree names outside its
+    function allowed: an attribute vdot, dot, inner or einsum (np.vdot as well
+    as x.dot), linalg.norm, or an import of one of them from numpy."""
+    uses = []
+    for node in _outside(tree, allowed):
+        if isinstance(node, ast.Attribute) and (node.attr in REDUCTIONS or (
+                node.attr == "norm" and isinstance(node.value, ast.Attribute) and node.value.attr == "linalg")):
+            uses.append((node.lineno, node.attr))
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy"):
+            uses.extend((node.lineno, alias.name) for alias in node.names
+                        if alias.name in REDUCTIONS | {"norm", "linalg"})
+    return uses
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_only_re_dot_sums_products(path):
+    # a BLAS sum changes with the thread count; numerics.re_dot's einsum loop does not
+    assert _reductions(_parse(path), "re_dot" if path.name == "numerics.py" else None) == []
+
+
+def test_reduction_scan_sees_each_form():
+    tree = ast.parse("import numpy as np\nfrom numpy.linalg import norm\n"
+                     "def f(x):\n    return np.vdot(x, x) + x.dot(x) + np.inner(x, x) + np.linalg.norm(x)\n"
+                     "def g(x):\n    return np.einsum('i,i->', x, x)\n"
+                     "def re_dot(x):\n    return np.einsum('i,i->', x, x)\n")
+    assert sorted(_reductions(tree, "re_dot")) == [(2, "norm"), (4, "dot"), (4, "inner"), (4, "norm"),
+                                                   (4, "vdot"), (6, "einsum")]
 
 
 def test_cli_import_loads_no_scipy():

@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose
 from ktsecret.encoding import KtData, adjoint, encode, make_radial_mask, normal_op
 from ktsecret.kinetics import psnr
 from ktsecret.net import NetConfig, init_params, net_forward
-from ktsecret.numerics import dft2
+from ktsecret.numerics import dft2, norm
 from ktsecret.phantom import PhantomSpec, corrupt, synthesize
 from ktsecret.recon import (
     ModlConfig,
@@ -23,7 +23,7 @@ from ktsecret.recon import (
 )
 from ktsecret import recon
 from ktsecret.recon import _modl_sample_grad
-from conftest import crandn
+from conftest import at_1_and_2_blas_threads, crandn
 
 MICRO = NetConfig(frames=2, depth_levels=2, base_channels=2)
 
@@ -246,7 +246,7 @@ def test_train_log_grad_norm_is_mean_minibatch_norm(monkeypatch):
 
     def recorded(d_u, params, net_cfg):
         loss, g = secret_loss(d_u, params, net_cfg)
-        norms.append(np.linalg.norm(g))  # batch 1: the minibatch gradient is g
+        norms.append(norm(g))  # batch 1: the minibatch gradient is g
         return loss, g
 
     monkeypatch.setattr(recon, "secret_loss", recorded)
@@ -254,6 +254,20 @@ def test_train_log_grad_norm_is_mean_minibatch_norm(monkeypatch):
     assert len(log.grad_norm) == 3 and len(norms) == 6
     assert np.all(np.isfinite(log.grad_norm))
     assert log.grad_norm == [np.mean(norms[i:i + 2]) for i in (0, 2, 4)]
+
+
+def test_training_does_not_depend_on_the_blas_thread_count():
+    # a 16x32x32 residual has more elements than BLAS sums in one thread
+    truth = synthesize(PhantomSpec(h=32, w=32, t=16, seed=32))
+    data = [corrupt(truth, make_radial_mask(16, 32, 32, 6.0, seed=i), 0.02, seed=i) for i in range(3)]
+    net_cfg = NetConfig(frames=16, base_channels=4)
+
+    def train():
+        params, log = secret_train(data[:2], SecretConfig(epochs=3, seed=0), net_cfg, val_dataset=data[2:])
+        return params.to_flat().tobytes(), log.train_loss, log.val_loss, log.grad_norm
+
+    one, two = at_1_and_2_blas_threads(train)
+    assert one == two
 
 
 def test_train_log_grad_norm_of_zero_gradient_is_zero(monkeypatch):
