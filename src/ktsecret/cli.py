@@ -263,7 +263,7 @@ def _train(args, train_fn, cfg, supervised: bool) -> int:
     d_u = dataset[0][0] if supervised else dataset[0]
     net_cfg = NetConfig(frames=d_u.samples.shape[0])
     params, log = train_fn(dataset, cfg, net_cfg)
-    save_params(args.weights, params, net_cfg)
+    save_params(args.weights, params)
     write_trainlog(Path(str(args.weights) + ".trainlog.csv"), log)
     return 0
 
@@ -285,12 +285,9 @@ def cmd_recon_nn(args) -> int:
     values = {"K": args.K} if lam is None else {"K": args.K, "lambda": lam}
     cfg = _build(ModlConfig, values, args.command, METHOD_PARAMS["modl"][1]) if args.K > 0 else None
     d_u = load_ktdata(args.data, args.mask)
-    params, net_cfg = load_params(args.weights)
+    pretrained = load_params(args.weights)
     t0 = time.perf_counter()
-    if cfg is not None:
-        s = modl_forward(adjoint(d_u), d_u, params, cfg, net_cfg)
-    else:
-        s = secret_infer(d_u, params, net_cfg)
+    s, _ = _reconstruct("secret" if cfg is None else "modl", d_u, None, cfg, pretrained)
     print(f"inference wall time: {time.perf_counter() - t0:.3f} s")
     save_tensor(args.out, s)
     return 0

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .net import NetConfig, NetworkParams, init_params
+from .net import NetConfig, NetworkParams
 
 MAGIC = b"KTSR"
 VERSION = 2  # 1: the CRC covers the payload only
@@ -75,9 +75,9 @@ def load_tensor(path) -> np.ndarray:
     return np.frombuffer(payload, dtype=dtype).reshape(dims).copy()
 
 
-def save_params(path, params: NetworkParams, net_cfg: NetConfig) -> None:
-    """Write weights as <path> (tensor) + <path>.json (architecture descriptor)."""
-    descriptor = {"version": 1, **asdict(net_cfg), "param_count": params.size}
+def save_params(path, params: NetworkParams) -> None:
+    """Write weights as <path> (tensor) + <path>.json (descriptor of params.cfg)."""
+    descriptor = {"version": 1, **asdict(params.cfg), "param_count": params.size}
     Path(str(path) + ".json").write_text(json.dumps(descriptor, indent=2))
     save_tensor(path, params.to_flat())
 
@@ -108,9 +108,12 @@ def load_params(path):
     except ValueError as err:
         raise ContainerError(f"weight descriptor: {err}") from None
     flat = load_tensor(path)
-    template = init_params(cfg, seed=0)
-    if flat.size != template.size or flat.size != descriptor["param_count"]:
-        raise ContainerError("weight vector does not match architecture descriptor")
+    if flat.size != descriptor["param_count"]:
+        raise ContainerError("weight vector does not match the descriptor's param_count")
+    try:  # the layout is integer arithmetic on cfg, so a huge network allocates nothing
+        params = NetworkParams(cfg, flat)
+    except ValueError as err:
+        raise ContainerError(f"weight vector does not match architecture descriptor: {err}") from None
     if not np.all(np.isfinite(flat)):
         raise ContainerError("weight vector holds NaN or inf")
-    return template.from_flat(flat), cfg
+    return params, params.cfg

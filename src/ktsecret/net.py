@@ -16,6 +16,8 @@ laid out on the same raster, with the tap's window; the input gradient is
 the same tap-sum convolution of the output gradient with the kernel flipped
 in space and transposed (in <-> out). A 1x1 kernel is one GEMM, no copy.
 
+The parameters are one float64 vector that Adam steps and weight files store;
+the layers are views of it, and net_backward returns the gradient in its layout.
 Forward caches every intermediate needed for an exact reverse pass; gradients
 are validated against central finite differences in the test suite.
 """
@@ -64,30 +66,30 @@ class ConvLayer:
 
 
 class NetworkParams:
-    """Ordered conv layers with a contiguous flat parameter view."""
+    """The conv layers of _plan(cfg) as views of one float64 vector `flat` (zeros if None): per
+    layer, its raveled [out, in, k, k] weight, then its [out] bias. from_flat aliases; to_flat copies."""
 
-    def __init__(self, layers):
-        self.layers = list(layers)
+    def __init__(self, cfg: NetConfig, flat=None):
+        convs = [op[2:] for op in _plan(cfg) if op[0] == "conv"]
+        count = sum(cout * (cin * k * k + 1) for k, cin, cout in convs)
+        flat = np.zeros(count) if flat is None else np.asarray(flat, dtype=np.float64)
+        if flat.shape != (count,):
+            raise ValueError(f"flat vector of shape {flat.shape} != parameter count {count}")
+        self.cfg, self.flat, self.layers, i = cfg, flat, [], 0
+        for k, cin, cout in convs:
+            n = cout * cin * k * k
+            self.layers.append(ConvLayer(flat[i:i + n].reshape(cout, cin, k, k), flat[i + n:i + n + cout]))
+            i += n + cout
 
     @property
     def size(self) -> int:
-        return sum(l.weight.size + l.bias.size for l in self.layers)
+        return self.flat.size
 
     def to_flat(self) -> np.ndarray:
-        return np.concatenate([np.concatenate([l.weight.ravel(), l.bias]) for l in self.layers])
+        return self.flat.copy()
 
     def from_flat(self, flat: np.ndarray) -> "NetworkParams":
-        flat = np.asarray(flat, dtype=np.float64)
-        if flat.size != self.size:
-            raise ValueError(f"flat vector length {flat.size} != parameter count {self.size}")
-        out, i = [], 0
-        for l in self.layers:
-            w = flat[i:i + l.weight.size].reshape(l.weight.shape)
-            i += l.weight.size
-            b = flat[i:i + l.bias.size].copy()
-            i += l.bias.size
-            out.append(ConvLayer(w, b))
-        return NetworkParams(out)
+        return NetworkParams(self.cfg, flat)
 
 
 def _plan(cfg: NetConfig):
@@ -128,11 +130,11 @@ def _plan(cfg: NetConfig):
 def init_params(cfg: NetConfig, seed: int) -> NetworkParams:
     """He-uniform weights, zero biases, deterministic per seed."""
     rng = np.random.default_rng(seed)
-    layers = []
-    for _, _, k, cin, cout in (op for op in _plan(cfg) if op[0] == "conv"):
-        limit = np.sqrt(6.0 / (cin * k * k))
-        layers.append(ConvLayer(rng.uniform(-limit, limit, size=(cout, cin, k, k)), np.zeros(cout)))
-    return NetworkParams(layers)
+    params = NetworkParams(cfg)
+    for layer in params.layers:
+        limit = np.sqrt(6.0 / layer.weight[0].size)  # fan-in in * k * k
+        layer.weight[...] = rng.uniform(-limit, limit, size=layer.weight.shape)
+    return params
 
 
 def to_channels(s: np.ndarray) -> np.ndarray:
@@ -246,14 +248,13 @@ def net_backward(grad_out: np.ndarray, cache, params: NetworkParams):
     of the network output; the returned input gradient uses the same packing.
     """
     cfg: NetConfig = cache["cfg"]
-    t = cfg.frames
     gx = to_channels(grad_out)
-    grads = [None] * len(params.layers)  # every layer runs once per pass
+    grad = params.from_flat(np.zeros(params.size))
     gskips = {lvl: None for lvl in range(cfg.depth_levels)}
     for op, x_in in reversed(cache["tape"]):
         if op[0] == "conv":
-            gw, gb, gx = _conv_backward(gx, x_in, params.layers[op[1]].weight)
-            grads[op[1]] = (gw, gb)
+            g = grad.layers[op[1]]
+            g.weight[...], g.bias[...], gx = _conv_backward(gx, x_in, params.layers[op[1]].weight)
         elif op[0] == "relu":
             gx = gx * (x_in > 0)
         elif op[0] == "pool":
@@ -268,10 +269,9 @@ def net_backward(grad_out: np.ndarray, cache, params: NetworkParams):
             gskips[op[1]] = gx[:c_skip]
             gx = gx[c_skip:]
     # residual path: every output frame sees the temporal average of the input
-    g_residual = grad_out.sum(axis=0) / t
+    g_residual = grad_out.sum(axis=0) / cfg.frames
     grad_in = to_complex(gx) + g_residual[None, :, :]
-    flat = np.concatenate([np.concatenate([gw.ravel(), gb]) for gw, gb in grads])
-    return flat, grad_in
+    return grad.flat, grad_in
 
 
 @dataclass

@@ -749,16 +749,20 @@ def test_import_leaves_blas_threads_and_environment_alone():
 
 def _save_weights(path, **net):
     net_cfg = NetConfig(**{"frames": 8, "base_channels": 4, **net})
-    save_params(path, init_params(net_cfg, 0), net_cfg)
+    save_params(path, init_params(net_cfg, 0))
     return str(path)
 
 
-@pytest.mark.parametrize("case", ["missing", "corrupt", "frames", "depth"])
+@pytest.mark.parametrize("case", ["missing", "corrupt", "huge", "frames", "depth"])
 def test_pipeline_checks_pretrained_weights_before_writing(tmp_path, case):
     weights = tmp_path / "w.ktsr"
     if case == "corrupt":
         _save_weights(weights)
         weights.write_bytes(b"not a container")
+    elif case == "huge":  # a descriptor naming a network far larger than its vector
+        _save_weights(weights)
+        sidecar = Path(str(weights) + ".json")
+        sidecar.write_text(json.dumps({**json.loads(sidecar.read_text()), "frames": 10 ** 18}))
     elif case != "missing":
         _save_weights(weights, **({"frames": 16} if case == "frames" else {"depth_levels": 5}))
     cfg = _valid_config(tmp_path, "secret", weights=str(weights))  # a 16x16x8 phantom

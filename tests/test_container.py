@@ -62,7 +62,7 @@ def test_truncation_rejected(tmp_path):
 def test_params_round_trip(tmp_path):
     cfg = NetConfig(frames=2, base_channels=4)
     params = init_params(cfg, seed=3)
-    save_params(tmp_path / "w.ktsr", params, cfg)
+    save_params(tmp_path / "w.ktsr", params)
     loaded, loaded_cfg = load_params(tmp_path / "w.ktsr")
     assert loaded_cfg == cfg
     assert np.array_equal(loaded.to_flat(), params.to_flat())
@@ -75,7 +75,7 @@ def test_params_holding_nan_rejected(tmp_path, capsys):
     params = init_params(cfg, seed=3)
     flat = params.to_flat()
     flat[5] = np.nan
-    save_params(tmp_path / "w.ktsr", params.from_flat(flat), cfg)
+    save_params(tmp_path / "w.ktsr", params.from_flat(flat))
     with pytest.raises(ContainerError, match="NaN"):
         load_params(tmp_path / "w.ktsr")
     mask = make_radial_mask(8, 16, 16, 4.0, seed=0)
@@ -91,7 +91,7 @@ def test_params_holding_nan_rejected(tmp_path, capsys):
 def test_params_descriptor_mismatch(tmp_path):
     cfg = NetConfig(frames=2, base_channels=4)
     params = init_params(cfg, seed=3)
-    save_params(tmp_path / "w.ktsr", params, cfg)
+    save_params(tmp_path / "w.ktsr", params)
     # overwrite the tensor with a wrong-sized vector
     save_tensor(tmp_path / "w.ktsr", np.zeros(10))
     with pytest.raises(ContainerError, match="descriptor"):
@@ -147,7 +147,7 @@ def test_version_1_container_still_loads_with_its_payload_crc(tmp_path):
 
 def _saved_params(tmp_path):
     cfg = NetConfig(frames=2, base_channels=4)
-    save_params(tmp_path / "w.ktsr", init_params(cfg, seed=3), cfg)
+    save_params(tmp_path / "w.ktsr", init_params(cfg, seed=3))
     return tmp_path / "w.ktsr", json.loads((tmp_path / "w.ktsr.json").read_text())
 
 
@@ -177,6 +177,8 @@ def _without(meta, key):
     (_saved_params, load_params, lambda meta: {**meta, "frames": 0}),
     (_saved_params, load_params, lambda meta: {**meta, "depth_levels": True}),
     (_saved_params, load_params, lambda meta: {**meta, "version": None}),
+    (_saved_params, load_params, lambda meta: {**meta, "frames": 10 ** 18}),
+    (_saved_params, load_params, lambda meta: {**meta, "base_channels": 10 ** 18}),
     (_saved_mask, load_mask, lambda meta: {}),
     (_saved_mask, load_mask, lambda meta: {**meta, "accel": "2"}),
     (_saved_mask, load_mask, lambda meta: [meta]),
@@ -187,7 +189,8 @@ def _without(meta, key):
     (_saved_phantom, _load_phantom, lambda meta: '{"dt": '),
     (_saved_phantom, _load_phantom, lambda meta: {**meta, "dt": "2"}),
 ], ids=["params-no-frames", "params-list", "params-str-frames", "params-zero-frames",
-        "params-bool-depth", "params-null-version", "mask-empty", "mask-str-accel", "mask-list",
+        "params-bool-depth", "params-null-version", "params-huge-frames",
+        "params-huge-base-channels", "mask-empty", "mask-str-accel", "mask-list",
         "params-not-json", "mask-not-json", "phantom-empty", "phantom-list", "phantom-not-json",
         "phantom-str-dt"])
 def test_malformed_sidecar_raises_container_error(tmp_path, saved, load, edit):

@@ -178,6 +178,46 @@ def test_parameter_count_pinned_default_config():
     assert init_params(NetConfig(frames=8), 0).size == 120400
 
 
+def test_from_flat_layers_are_views_of_the_vector():
+    params = init_params(MICRO, seed=4)
+    v = np.arange(params.size, dtype=np.float64)
+    aliased = params.from_flat(v)
+    for layer in aliased.layers:
+        assert np.shares_memory(layer.weight, v) and np.shares_memory(layer.bias, v)
+    v[-1] = -1.0  # the final 1x1 layer's last bias
+    assert aliased.layers[-1].bias[-1] == -1.0
+    for bad in (v[:-1], v.reshape(1, -1)):
+        with pytest.raises(ValueError, match="parameter count"):
+            params.from_flat(bad)
+
+
+@pytest.mark.parametrize("cfg", [NetConfig(frames=8), MICRO], ids=["default", "micro"])
+def test_to_flat_is_each_layer_weight_then_bias_in_plan_order(cfg):
+    # pins the weight-file layout
+    params = init_params(cfg, seed=5)
+    expected = np.concatenate([part for l in params.layers for part in (l.weight.ravel(), l.bias)])
+    assert np.array_equal(params.to_flat(), expected)
+    if cfg == MICRO:
+        assert [l.weight.shape for l in params.layers] == [
+            (2, 4, 3, 3), (2, 2, 3, 3), (4, 2, 3, 3), (4, 4, 3, 3), (8, 4, 3, 3), (8, 8, 3, 3),
+            (4, 12, 3, 3), (4, 4, 3, 3), (2, 6, 3, 3), (2, 2, 3, 3), (4, 2, 1, 1)]
+
+
+def test_net_backward_peak_memory_stays_below_three_parameter_vectors(rng):
+    # the gradient is written into one vector through the layer views, not concatenated
+    cfg = NetConfig(frames=8)
+    params = init_params(cfg, seed=0)
+    s = crandn(rng, (8, 32, 32))
+    out, cache = net_forward(s, params, cfg)
+    tracemalloc.start()
+    try:
+        net_backward(out, cache, params)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * params.to_flat().nbytes
+
+
 def test_init_deterministic():
     a = init_params(NetConfig(frames=2), seed=11).to_flat()
     b = init_params(NetConfig(frames=2), seed=11).to_flat()
