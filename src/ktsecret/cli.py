@@ -1,18 +1,18 @@
 """Command-line front end: phantom generation, masking, reconstruction,
 evaluation, quantification and an end-to-end pipeline.
 
-All tensors are exchanged via the KTSR container (see container.py); masks
-and weights carry JSON sidecars. Every subcommand is deterministic given its
---seed: its containers are byte-identical run to run on one machine. For every
-method, no container, PGM, metric or logged loss depends on the BLAS thread count
-(tested at 1 and 2 threads): every sum of products is numerics.re_dot, not a
-BLAS reduction. So a pipeline acceleration's files and metrics.csv rows do not
-depend on the others in its sweep. KTSECRET_THREADS caps the worker
-threads used by the pipeline's acceleration sweep. While that pool runs,
-OpenBLAS gets at most cpu_count // workers threads (at least 1), so pool and
-BLAS threads together do not oversubscribe the cores; a user-set
-OPENBLAS_NUM_THREADS or OMP_NUM_THREADS wins, and the previous count is
-restored when the sweep ends.
+All tensors are exchanged via the KTSR container (see container.py); masks and weights
+carry JSON sidecars. Every subcommand is deterministic given its --seed: its containers
+are byte-identical run to run on one machine. For every method, no container, PGM,
+metric or logged loss depends on the BLAS thread count (tested at 1 and 4 threads):
+every sum of products is numerics.re_dot, not a BLAS reduction. So a pipeline
+acceleration's files and metrics.csv rows do not depend on the others in its sweep.
+No pipeline reconstruction reads the phantom's reference images: SECRET trains on the
+measurement alone, and the supervised MoDL only reads a weight file. KTSECRET_THREADS
+caps the worker threads used by the pipeline's acceleration sweep. While that pool
+runs, OpenBLAS gets at most cpu_count // workers threads (at least 1), so pool and
+BLAS threads together do not oversubscribe the cores; a user-set OPENBLAS_NUM_THREADS
+or OMP_NUM_THREADS wins, and the previous count is restored when the sweep ends.
 """
 
 from __future__ import annotations
@@ -55,18 +55,18 @@ PHANTOM_FILES = {"ref_images": "ref_images", "ktrans": "ktrans_map", "vp": "vp_m
                  "aif_signal": "aif_signal", "labels": "region_labels"}
 METRICS_HEADER = ["method", "accel", "phantom_id", "frame", "psnr", "ssim", "nrmse"]
 
-# Accepted pipeline method_params keys, per method: key -> config field
-# (None: a pretrained weight file, read instead of training). Every default
-# lives in the config dataclass.
+# Accepted pipeline method_params keys, per method: key -> config field (None: a
+# pretrained weight file, read instead of training). Defaults live in the config dataclass.
+TRAINING = {"epochs": "epochs", "lr": "lr"}
 METHOD_PARAMS = {
     "zf": (None, {}),
     "cs": (cs_mod.CsConfig, {"l1": "lambda1", "l2": "lambda2", "iters": "max_iters", "tol": "tol"}),
-    "secret": (SecretConfig, {"epochs": "epochs", "lr": "lr", "weights": None}),
-    "modl": (ModlConfig, {"K": "K", "lambda": "lam", "epochs": "epochs", "lr": "lr", "weights": None}),
+    "secret": (SecretConfig, {**TRAINING, "weights": None}),
+    "modl": (ModlConfig, {"K": "K", "lambda": "lam", "weights": None}),  # weights required
 }
-# The pipeline trains on the one measurement it reconstructs, for fewer
-# epochs than the library defaults.
-PIPELINE_OVERRIDES = {"secret": {"epochs": 30}, "modl": {"epochs": 10}}
+# The pipeline's SECRET trains on the measurement it reconstructs, from the run seed, for fewer
+# epochs than the library's. Its MoDL reads weights: trained here, it would learn the reference.
+SECRET_PIPELINE_EPOCHS = 30
 # Config options of the subcommands, in the same form: key -> config field,
 # given as --key with "_" written "-" (every subcommand has its own --seed).
 SUBCOMMAND_OPTIONS = {
@@ -75,7 +75,7 @@ SUBCOMMAND_OPTIONS = {
                               for f in fields(PhantomSpec) if f.name not in ("seed", "noise_sigma")}),
     "recon-cs": METHOD_PARAMS["cs"],
     "train-secret": (SecretConfig, {**METHOD_PARAMS["secret"][1], "batch": "batch"}),
-    "train-modl": (ModlConfig, {**METHOD_PARAMS["modl"][1], "batch": "batch"}),
+    "train-modl": (ModlConfig, {**METHOD_PARAMS["modl"][1], **TRAINING, "batch": "batch"}),
 }
 
 
@@ -287,7 +287,7 @@ def cmd_recon_nn(args) -> int:
     d_u = load_ktdata(args.data, args.mask)
     pretrained = load_params(args.weights)
     t0 = time.perf_counter()
-    s, _ = _reconstruct("secret" if cfg is None else "modl", d_u, None, cfg, pretrained)
+    s, _ = _reconstruct("secret" if cfg is None else "modl", d_u, cfg, pretrained)
     print(f"inference wall time: {time.perf_counter() - t0:.3f} s")
     save_tensor(args.out, s)
     return 0
@@ -379,10 +379,13 @@ def _method_config(method: str, params, seed: int):
     _check(weights is None or isinstance(weights, str), "method_params.weights", weights)
     if cls is None:
         return None, None
-    fixed = dict(PIPELINE_OVERRIDES.get(method, {}))
-    if hasattr(cls, "seed"):  # the learned methods initialise from the run seed
-        fixed["seed"] = seed
-    return _build(cls, {k: v for k, v in params.items() if names[k]}, "method_params", names, **fixed), weights
+    fixed = {"epochs": SECRET_PIPELINE_EPOCHS, "seed": seed} if method == "secret" else {}
+    cfg = _build(cls, {k: v for k, v in params.items() if names[k]}, "method_params", names, **fixed)
+    if method == "modl" and weights is None:
+        raise ConfigError("method_params.weights: modl needs a weight file, from train-modl on other phantoms")
+    ignored = [key for key in TRAINING if key in params]  # nothing trains given weights
+    _check(weights is None or not ignored, "method_params (training keys given weights)", ignored)
+    return cfg, weights
 
 
 def _accel_dir(accel) -> str:
@@ -427,22 +430,17 @@ def _parse_config(config):
     return spec, accels, cfg, None if weights is None else _load_weights(weights, spec)
 
 
-def _reconstruct(method: str, d_u: KtData, truth: PhantomTruth, cfg, pretrained):
+def _reconstruct(method: str, d_u: KtData, cfg, pretrained):
     if method == "zf":
         return adjoint(d_u), None
     if method == "cs":
         return cs_mod.cs_reconstruct(d_u, cfg)
-    if pretrained is not None:
-        params, net_cfg = pretrained
-    else:
-        net_cfg = NetConfig(frames=d_u.samples.shape[0])
-        if method == "secret":
-            params, _ = secret_train([d_u], cfg, net_cfg)
-        else:
-            params, _ = modl_train([(d_u, truth.ref_images)], cfg, net_cfg)
-    if method == "secret":
-        return secret_infer(d_u, params, net_cfg), None
-    return modl_forward(adjoint(d_u), d_u, params, cfg, net_cfg), None
+    params, net_cfg = pretrained or (None, NetConfig(frames=d_u.samples.shape[0]))
+    if method == "modl":  # _parse_config has loaded its weights
+        return modl_forward(adjoint(d_u), d_u, params, cfg, net_cfg), None
+    if params is None:  # scan-specific SECRET: trains on the measurement alone
+        params, _ = secret_train([d_u], cfg, net_cfg)
+    return secret_infer(d_u, params, net_cfg), None
 
 
 def run_pipeline(config: dict) -> int:
@@ -462,7 +460,7 @@ def run_pipeline(config: dict) -> int:
         save_mask(sub / "mask.ktsr", mask, config["mask"]["seed"])
         d_u = corrupt(truth, mask, spec.noise_sigma, seed)
         save_tensor(sub / "data.ktsr", d_u.samples)
-        recon, cs_log = _reconstruct(method, d_u, truth, cfg, pretrained)
+        recon, cs_log = _reconstruct(method, d_u, cfg, pretrained)
         save_tensor(sub / "recon.ktsr", recon)
         zf = adjoint(d_u)
         save_tensor(sub / "recon_zf.ktsr", zf)

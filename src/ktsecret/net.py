@@ -24,6 +24,7 @@ are validated against central finite differences in the test suite.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,8 +52,9 @@ class NetConfig:
 
     def __post_init__(self):
         check_fields(self)
-        if min(self.frames, self.depth_levels, self.base_channels) < 1:
-            raise ValueError("frames, depth_levels, base_channels must be >= 1")
+        # H and W are multiples of 2**depth_levels: at 32, a frame's 4**32 pixels pass numpy's index range
+        if min(self.frames, self.depth_levels, self.base_channels) < 1 or self.depth_levels > 31:
+            raise ValueError("frames and base_channels must be >= 1, depth_levels in [1, 31]")
 
     @property
     def io_channels(self) -> int:
@@ -97,10 +99,10 @@ def _plan(cfg: NetConfig):
 
     Conv ops are ("conv", layer index, kernel size, in_ch, out_ch).
     """
-    ops = []
+    ops, index = [], itertools.count()
 
     def conv(k, cin, cout):
-        ops.append(("conv", sum(op[0] == "conv" for op in ops), k, cin, cout))
+        ops.append(("conv", next(index), k, cin, cout))
 
     ch_in = cfg.io_channels
     for lvl in range(cfg.depth_levels):

@@ -31,15 +31,16 @@ def openblas_threads():
     return get
 
 
-def at_1_and_2_blas_threads(compute) -> list:
-    """[compute() with OpenBLAS at 1 thread, compute() at 2 threads]; the
-    previous count is restored after. On one core both runs may use one."""
+def at_1_and_4_blas_threads(compute) -> list:
+    """[compute() with OpenBLAS at 1 thread, compute() at 4 threads]; the
+    previous count is restored after. OpenBLAS splits work by its thread
+    count, not by the cores, so 4 threads partition sums as on 4 cores."""
     get, set_n = openblas_threads(), _openblas("set_num_threads")
     set_n.argtypes, set_n.restype = [ctypes.c_int], None
     before = get()
     results = []
     try:
-        for n in (1, 2):
+        for n in (1, 4):
             set_n(n)
             results.append(compute())
     finally:

@@ -296,8 +296,14 @@ def test_criterion_9_pipeline_determinism(tmp_path):
 @pytest.mark.parametrize("method", ["secret", "modl"])
 def test_criterion_9_learned_pipeline_determinism(tmp_path, monkeypatch, method):
     from ktsecret.cli import run_pipeline
+    from ktsecret.container import save_params
 
     monkeypatch.setenv("KTSECRET_THREADS", "2")  # both accelerations on the worker pool at once
+    params = {"epochs": 2}  # the pipeline trains SECRET on the scan; MoDL reads saved weights
+    if method == "modl":
+        net_cfg = NetConfig(frames=8, base_channels=4)
+        save_params(tmp_path / "w.ktsr", init_params(net_cfg, 0))
+        params = {"weights": str(tmp_path / "w.ktsr")}
     outputs = []
     for name in ("a", "b"):
         out = tmp_path / name
@@ -307,7 +313,7 @@ def test_criterion_9_learned_pipeline_determinism(tmp_path, monkeypatch, method)
                         "noise_sigma": 0.02, "seed": 5},
             "mask": {"accel": [4.0, 8.0], "seed": 1},
             "method": method,
-            "method_params": {"epochs": 2},
+            "method_params": params,
             "output_dir": str(out),
         })
         outputs.append(out)

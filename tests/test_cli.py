@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import logging
 import os
@@ -489,6 +490,10 @@ def test_pipeline_rejects_non_object_config():
     ("secret", {"K": 1}, "K"),
     ("modl", {"lam": 0.1}, "lam"),
     ("zf", {"iters": 5}, "iters"),
+    ("modl", {"epochs": 2, "weights": "w.ktsr"}, "epochs"),
+    # given weights nothing trains, so a training key would be accepted and ignored
+    ("secret", {"weights": "w.ktsr", "epochs": 1}, "epochs"),
+    ("secret", {"weights": "w.ktsr", "epochs": 500, "lr": 0.5}, "lr"),
 ])
 def test_pipeline_rejects_unknown_method_params(tmp_path, method, params, key):
     with pytest.raises(ConfigError, match=key):
@@ -520,7 +525,7 @@ def test_method_configs_take_dataclass_defaults_and_pipeline_epochs():
     assert cli._method_config("cs", {"l1": 0.01, "iters": 7}, 5)[0] == CsConfig(lambda1=0.01, max_iters=7)
     assert cli._method_config("secret", {}, 5) == (SecretConfig(epochs=30, seed=5), None)
     assert cli._method_config("modl", {"lambda": 0.1, "K": 2, "weights": "w.ktsr"}, 7) == (
-        ModlConfig(K=2, lam=0.1, epochs=10, seed=7), "w.ktsr")
+        ModlConfig(K=2, lam=0.1), "w.ktsr")
     assert cli._method_config("zf", {}, 5) == (None, None)
 
 
@@ -729,7 +734,10 @@ def test_pipeline_cs_files_do_not_depend_on_the_other_accelerations(tmp_path, bl
 
 @pytest.mark.parametrize("method", ["secret", "modl"])
 def test_pipeline_learned_files_do_not_depend_on_the_other_accelerations(tmp_path, blas_threads, method):
-    _assert_r6_alone_equals_r6_swept(tmp_path, method, 32, epochs=2)
+    params = {"epochs": 2}  # the pipeline trains SECRET on the scan; MoDL reads saved weights
+    if method == "modl":
+        params = {"weights": _save_weights(tmp_path / "w.ktsr", base_channels=16)}
+    _assert_r6_alone_equals_r6_swept(tmp_path, method, 32, **params)
 
 
 def test_import_leaves_blas_threads_and_environment_alone():
@@ -769,6 +777,40 @@ def test_pipeline_checks_pretrained_weights_before_writing(tmp_path, case):
     with pytest.raises(ConfigError, match="^method_params.weights: "):
         run_pipeline(cfg)
     assert not (tmp_path / "out").exists()
+
+
+def test_pipeline_modl_without_weights_is_refused_before_writing(tmp_path):
+    # trained in the pipeline, MoDL would learn the very reference metrics.csv scores it against
+    with pytest.raises(ConfigError, match="^method_params.weights: .*train-modl"):
+        run_pipeline(_valid_config(tmp_path, "modl", K=1))
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("method", ["zf", "cs", "secret", "modl"])
+def test_pipeline_reconstruction_never_reads_the_reference(tmp_path, monkeypatch, method):
+    """The pipeline twin of criterion 5: with every reference image doubled but
+    the measurement taken of the true phantom, each recon.ktsr is unchanged."""
+    params = {"cs": {"iters": 5}, "secret": {"epochs": 2},
+              "modl": {"weights": _save_weights(tmp_path / "w.ktsr")}}.get(method, {})
+
+    def run_into(name):
+        cfg = _valid_config(tmp_path / name, method, **params)
+        cfg["phantom"]["noise_sigma"] = 0.02
+        assert run_pipeline(cfg) == 0
+        return Path(cfg["output_dir"])
+
+    true, truths = run_into("true"), []
+
+    def synthesize_doubled(spec):
+        truths.append(synthesize(spec))
+        return dataclasses.replace(truths[-1], ref_images=2 * truths[-1].ref_images)
+    monkeypatch.setattr(cli, "synthesize", synthesize_doubled)
+    monkeypatch.setattr(cli, "corrupt", lambda truth, *args: corrupt(truths[-1], *args))
+    doubled = run_into("doubled")
+    # the scores did read the doubled reference
+    assert (true / "metrics.csv").read_bytes() != (doubled / "metrics.csv").read_bytes()
+    for sub in ("R3", "R4"):
+        assert (true / sub / "recon.ktsr").read_bytes() == (doubled / sub / "recon.ktsr").read_bytes(), sub
 
 
 def test_pipeline_reads_pretrained_weights_once_per_sweep(tmp_path, monkeypatch):

@@ -179,6 +179,8 @@ def _without(meta, key):
     (_saved_params, load_params, lambda meta: {**meta, "version": None}),
     (_saved_params, load_params, lambda meta: {**meta, "frames": 10 ** 18}),
     (_saved_params, load_params, lambda meta: {**meta, "base_channels": 10 ** 18}),
+    # refused by NetConfig's arithmetic before a plan of 10**5 levels is built
+    (_saved_params, load_params, lambda meta: {**meta, "depth_levels": 10 ** 5}),
     (_saved_mask, load_mask, lambda meta: {}),
     (_saved_mask, load_mask, lambda meta: {**meta, "accel": "2"}),
     (_saved_mask, load_mask, lambda meta: [meta]),
@@ -190,7 +192,7 @@ def _without(meta, key):
     (_saved_phantom, _load_phantom, lambda meta: {**meta, "dt": "2"}),
 ], ids=["params-no-frames", "params-list", "params-str-frames", "params-zero-frames",
         "params-bool-depth", "params-null-version", "params-huge-frames",
-        "params-huge-base-channels", "mask-empty", "mask-str-accel", "mask-list",
+        "params-huge-base-channels", "params-huge-depth", "mask-empty", "mask-str-accel", "mask-list",
         "params-not-json", "mask-not-json", "phantom-empty", "phantom-list", "phantom-not-json",
         "phantom-str-dt"])
 def test_malformed_sidecar_raises_container_error(tmp_path, saved, load, edit):

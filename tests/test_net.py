@@ -178,6 +178,13 @@ def test_parameter_count_pinned_default_config():
     assert init_params(NetConfig(frames=8), 0).size == 120400
 
 
+def test_config_refuses_more_pooling_levels_than_an_indexable_frame_allows():
+    # H and W are multiples of 2**depth_levels, so a 32-level frame holds at least 4**32 pixels
+    assert NetConfig(frames=8, depth_levels=31).depth_levels == 31
+    with pytest.raises(ValueError, match="depth_levels"):
+        NetConfig(frames=8, depth_levels=32)
+
+
 def test_from_flat_layers_are_views_of_the_vector():
     params = init_params(MICRO, seed=4)
     v = np.arange(params.size, dtype=np.float64)

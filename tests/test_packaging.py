@@ -1,7 +1,8 @@
 """The declared runtime dependencies are exactly the third-party imports; every
 import of the package is used, every __all__ name is defined and every
 private top-level helper is referenced. Only numerics.dft2 names numpy's
-transforms, and only numerics.re_dot sums products. Importing the CLI loads no scipy, which only the tests use."""
+transforms, and only numerics.re_dot sums products. Importing the CLI loads no scipy, which only the tests use.
+The README's method_params table lists the keys cli.METHOD_PARAMS accepts."""
 
 import ast
 import os
@@ -172,3 +173,26 @@ def test_cli_import_loads_no_scipy():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
     result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=env)
     assert result.stdout.strip() == "[]"
+
+
+def _readme_method_keys(text: str) -> dict:
+    """method -> its row's keys in the README's method_params table: the first
+    backticked name of each comma-separated item of the second column."""
+    rows = {}
+    for line in text.splitlines():
+        cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+        if line.startswith("| `") and len(cells) == 3:
+            rows[cells[0].strip("`")] = re.findall(r"(?:^|, )`(\w+)`", cells[1])
+    return rows
+
+
+def test_readme_method_params_table_matches_cli():
+    from ktsecret.cli import METHOD_PARAMS
+
+    expected = {method: list(names) for method, (_, names) in METHOD_PARAMS.items()}
+    assert _readme_method_keys((ROOT / "README.md").read_text()) == expected
+
+
+def test_readme_table_scan_reads_keys_not_fields():
+    row = "| `cs` | `l1` (`lambda1`), `tol` | `ktsecret.cs.CsConfig` |\n| `zf` | none | |"
+    assert _readme_method_keys(row) == {"cs": ["l1", "tol"], "zf": []}

@@ -23,7 +23,7 @@ from ktsecret.recon import (
 )
 from ktsecret import recon
 from ktsecret.recon import _modl_sample_grad
-from conftest import at_1_and_2_blas_threads, crandn
+from conftest import at_1_and_4_blas_threads, crandn
 
 MICRO = NetConfig(frames=2, depth_levels=2, base_channels=2)
 
@@ -266,8 +266,8 @@ def test_training_does_not_depend_on_the_blas_thread_count():
         params, log = secret_train(data[:2], SecretConfig(epochs=3, seed=0), net_cfg, val_dataset=data[2:])
         return params.to_flat().tobytes(), log.train_loss, log.val_loss, log.grad_norm
 
-    one, two = at_1_and_2_blas_threads(train)
-    assert one == two
+    one, four = at_1_and_4_blas_threads(train)
+    assert one == four
 
 
 def test_train_log_grad_norm_of_zero_gradient_is_zero(monkeypatch):
