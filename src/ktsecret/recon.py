@@ -1,16 +1,18 @@
-"""Learned reconstruction: unrolled model-based (MoDL) and self-supervised
-(SECRET) training paths sharing one convolutional network.
+"""Learned reconstruction: one unrolled forward through one convolutional network.
 
-The data-consistency (DC) block solves (E^H E + lam*I) s = E^H d_u + lam*z.
-With one coil, a unitary frame-wise DFT F and a 0/1 mask M, E^H E + lam*I =
-F^H diag(M + lam) F, so no iterative solver is needed: s = F^H[(d_u + lam*F z)
-/ (M + lam)] exactly (the DC layer of Schlemper et al., IEEE TMI 2018). Its
-derivative w.r.t. z, lam*F^H diag(1/(M + lam)) F, is self-adjoint; the
-supervised path back-propagates through each DC block with it.
+The forward runs K shared-weight iterations of network then data-consistency
+(DC) solve; K = 0 is the network alone, single-pass SECRET. One loss serves
+both methods, chosen by sample kind: a bare KtData is scored by its sampled
+k-space residual (SECRET, self-supervised), a (KtData, target) pair by the
+image error (MoDL, supervised). secret_train refuses pairs, so no reference
+image ever reaches SECRET.
 
-The self-supervised path minimizes the k-space residual on sampled entries
-only and consumes datasets that are plain sequences of KtData: no reference
-image ever enters that code path.
+The DC block solves (E^H E + lam*I) s = E^H d_u + lam*z. With one coil, a
+unitary frame-wise DFT F and a 0/1 mask M, E^H E + lam*I = F^H diag(M + lam) F,
+so no iterative solver is needed: s = F^H[(d_u + lam*F z) / (M + lam)] exactly
+(the DC layer of Schlemper et al., IEEE TMI 2018). Its derivative w.r.t. z,
+lam*F^H diag(1/(M + lam)) F, is self-adjoint; the reverse pass applies it at
+each DC block.
 """
 
 from __future__ import annotations
@@ -114,59 +116,49 @@ def dc_solve(z_k: np.ndarray, d_u: KtData, lam: float):
     return dft2(s_k, "inverse"), DcInfo(residual, bool(np.isfinite(residual)), iterations=0)
 
 
-def modl_forward(s_u: np.ndarray, d_u: KtData, params: NetworkParams, cfg: ModlConfig,
-                 net_cfg: NetConfig, want_cache: bool = False):
-    """K unrolled iterations with shared weights: denoise, then DC solve."""
-    s = np.asarray(s_u, dtype=np.complex128)
-    caches = []
-    for _ in range(cfg.K):
+def _unroll(s_u: np.ndarray, d_u: KtData, params: NetworkParams, net_cfg: NetConfig, K: int, lam: float):
+    """K shared-weight iterations of network then DC solve, or the network alone
+    for K = 0 (single-pass SECRET); returns (output, net caches in order)."""
+    s, caches = s_u, []
+    for _ in range(max(K, 1)):
         z, cache = net_forward(s, params, net_cfg)
-        s, _ = dc_solve(z, d_u, cfg.lam)
-        if want_cache:
-            caches.append(cache)
-    return (s, caches) if want_cache else s
+        caches.append(cache)
+        s = dc_solve(z, d_u, lam)[0] if K else z
+    return s, caches
 
 
-def _modl_loss(d_u: KtData, target: np.ndarray, params: NetworkParams,
-               cfg: ModlConfig, net_cfg: NetConfig) -> float:
-    """Forward-only loss ||s_K - t||^2."""
-    diff = modl_forward(adjoint(d_u), d_u, params, cfg, net_cfg) - target
-    return re_dot(diff, diff)
+def _sample_loss(sample, params: NetworkParams, net_cfg: NetConfig, K: int, lam: float, grad: bool):
+    """Loss of one sample, and with grad also its flat parameter gradient.
 
-
-def _modl_sample_grad(d_u: KtData, target: np.ndarray, params: NetworkParams,
-                      cfg: ModlConfig, net_cfg: NetConfig):
-    """Loss ||s_K - t||^2 and its parameter gradient via implicit DC differentiation."""
-    s_u = adjoint(d_u)
-    s_k, caches = modl_forward(s_u, d_u, params, cfg, net_cfg, want_cache=True)
-    diff = s_k - target
-    loss = re_dot(diff, diff)
-    g = 2.0 * diff
-    g_theta = np.zeros(params.size)
+    A bare KtData is scored by the sampled k-space residual
+    ||mask * F(s) - d_u||^2, a (KtData, target) pair by the image error
+    ||s - target||^2, where s is the K-step unroll of the zero-filled image.
+    """
+    d_u, target = (sample, None) if isinstance(sample, KtData) else sample
+    s, caches = _unroll(adjoint(d_u), d_u, params, net_cfg, K, lam)
+    supervised = target is not None
+    r = s - target if supervised else dft2(s, "forward") * d_u.mask.bits - d_u.samples
+    loss = re_dot(r, r)
+    if not grad:
+        return loss
+    g = 2.0 * (r if supervised else dft2(r, "inverse"))  # E^H r: r is already zero off the mask
+    g_theta = None
     for cache in reversed(caches):
-        # d s_{k+1} / d z_k = lam * (E^H E + lam I)^{-1}, self-adjoint
-        gz = cfg.lam * dft2(_inverse_normal_k(dft2(g, "forward"), d_u.mask, cfg.lam), "inverse")
-        gt, g = net_backward(gz, cache, params)
-        g_theta += gt
+        if K:  # d s_{k+1} / d z_k = lam * (E^H E + lam I)^{-1}, self-adjoint
+            g = lam * dft2(_inverse_normal_k(dft2(g, "forward"), d_u.mask, lam), "inverse")
+        gt, g = net_backward(g, cache, params)
+        g_theta = gt if g_theta is None else g_theta + gt
     return loss, g_theta
 
 
-def _secret_forward(d_u: KtData, params: NetworkParams, net_cfg: NetConfig):
-    """Loss ||r||^2 of the sampled residual r = mask * F(C(s_u)) - d_u, r, and the net cache."""
-    s_hat, cache = net_forward(adjoint(d_u), params, net_cfg)
-    r = dft2(s_hat, "forward") * d_u.mask.bits - d_u.samples
-    return re_dot(r, r), r, cache
+def modl_forward(s_u: np.ndarray, d_u: KtData, params: NetworkParams, cfg: ModlConfig, net_cfg: NetConfig):
+    """K unrolled iterations with shared weights: denoise, then DC solve."""
+    return _unroll(s_u, d_u, params, net_cfg, cfg.K, cfg.lam)[0]
 
 
 def secret_loss(d_u: KtData, params: NetworkParams, net_cfg: NetConfig):
-    """Self-supervised k-space loss for one sample, with parameter gradient.
-
-    loss = || d_u - mask * F(C(s_u)) ||^2 over sampled entries.
-    """
-    loss, r, cache = _secret_forward(d_u, params, net_cfg)
-    g_out = 2.0 * dft2(r, "inverse")  # E^H r: r is already zero off the mask
-    g_theta, _ = net_backward(g_out, cache, params)
-    return loss, g_theta
+    """Self-supervised loss || d_u - mask * F(C(s_u)) ||^2 of one sample, with parameter gradient."""
+    return _sample_loss(d_u, params, net_cfg, 0, 0.0, grad=True)
 
 
 def _epoch_batches(n: int, batch: int, rng) -> list:
@@ -186,14 +178,18 @@ def _divergence_check(log: TrainLog):
         raise TrainingDiverged(str(exc), log) from exc
 
 
-def _check_shapes(dataset, val_dataset, net_cfg: NetConfig) -> None:
-    """Raises ValueError unless every sample's k-space has net_cfg.frames
-    frames and one shape, and every target of a (KtData, target) pair has
-    its sample's shape; a mismatch is a bad dataset, not a divergence."""
+def _check_shapes(dataset, val_dataset, net_cfg: NetConfig, paired: bool) -> None:
+    """Raises ValueError unless every sample is of its kind ((KtData, target)
+    pairs when paired, else bare KtData, so no reference enters SECRET), every
+    sample's k-space has net_cfg.frames frames and one shape, and every target
+    has its sample's shape; a mismatch is a bad dataset, not a divergence."""
     shape = None
-    for where, samples in (("dataset", dataset), ("val_dataset", val_dataset or ())):
+    for where, samples in (("dataset", dataset), ("val_dataset", val_dataset)):
         for i, sample in enumerate(samples):
-            d_u, target = (sample, None) if isinstance(sample, KtData) else sample
+            if isinstance(sample, KtData) == paired:
+                want = "a (KtData, target) pair" if paired else "a bare KtData (no reference)"
+                raise ValueError(f"{where}[{i}] is not {want}")
+            d_u, target = sample if paired else (sample, None)
             shape = shape or (net_cfg.frames,) + d_u.samples.shape[1:]
             if d_u.samples.shape != shape:
                 raise ValueError(f"{where}[{i}] has k-space shape {d_u.samples.shape}, expected {shape}")
@@ -201,16 +197,18 @@ def _check_shapes(dataset, val_dataset, net_cfg: NetConfig) -> None:
                 raise ValueError(f"{where}[{i}] has target shape {np.shape(target)}, expected {shape}")
 
 
-def _fit(dataset, loss_and_grad, loss_only, cfg, net_cfg: NetConfig, val_dataset):
+def _fit(dataset, cfg, net_cfg: NetConfig, val_dataset, K: int, lam: float):
     """Minibatch Adam on summed per-sample gradients; returns (params, TrainLog).
 
-    loss_and_grad(sample, params) -> (loss, flat gradient) drives the updates;
-    the forward-only loss_only(sample, params) scores the validation set after
-    every epoch. With a validation set the parameters of the lowest validation
-    loss are returned, otherwise those of the last epoch.
+    _sample_loss scores every sample through a K-step unroll: K = 0 takes bare
+    KtData (SECRET), K >= 1 takes (KtData, target) pairs (MoDL). It scores the
+    validation set, forward only, after every epoch. With a validation set the
+    parameters of the lowest validation loss are returned, else the last.
     """
-    dataset = list(dataset)
-    _check_shapes(dataset, val_dataset, net_cfg)
+    dataset, val_dataset = list(dataset), list(val_dataset or ())
+    if not dataset:
+        raise ValueError("dataset is empty")
+    _check_shapes(dataset, val_dataset, net_cfg, paired=K > 0)
     params = init_params(net_cfg, cfg.seed)
     theta = params.to_flat()
     state = AdamState.zeros(theta.size)
@@ -224,7 +222,7 @@ def _fit(dataset, loss_and_grad, loss_only, cfg, net_cfg: NetConfig, val_dataset
             g_total = np.zeros_like(theta)
             for i in batch:
                 with _divergence_check(log):
-                    loss, g = loss_and_grad(dataset[i], params)
+                    loss, g = _sample_loss(dataset[i], params, net_cfg, K, lam, grad=True)
                     if not (np.isfinite(loss) and np.all(np.isfinite(g))):
                         raise FloatingPointError("training loss or gradient became non-finite")
                 epoch_loss += loss
@@ -233,7 +231,8 @@ def _fit(dataset, loss_and_grad, loss_only, cfg, net_cfg: NetConfig, val_dataset
             theta, state = adam_step(theta, g_total, state, lr=cfg.lr)
             params = params.from_flat(theta)
         with _divergence_check(log):
-            val = sum(loss_only(sample, params) for sample in val_dataset) if val_dataset else np.nan
+            val = (sum(_sample_loss(sample, params, net_cfg, K, lam, grad=False) for sample in val_dataset)
+                   if val_dataset else np.nan)
             if val_dataset and not np.isfinite(val):
                 raise FloatingPointError("validation loss became non-finite")
         if val < best_val:
@@ -247,10 +246,7 @@ def modl_train(dataset, cfg: ModlConfig, net_cfg: NetConfig, val_dataset=None):
 
     A validation set of pairs selects the checkpoint, as in secret_train.
     """
-    return _fit(dataset,
-                lambda pair, params: _modl_sample_grad(*pair, params, cfg, net_cfg),
-                lambda pair, params: _modl_loss(*pair, params, cfg, net_cfg),
-                cfg, net_cfg, val_dataset)
+    return _fit(dataset, cfg, net_cfg, val_dataset, cfg.K, cfg.lam)
 
 
 def secret_train(dataset, cfg: SecretConfig, net_cfg: NetConfig, val_dataset=None):
@@ -259,13 +255,9 @@ def secret_train(dataset, cfg: SecretConfig, net_cfg: NetConfig, val_dataset=Non
     When a validation set is given, the parameters with the lowest validation
     loss are returned (checkpoint selection); otherwise the final epoch wins.
     """
-    return _fit(dataset,
-                lambda d_u, params: secret_loss(d_u, params, net_cfg),
-                lambda d_u, params: _secret_forward(d_u, params, net_cfg)[0],
-                cfg, net_cfg, val_dataset)
+    return _fit(dataset, cfg, net_cfg, val_dataset, 0, 0.0)
 
 
 def secret_infer(d_u: KtData, params: NetworkParams, net_cfg: NetConfig) -> np.ndarray:
     """Single-pass reconstruction: zero-filled adjoint, then the network."""
-    s_hat, _ = net_forward(adjoint(d_u), params, net_cfg)
-    return s_hat
+    return _unroll(adjoint(d_u), d_u, params, net_cfg, 0, 0.0)[0]

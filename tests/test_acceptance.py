@@ -27,7 +27,7 @@ from ktsecret.recon import (
     secret_loss,
     secret_train,
 )
-from ktsecret.recon import _modl_sample_grad
+from ktsecret.recon import _sample_loss
 from conftest import crandn
 
 # regression pin for the SECRET-at-10x K^Trans map (criterion 7); recorded
@@ -128,7 +128,7 @@ def test_criterion_2_differentiation():
     d4 = KtData(samples=dft2(img4, "forward") * mask4.bits, mask=mask4)
     target = crandn(rng, (4, 16, 16))
     mcfg = ModlConfig(K=2, lam=0.05)
-    _, g_m = _modl_sample_grad(d4, target, params4, mcfg, net4)
+    _, g_m = _sample_loss((d4, target), params4, net4, mcfg.K, mcfg.lam, grad=True)
     theta4 = params4.to_flat()
 
     def modl_loss(th):

@@ -22,7 +22,7 @@ from ktsecret.recon import (
     secret_train,
 )
 from ktsecret import recon
-from ktsecret.recon import _modl_sample_grad
+from ktsecret.recon import _sample_loss
 from conftest import at_1_and_4_blas_threads, crandn
 
 MICRO = NetConfig(frames=2, depth_levels=2, base_channels=2)
@@ -98,7 +98,7 @@ def test_modl_implicit_gradient_matches_dense_inverse(monkeypatch):
     seen = []
     backward = recon.net_backward
     monkeypatch.setattr(recon, "net_backward", lambda gz, *rest: seen.append(gz) or backward(gz, *rest))
-    _modl_sample_grad(d, target, params, cfg, MICRO)
+    _sample_loss((d, target), params, MICRO, cfg.K, cfg.lam, grad=True)
     g = 2.0 * (modl_forward(adjoint(d), d, params, cfg, MICRO) - target)
     expected = cfg.lam * np.linalg.solve(_dense_normal(d.mask, cfg.lam), g.ravel())
     assert np.linalg.norm(seen[0].ravel() - expected) <= 1e-10 * np.linalg.norm(expected)
@@ -152,7 +152,7 @@ def test_modl_implicit_gradient_matches_finite_differences():
     params = init_params(MICRO, 5)
     target = crandn(rng, (2, 8, 8))
     cfg = ModlConfig(K=2, lam=0.05)
-    _, g = _modl_sample_grad(d, target, params, cfg, MICRO)
+    _, g = _sample_loss((d, target), params, MICRO, cfg.K, cfg.lam, grad=True)
     theta = params.to_flat()
     h = 1e-5
 
@@ -244,12 +244,14 @@ def test_train_log_grad_norm_is_mean_minibatch_norm(monkeypatch):
     data, cfg_net = _grad_norm_case()
     norms = []
 
-    def recorded(d_u, params, net_cfg):
-        loss, g = secret_loss(d_u, params, net_cfg)
+    sample_loss = recon._sample_loss
+
+    def recorded(*args, grad):
+        loss, g = sample_loss(*args, grad=grad)
         norms.append(norm(g))  # batch 1: the minibatch gradient is g
         return loss, g
 
-    monkeypatch.setattr(recon, "secret_loss", recorded)
+    monkeypatch.setattr(recon, "_sample_loss", recorded)
     _, log = secret_train(data, SecretConfig(epochs=3, batch=1, seed=0), cfg_net)
     assert len(log.grad_norm) == 3 and len(norms) == 6
     assert np.all(np.isfinite(log.grad_norm))
@@ -272,7 +274,7 @@ def test_training_does_not_depend_on_the_blas_thread_count():
 
 def test_train_log_grad_norm_of_zero_gradient_is_zero(monkeypatch):
     data, cfg_net = _grad_norm_case()
-    monkeypatch.setattr(recon, "secret_loss", lambda d_u, params, net_cfg: (1.0, np.zeros(params.size)))
+    monkeypatch.setattr(recon, "_sample_loss", lambda sample, params, *args, grad: (1.0, np.zeros(params.size)))
     _, log = secret_train(data, SecretConfig(epochs=2, seed=0), cfg_net)
     assert log.grad_norm == [0.0, 0.0]
 
@@ -298,17 +300,19 @@ def test_secret_train_divergence_in_validation_aborts():
 
 
 def test_value_error_in_a_training_loss_is_not_relabelled(monkeypatch):
-    def broken(d_u, params, net_cfg):
+    def broken(*args, grad):
         raise ValueError("programming error")
 
-    monkeypatch.setattr(recon, "secret_loss", broken)
+    monkeypatch.setattr(recon, "_sample_loss", broken)
     with pytest.raises(ValueError, match="programming error"):
         secret_train([_micro_data(0)[1]], SecretConfig(epochs=1, seed=0), MICRO)
 
 
 def test_non_finite_validation_loss_diverges(monkeypatch):
     _, d = _micro_data(0)
-    monkeypatch.setattr(recon, "_modl_loss", lambda *args: np.nan)
+    sample_loss = recon._sample_loss
+    monkeypatch.setattr(recon, "_sample_loss",
+                        lambda *args, grad: sample_loss(*args, grad=grad) if grad else np.nan)
     pairs = [(d, adjoint(d))]
     with pytest.raises(TrainingDiverged, match="validation") as err:
         modl_train(pairs, ModlConfig(epochs=2, seed=0), MICRO, val_dataset=pairs)
@@ -425,13 +429,47 @@ def test_training_looks_up_losses_at_call_time_and_validates_forward_only(method
 
         monkeypatch.setattr(recon, name, wrapper)
 
-    for name in ("secret_loss", "modl_forward", "dc_solve", "net_backward"):
+    for name in ("dc_solve", "net_backward"):
         counting(name)
+    grads = []
+    sample_loss = recon._sample_loss
+    monkeypatch.setattr(recon, "_sample_loss",
+                        lambda *args, grad: grads.append(grad) or sample_loss(*args, grad=grad))
     train_fn(samples[:1], make_cfg(2), net_cfg, val_dataset=samples[1:])
     # one backward per training sample and epoch: validation runs forward only
+    assert grads == [True, False, True, False]
     assert calls["net_backward"] == 2
-    if method == "secret":
-        assert calls["secret_loss"] == 2
-    else:
-        assert calls["modl_forward"] == 4 and calls["dc_solve"] == 4
+    assert calls.get("dc_solve", 0) == (0 if method == "secret" else 4)
 
+
+@pytest.mark.parametrize("method", ["secret", "modl"])
+@pytest.mark.parametrize("where", ["dataset", "val_dataset"])
+def test_training_refuses_a_sample_of_the_other_kind(method, where):
+    # one loss serves both kinds of sample, so a pair would train SECRET on its reference
+    train_fn, make_cfg, net_cfg, samples = _checkpoint_case(method)
+    other = _checkpoint_case("modl" if method == "secret" else "secret")[3]
+    data = {"dataset": samples[:1], "val_dataset": samples[1:]}
+    data[where] = data[where] + other[:1]
+    want = "a bare KtData" if method == "secret" else r"a \(KtData, target\) pair"
+    with pytest.raises(ValueError, match=rf"^{where}\[1\] is not {want}"):
+        train_fn(data["dataset"], make_cfg(1), net_cfg, val_dataset=data["val_dataset"])
+
+
+@pytest.mark.parametrize("method", ["secret", "modl"])
+@pytest.mark.parametrize("make", [list, iter], ids=["list", "iterator"])
+def test_training_refuses_an_empty_dataset(method, make, monkeypatch):
+    train_fn, make_cfg, net_cfg, _ = _checkpoint_case(method)
+    monkeypatch.setattr(recon, "init_params", lambda *args: pytest.fail("an epoch began"))
+    with pytest.raises(ValueError, match="dataset is empty"):
+        train_fn(make([]), make_cfg(2), net_cfg)
+
+
+@pytest.mark.parametrize("method", ["secret", "modl"])
+def test_generator_validation_set_equals_list(method):
+    train_fn, make_cfg, net_cfg, samples = _checkpoint_case(method)
+    p_list, log_list = train_fn(samples[:1], make_cfg(3), net_cfg, val_dataset=samples[1:])
+    p_gen, log_gen = train_fn(samples[:1], make_cfg(3), net_cfg, val_dataset=(s for s in samples[1:]))
+    assert min(log_list.val_loss) > 0
+    assert (log_gen.train_loss, log_gen.val_loss, log_gen.grad_norm) == \
+        (log_list.train_loss, log_list.val_loss, log_list.grad_norm)
+    assert np.array_equal(p_gen.to_flat(), p_list.to_flat())
