@@ -18,8 +18,12 @@ in space and transposed (in <-> out). A 1x1 kernel is one GEMM, no copy.
 
 The parameters are one float64 vector that Adam steps and weight files store;
 the layers are views of it, and net_backward returns the gradient in its layout.
-Forward caches every intermediate needed for an exact reverse pass; gradients
-are validated against central finite differences in the test suite.
+Forward records, per op, only the array its reverse needs: a conv's input and a
+ReLU's output, which the ReLU writes into the conv output it consumes, so each
+activation is held once. net_backward frees that tape entry by entry as it
+goes, and refuses a cache it has already consumed. Adam updates its moments in
+place. Gradients are validated against central finite differences in the test
+suite.
 """
 
 from __future__ import annotations
@@ -212,22 +216,24 @@ def _conv_backward(gy, x, w):
 
 
 def net_forward(s_u: np.ndarray, params: NetworkParams, cfg: NetConfig):
-    """Run the network on a complex [T,H,W] series; returns (output, cache)."""
-    t, h, w = s_u.shape
-    if t != cfg.frames:
-        raise ValueError(f"series has {t} frames, config expects {cfg.frames}")
+    """Run the network on a complex [T,H,W] series; returns (output, cache).
+
+    The cache's tape holds what net_backward needs, and net_backward consumes it."""
+    if np.ndim(s_u) != 3 or s_u.shape[0] != cfg.frames:
+        raise ValueError(f"series of shape {np.shape(s_u)}, expected ({cfg.frames}, H, W)")
+    _, h, w = s_u.shape
     if h % 2 ** cfg.depth_levels or w % 2 ** cfg.depth_levels:
         raise ValueError(f"H,W must be divisible by {2 ** cfg.depth_levels}")
     x = to_channels(s_u)
     skips = {}
-    tape = []  # (op, input array) per executed op
+    tape = []  # per executed op: (op, a conv's input or a ReLU's output, else None)
     for op in _plan(cfg):
-        tape.append((op, x))
+        tape.append((op, x if op[0] in ("conv", "relu") else None))
         if op[0] == "conv":
             layer = params.layers[op[1]]
             x = _conv_forward(x, layer.weight, layer.bias)
         elif op[0] == "relu":
-            x = np.maximum(x, 0.0)
+            np.maximum(x, 0.0, out=x)  # x is a conv output no other op reads
         elif op[0] == "pool":
             c, hh, ww = x.shape
             x = x.reshape(c, hh // 2, 2, ww // 2, 2).mean(axis=(2, 4))
@@ -236,10 +242,10 @@ def net_forward(s_u: np.ndarray, params: NetworkParams, cfg: NetConfig):
         elif op[0] == "skip":
             skips[op[1]] = x
         elif op[0] == "concat":
-            x = np.concatenate([skips[op[1]], x], axis=0)
+            x = np.concatenate([skips.pop(op[1]), x], axis=0)
     avg = s_u.mean(axis=0)
     out = to_complex(x) + avg[None, :, :]
-    cache = {"tape": tape, "skips": skips, "cfg": cfg, "shape": s_u.shape}
+    cache = {"tape": tape, "cfg": cfg, "shape": s_u.shape}
     return out, cache
 
 
@@ -248,26 +254,34 @@ def net_backward(grad_out: np.ndarray, cache, params: NetworkParams):
 
     grad_out is complex [T,H,W] holding dL/d(real part) + i*dL/d(imag part)
     of the network output; the returned input gradient uses the same packing.
+    The cache's tape is released entry by entry, so a cache is reversed once;
+    its "cfg" and "shape" stay.
     """
     cfg: NetConfig = cache["cfg"]
+    if np.shape(grad_out) != cache["shape"]:
+        raise ValueError(f"grad_out of shape {np.shape(grad_out)}, expected the forward's {cache['shape']}")
+    tape = cache.pop("tape", None)
+    if tape is None:
+        raise ValueError("cache already consumed: net_backward reverses one net_forward once")
     gx = to_channels(grad_out)
     grad = params.from_flat(np.zeros(params.size))
-    gskips = {lvl: None for lvl in range(cfg.depth_levels)}
-    for op, x_in in reversed(cache["tape"]):
+    gskips = {}
+    while tape:
+        op, x_in = tape.pop()
         if op[0] == "conv":
             g = grad.layers[op[1]]
             g.weight[...], g.bias[...], gx = _conv_backward(gx, x_in, params.layers[op[1]].weight)
         elif op[0] == "relu":
-            gx = gx * (x_in > 0)
+            gx = gx * (x_in > 0)  # x_in is the ReLU's output: positive exactly where its input was
         elif op[0] == "pool":
             gx = np.repeat(np.repeat(gx, 2, axis=1), 2, axis=2) / 4.0
         elif op[0] == "up":
-            c, hh, ww = x_in.shape
-            gx = gx.reshape(c, hh, 2, ww, 2).sum(axis=(2, 4))
+            c, hh, ww = gx.shape
+            gx = gx.reshape(c, hh // 2, 2, ww // 2, 2).sum(axis=(2, 4))
         elif op[0] == "skip":
-            gx = gx + gskips[op[1]]
+            gx = gx + gskips.pop(op[1])
         elif op[0] == "concat":
-            c_skip = cache["skips"][op[1]].shape[0]
+            c_skip = cfg.base_channels * 2 ** op[1]  # the skip's channels come first
             gskips[op[1]] = gx[:c_skip]
             gx = gx[c_skip:]
     # residual path: every output frame sees the temporal average of the input
@@ -288,14 +302,23 @@ class AdamState:
 
 
 def adam_step(theta: np.ndarray, grad: np.ndarray, state: AdamState, lr: float):
-    """One bias-corrected Adam update on flat parameter vectors (beta1 0.9, beta2 0.999, eps 1e-8)."""
+    """One bias-corrected Adam update on flat parameter vectors (beta1 0.9, beta2 0.999, eps 1e-8).
+
+    Updates state.m and state.v in place, not theta; the new theta is one of two scratch
+    vectors. The allocating formula's operations run in its order, so the bits are its bits."""
     beta1, beta2, eps = 0.9, 0.999, 1e-8
-    if theta.shape != grad.shape or theta.shape != state.m.shape:
+    if not theta.shape == grad.shape == state.m.shape == state.v.shape:
         raise ValueError("theta, grad and state shapes must agree")
     step = state.step + 1
-    m = beta1 * state.m + (1 - beta1) * grad
-    v = beta2 * state.v + (1 - beta2) * grad ** 2
-    m_hat = m / (1 - beta1 ** step)
-    v_hat = v / (1 - beta2 ** step)
-    theta_new = theta - lr * m_hat / (np.sqrt(v_hat) + eps)
-    return theta_new, AdamState(m=m, v=v, step=step)
+    m, v = state.m, state.v
+    a, b = np.empty_like(theta), np.empty_like(theta)
+    m *= beta1
+    m += np.multiply(1 - beta1, grad, out=a)
+    v *= beta2
+    v += np.multiply(1 - beta2, np.square(grad, out=a), out=a)
+    m_hat = np.divide(m, 1 - beta1 ** step, out=a)
+    denom = np.sqrt(np.divide(v, 1 - beta2 ** step, out=b), out=b)
+    denom += eps
+    update = np.multiply(lr, m_hat, out=a)
+    update /= denom
+    return np.subtract(theta, update, out=b), AdamState(m=m, v=v, step=step)

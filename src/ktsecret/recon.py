@@ -12,7 +12,10 @@ unitary frame-wise DFT F and a 0/1 mask M, E^H E + lam*I = F^H diag(M + lam) F,
 so no iterative solver is needed: s = F^H[(d_u + lam*F z) / (M + lam)] exactly
 (the DC layer of Schlemper et al., IEEE TMI 2018). Its derivative w.r.t. z,
 lam*F^H diag(1/(M + lam)) F, is self-adjoint; the reverse pass applies it at
-each DC block.
+each DC block. Only a loss with a gradient keeps the K network caches (the
+activation tapes) for its reverse pass, which frees each as it goes; a
+forward-only unroll drops each tape when its network pass returns, so
+inference holds one tape whatever K is.
 """
 
 from __future__ import annotations
@@ -116,15 +119,19 @@ def dc_solve(z_k: np.ndarray, d_u: KtData, lam: float):
     return dft2(s_k, "inverse"), DcInfo(residual, bool(np.isfinite(residual)), iterations=0)
 
 
-def _unroll(s_u: np.ndarray, d_u: KtData, params: NetworkParams, net_cfg: NetConfig, K: int, lam: float):
+def _unroll(s_u: np.ndarray, d_u: KtData, params: NetworkParams, net_cfg: NetConfig, K: int, lam: float,
+            caches: list | None = None):
     """K shared-weight iterations of network then DC solve, or the network alone
-    for K = 0 (single-pass SECRET); returns (output, net caches in order)."""
-    s, caches = s_u, []
+    for K = 0 (single-pass SECRET); returns the output. The net caches are
+    appended to `caches` in order when a list is given, else dropped."""
+    s = s_u
     for _ in range(max(K, 1)):
         z, cache = net_forward(s, params, net_cfg)
-        caches.append(cache)
+        if caches is not None:
+            caches.append(cache)
+        del cache  # else the next net_forward would run while this tape is still held
         s = dc_solve(z, d_u, lam)[0] if K else z
-    return s, caches
+    return s
 
 
 def _sample_loss(sample, params: NetworkParams, net_cfg: NetConfig, K: int, lam: float, grad: bool):
@@ -135,7 +142,8 @@ def _sample_loss(sample, params: NetworkParams, net_cfg: NetConfig, K: int, lam:
     ||s - target||^2, where s is the K-step unroll of the zero-filled image.
     """
     d_u, target = (sample, None) if isinstance(sample, KtData) else sample
-    s, caches = _unroll(adjoint(d_u), d_u, params, net_cfg, K, lam)
+    caches = [] if grad else None
+    s = _unroll(adjoint(d_u), d_u, params, net_cfg, K, lam, caches)
     supervised = target is not None
     r = s - target if supervised else dft2(s, "forward") * d_u.mask.bits - d_u.samples
     loss = re_dot(r, r)
@@ -147,13 +155,13 @@ def _sample_loss(sample, params: NetworkParams, net_cfg: NetConfig, K: int, lam:
         if K:  # d s_{k+1} / d z_k = lam * (E^H E + lam I)^{-1}, self-adjoint
             g = lam * dft2(_inverse_normal_k(dft2(g, "forward"), d_u.mask, lam), "inverse")
         gt, g = net_backward(g, cache, params)
-        g_theta = gt if g_theta is None else g_theta + gt
+        g_theta = gt if g_theta is None else np.add(g_theta, gt, out=g_theta)
     return loss, g_theta
 
 
 def modl_forward(s_u: np.ndarray, d_u: KtData, params: NetworkParams, cfg: ModlConfig, net_cfg: NetConfig):
     """K unrolled iterations with shared weights: denoise, then DC solve."""
-    return _unroll(s_u, d_u, params, net_cfg, cfg.K, cfg.lam)[0]
+    return _unroll(s_u, d_u, params, net_cfg, cfg.K, cfg.lam)
 
 
 def secret_loss(d_u: KtData, params: NetworkParams, net_cfg: NetConfig):
@@ -214,7 +222,7 @@ def _fit(dataset, cfg, net_cfg: NetConfig, val_dataset, K: int, lam: float):
     state = AdamState.zeros(theta.size)
     rng = np.random.default_rng(cfg.seed)
     log = TrainLog()
-    best_params, best_val = params, np.inf
+    best_params, best_val = None, np.inf  # params would pin the initial vector for a run without validation
     for _ in range(cfg.epochs):
         t_start = time.perf_counter()
         epoch_loss, grad_norms = 0.0, []
@@ -260,4 +268,4 @@ def secret_train(dataset, cfg: SecretConfig, net_cfg: NetConfig, val_dataset=Non
 
 def secret_infer(d_u: KtData, params: NetworkParams, net_cfg: NetConfig) -> np.ndarray:
     """Single-pass reconstruction: zero-filled adjoint, then the network."""
-    return _unroll(adjoint(d_u), d_u, params, net_cfg, 0, 0.0)[0]
+    return _unroll(adjoint(d_u), d_u, params, net_cfg, 0, 0.0)

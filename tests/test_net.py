@@ -225,6 +225,77 @@ def test_net_backward_peak_memory_stays_below_three_parameter_vectors(rng):
     assert peak < 3 * params.to_flat().nbytes
 
 
+def test_net_forward_holds_each_activation_once(rng):
+    # the ReLU rectifies its conv output in place, and only conv inputs and ReLU outputs are
+    # taped: 2,743 KiB with the output when each ReLU and upsampling kept its own copy
+    cfg = NetConfig(frames=8)
+    params = init_params(cfg, seed=0)
+    s = crandn(rng, (8, 32, 32))
+    tracemalloc.start()
+    try:
+        out, cache = net_forward(s, params, cfg)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held < 1800 * 1024
+
+
+def test_net_backward_refuses_a_consumed_cache():
+    _, params, s, target = _micro_setup()
+    out, cache = net_forward(s, params, MICRO)
+    g_theta, _ = net_backward(2.0 * (out - target), cache, params)
+    assert np.abs(g_theta).max() > 0
+    with pytest.raises(ValueError, match="cache already consumed"):
+        net_backward(2.0 * (out - target), cache, params)
+    assert cache["cfg"] == MICRO and cache["shape"] == s.shape
+
+
+def test_net_forward_names_the_shapes_of_a_series_that_is_not_three_dimensional():
+    cfg = NetConfig(frames=8)
+    with pytest.raises(ValueError, match=r"series of shape \(8, 32\), expected \(8, H, W\)"):
+        net_forward(np.zeros((8, 32)), init_params(cfg, 0), cfg)
+
+
+def test_net_backward_names_the_shapes_of_a_mismatched_gradient():
+    _, params, s, _ = _micro_setup()
+    out, cache = net_forward(s, params, MICRO)
+    with pytest.raises(ValueError, match=r"grad_out of shape \(2, 8, 4\), expected the forward's \(2, 8, 8\)"):
+        net_backward(out[:, :, :4], cache, params)
+    net_backward(out, cache, params)  # the refused call left the tape in place
+
+
+def _adam_reference(theta, grad, state, lr):
+    """The allocating textbook step that adam_step reproduces bit for bit."""
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    step = state.step + 1
+    m = beta1 * state.m + (1 - beta1) * grad
+    v = beta2 * state.v + (1 - beta2) * grad ** 2
+    m_hat = m / (1 - beta1 ** step)
+    v_hat = v / (1 - beta2 ** step)
+    return theta - lr * m_hat / (np.sqrt(v_hat) + eps), AdamState(m=m, v=v, step=step)
+
+
+def test_adam_in_place_step_is_bit_equal_to_the_allocating_formula(rng):
+    theta = rng.standard_normal(257)
+    ref_theta, ref_state = theta.copy(), AdamState.zeros(theta.size)
+    state = AdamState.zeros(theta.size)
+    for _ in range(20):
+        grad = rng.standard_normal(theta.size) * rng.uniform(1e-6, 1e3)
+        theta, state = adam_step(theta, grad, state, lr=1e-3)
+        ref_theta, ref_state = _adam_reference(ref_theta, grad, ref_state, lr=1e-3)
+        for a, b in ((theta, ref_theta), (state.m, ref_state.m), (state.v, ref_state.v)):
+            assert np.array_equal(a.view(np.int64), b.view(np.int64))
+    assert state.step == ref_state.step == 20
+
+
+def test_adam_leaves_theta_unwritten():
+    # training keeps the best epoch's parameters as views of an earlier theta
+    theta = np.array([1.0, -2.0, 3.0])
+    kept = theta.copy()
+    adam_step(theta, np.array([0.5, 0.5, -0.5]), AdamState.zeros(3), lr=1e-1)
+    assert np.array_equal(theta, kept)
+
+
 def test_init_deterministic():
     a = init_params(NetConfig(frames=2), seed=11).to_flat()
     b = init_params(NetConfig(frames=2), seed=11).to_flat()

@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -124,6 +125,23 @@ def test_modl_forward_k10_differs_from_k1():
     s1 = modl_forward(adjoint(d), d, params, ModlConfig(K=1), cfg_net)
     s10 = modl_forward(adjoint(d), d, params, ModlConfig(K=10), cfg_net)
     assert np.linalg.norm(s10 - s1) > 1e-6
+
+
+def test_modl_forward_memory_does_not_grow_with_K():
+    # inference keeps no tape past its network pass: 26.3 against 5.9 MiB when every tape was kept
+    truth = synthesize(PhantomSpec(h=32, w=32, t=8, seed=1))
+    d = corrupt(truth, make_radial_mask(8, 32, 32, 10.0, seed=1), 0.0, seed=0)
+    cfg_net = NetConfig(frames=8)
+    params, s_u = init_params(cfg_net, 3), adjoint(d)
+    peaks = {}
+    for K in (2, 10):
+        tracemalloc.start()
+        try:
+            modl_forward(s_u, d, params, ModlConfig(K=K), cfg_net)
+            peaks[K] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[10] - peaks[2] < 0.5 * 2 ** 20
 
 
 def test_modl_forward_full_mask_recovers_reference():
