@@ -2,10 +2,10 @@
 evaluation, quantification and an end-to-end pipeline.
 
 All tensors are exchanged via the KTSR container (see container.py); masks and weights
-carry JSON sidecars. Every subcommand is deterministic given its --seed: its containers
-are byte-identical run to run on one machine. For every method, no container, PGM,
-metric or logged loss depends on the BLAS thread count (tested at 1 and 4 threads):
-every sum of products is numerics.re_dot, not a BLAS reduction. So a pipeline
+carry JSON sidecars. Every subcommand is deterministic given its inputs and, if it draws
+at random, its --seed: its containers are byte-identical run to run on one machine. For
+every method, no container, PGM, metric or logged loss depends on the BLAS thread count
+(tested at 1 and 4 threads): every sum of products is numerics.re_dot, not a BLAS reduction. So a pipeline
 acceleration's files and metrics.csv rows do not depend on the others in its sweep.
 No pipeline reconstruction reads the phantom's reference images: SECRET trains on the
 measurement alone, and the supervised MoDL only reads a weight file. KTSECRET_THREADS
@@ -33,7 +33,8 @@ import numpy as np
 
 from . import cs as cs_mod
 from . import kinetics
-from .container import ContainerError, load_params, load_tensor, read_sidecar, save_params, save_tensor
+from .container import (ContainerError, load_params, load_tensor, read_json_object, read_sidecar, save_params,
+                        save_tensor)
 from .encoding import KtData, SamplingMask, adjoint, make_radial_mask, radial_budget
 from .net import NetConfig
 from .numerics import is_int, is_real
@@ -68,7 +69,7 @@ METHOD_PARAMS = {
 # epochs than the library's. Its MoDL reads weights: trained here, it would learn the reference.
 SECRET_PIPELINE_EPOCHS = 30
 # Config options of the subcommands, in the same form: key -> config field,
-# given as --key with "_" written "-" (every subcommand has its own --seed).
+# given as --key with "_" written "-".
 SUBCOMMAND_OPTIONS = {
     # noise_sigma is the pipeline's alone: corrupt takes its own --noise
     "phantom": (PhantomSpec, {"regions" if f.name == "n_tissue_regions" else f.name: f.name
@@ -77,6 +78,9 @@ SUBCOMMAND_OPTIONS = {
     "train-secret": (SecretConfig, {**METHOD_PARAMS["secret"][1], "batch": "batch"}),
     "train-modl": (ModlConfig, {**METHOD_PARAMS["modl"][1], **TRAINING, "batch": "batch"}),
 }
+# The subcommands that read --seed, and its default; the pipeline's None keeps the config's seed.
+SEED_DEFAULTS = {"phantom": PhantomSpec.seed, "mask": 0, "corrupt": 0, "train-secret": 0, "train-modl": 0,
+                 "pipeline": None}
 
 
 class ConfigError(ValueError):
@@ -285,9 +289,9 @@ def cmd_recon_nn(args) -> int:
     values = {"K": args.K} if lam is None else {"K": args.K, "lambda": lam}
     cfg = _build(ModlConfig, values, args.command, METHOD_PARAMS["modl"][1]) if args.K > 0 else None
     d_u = load_ktdata(args.data, args.mask)
-    pretrained = load_params(args.weights)
+    params = _load_weights(args.weights, d_u.samples.shape, args.command)
     t0 = time.perf_counter()
-    s, _ = _reconstruct("secret" if cfg is None else "modl", d_u, cfg, pretrained)
+    s, _ = _reconstruct("secret" if cfg is None else "modl", d_u, cfg, params)
     print(f"inference wall time: {time.perf_counter() - t0:.3f} s")
     save_tensor(args.out, s)
     return 0
@@ -392,23 +396,19 @@ def _accel_dir(accel) -> str:
     return f"R{accel:g}"
 
 
-def _load_weights(path, spec: PhantomSpec):
-    """(params, NetConfig) of a pretrained weight file whose network fits the phantom."""
+def _load_weights(path, shape, where: str):
+    """A weight file's NetworkParams if they fit a [T,H,W] series of `shape`, else ConfigError("<where>: …")."""
     try:
-        params, net_cfg = load_params(path)
-    except (ContainerError, OSError) as exc:
-        raise ConfigError(f"method_params.weights: {exc}") from exc
-    step = 2 ** net_cfg.depth_levels
-    if net_cfg.frames != spec.t or spec.h % step or spec.w % step:
-        raise ConfigError(f"method_params.weights: a network of {net_cfg.frames} frames and "
-                          f"{net_cfg.depth_levels} pooling levels does not fit a "
-                          f"{spec.t}x{spec.h}x{spec.w} phantom")
-    return params, net_cfg
+        params = load_params(path)
+        params.cfg.check_fits(shape)
+    except (ValueError, OSError) as exc:  # ContainerError is a ValueError
+        raise ConfigError(f"{where}: {exc}") from exc
+    return params
 
 
 def _parse_config(config):
     """Checks a run config, and loads its pretrained weights; returns (PhantomSpec,
-    accels, method config, (params, NetConfig) or None)."""
+    accels, method config, NetworkParams or None)."""
     _check_keys(config, "config", RUN_KEYS, RUN_KEYS[:-1])
     _check(is_int(config["seed"]) and config["seed"] >= 0, "seed", config["seed"])
     _check(isinstance(config["output_dir"], str), "output_dir", config["output_dir"])
@@ -427,24 +427,24 @@ def _parse_config(config):
             raise ConfigError(f"mask.accel: {exc}") from exc
     _check(config["method"] in METHOD_PARAMS, "method", config["method"])
     cfg, weights = _method_config(config["method"], config.get("method_params", {}), config["seed"])
-    return spec, accels, cfg, None if weights is None else _load_weights(weights, spec)
+    shape = (spec.t, spec.h, spec.w)
+    return spec, accels, cfg, None if weights is None else _load_weights(weights, shape, "method_params.weights")
 
 
-def _reconstruct(method: str, d_u: KtData, cfg, pretrained):
+def _reconstruct(method: str, d_u: KtData, cfg, params):
     if method == "zf":
         return adjoint(d_u), None
     if method == "cs":
         return cs_mod.cs_reconstruct(d_u, cfg)
-    params, net_cfg = pretrained or (None, NetConfig(frames=d_u.samples.shape[0]))
-    if method == "modl":  # _parse_config has loaded its weights
-        return modl_forward(adjoint(d_u), d_u, params, cfg, net_cfg), None
+    if method == "modl":  # _load_weights has loaded its params
+        return modl_forward(adjoint(d_u), d_u, params, cfg, params.cfg), None
     if params is None:  # scan-specific SECRET: trains on the measurement alone
-        params, _ = secret_train([d_u], cfg, net_cfg)
-    return secret_infer(d_u, params, net_cfg), None
+        params, _ = secret_train([d_u], cfg, NetConfig(frames=d_u.samples.shape[0]))
+    return secret_infer(d_u, params, params.cfg), None
 
 
 def run_pipeline(config: dict) -> int:
-    spec, accels, cfg, pretrained = _parse_config(config)
+    spec, accels, cfg, params = _parse_config(config)
     workers = min(worker_count(), len(accels))
     out_dir = Path(config["output_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -460,7 +460,7 @@ def run_pipeline(config: dict) -> int:
         save_mask(sub / "mask.ktsr", mask, config["mask"]["seed"])
         d_u = corrupt(truth, mask, spec.noise_sigma, seed)
         save_tensor(sub / "data.ktsr", d_u.samples)
-        recon, cs_log = _reconstruct(method, d_u, cfg, pretrained)
+        recon, cs_log = _reconstruct(method, d_u, cfg, params)
         save_tensor(sub / "recon.ktsr", recon)
         zf = adjoint(d_u)
         save_tensor(sub / "recon_zf.ktsr", zf)
@@ -491,8 +491,11 @@ def run_pipeline(config: dict) -> int:
 
 
 def cmd_pipeline(args) -> int:
-    config = json.loads(Path(args.config).read_text())
-    if args.seed is not None:
+    try:
+        config = read_json_object(args.config)
+    except ContainerError as exc:
+        raise ConfigError(str(exc)) from None
+    if args.seed is not None:  # run_pipeline checks it with the rest
         config["seed"] = args.seed
     return run_pipeline(config)
 
@@ -504,12 +507,14 @@ def build_parser() -> argparse.ArgumentParser:
                                      description="Dynamic (k,t)-space reconstruction toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name: str, func, summary: str, *required: str, seed=0):
-        """A subcommand: --seed, the required string options, then the
-        options of SUBCOMMAND_OPTIONS[name], each typed and defaulted by its
-        config field (a tuple field takes that many floats)."""
+    def command(name: str, func, summary: str, *required: str):
+        """A subcommand: --seed if it reads one (SEED_DEFAULTS), the required
+        string options, then the options of SUBCOMMAND_OPTIONS[name], each
+        typed and defaulted by its config field (a tuple field takes that
+        many floats)."""
         p = sub.add_parser(name, help=summary)
-        p.add_argument("--seed", type=int, default=seed)
+        if name in SEED_DEFAULTS:
+            p.add_argument("--seed", type=int, default=SEED_DEFAULTS[name])
         for option in required:
             p.add_argument(f"--{option}", required=True)
         cls, names = SUBCOMMAND_OPTIONS.get(name, (None, {}))
@@ -521,7 +526,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func)
         return p
 
-    command("phantom", cmd_phantom, "generate a synthetic dynamic phantom", "out", seed=PhantomSpec.seed)
+    command("phantom", cmd_phantom, "generate a synthetic dynamic phantom", "out")
 
     p = command("mask", cmd_mask, "generate a golden-angle radial (k,t) mask", "out")
     p.add_argument("--t", type=int, required=True)
@@ -558,7 +563,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--row", type=int, required=True)
     p.add_argument("--out-prefix", required=True)
 
-    command("pipeline", cmd_pipeline, "phantom -> mask -> recon -> evaluate -> quantify", "config", seed=None)
+    command("pipeline", cmd_pipeline, "phantom -> mask -> recon -> evaluate -> quantify", "config")
 
     return parser
 

@@ -26,8 +26,8 @@ VERSION = 2  # 1: the CRC covers the payload only
 _DTYPES = {1: np.float64, 2: np.complex128}
 _CODES = {np.dtype(np.float64): 1, np.dtype(np.complex128): 2}
 
-__all__ = ["save_tensor", "load_tensor", "save_params", "load_params", "read_sidecar",
-           "ContainerError"]
+__all__ = ["save_tensor", "load_tensor", "save_params", "load_params", "read_json_object",
+           "read_sidecar", "ContainerError"]
 
 
 class ContainerError(ValueError):
@@ -82,14 +82,20 @@ def save_params(path, params: NetworkParams) -> None:
     save_tensor(path, params.to_flat())
 
 
+def read_json_object(path) -> dict:
+    """The JSON object in the UTF-8 file at path; ContainerError naming the file otherwise."""
+    try:
+        meta = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as err:
+        raise ContainerError(f"{path} is not UTF-8 JSON: {err}") from None
+    if not isinstance(meta, dict):
+        raise ContainerError(f"{path} is not a JSON object")
+    return meta
+
+
 def read_sidecar(path, types: dict) -> dict:
     """The JSON object in <path>.json; ContainerError unless each key in `types` has its type."""
-    try:
-        meta = json.loads(Path(str(path) + ".json").read_text())
-    except json.JSONDecodeError as err:
-        raise ContainerError(f"{path}.json is not JSON: {err}") from None
-    if not isinstance(meta, dict):
-        raise ContainerError(f"{path}.json is not a JSON object")
+    meta = read_json_object(str(path) + ".json")
     for key, kind in types.items():
         value = meta.get(key)
         if isinstance(value, bool) or not isinstance(value, kind):
@@ -97,8 +103,8 @@ def read_sidecar(path, types: dict) -> dict:
     return meta
 
 
-def load_params(path):
-    """Returns (NetworkParams, NetConfig); rejects descriptor/tensor mismatch and non-finite weights."""
+def load_params(path) -> NetworkParams:
+    """The NetworkParams of a weight file; rejects descriptor/tensor mismatch and non-finite weights."""
     names = [f.name for f in fields(NetConfig)]
     descriptor = read_sidecar(path, dict.fromkeys(["version", *names, "param_count"], int))
     if descriptor["version"] != 1:
@@ -116,4 +122,4 @@ def load_params(path):
         raise ContainerError(f"weight vector does not match architecture descriptor: {err}") from None
     if not np.all(np.isfinite(flat)):
         raise ContainerError("weight vector holds NaN or inf")
-    return params, params.cfg
+    return params

@@ -64,6 +64,12 @@ class NetConfig:
     def io_channels(self) -> int:
         return 2 * self.frames
 
+    def check_fits(self, shape: tuple) -> None:
+        """Raises ValueError unless `shape` is [frames, H, W] with H, W multiples of 2**depth_levels."""
+        n = 2 ** self.depth_levels
+        if len(shape) != 3 or shape[0] != self.frames or shape[1] % n or shape[2] % n:
+            raise ValueError(f"series of shape {shape}, expected ({self.frames}, H, W), H and W multiples of {n}")
+
 
 @dataclass
 class ConvLayer:
@@ -216,14 +222,12 @@ def _conv_backward(gy, x, w):
 
 
 def net_forward(s_u: np.ndarray, params: NetworkParams, cfg: NetConfig):
-    """Run the network on a complex [T,H,W] series; returns (output, cache).
+    """Run the network on a complex [T,H,W] series; returns (output, cache). cfg must be params.cfg.
 
     The cache's tape holds what net_backward needs, and net_backward consumes it."""
-    if np.ndim(s_u) != 3 or s_u.shape[0] != cfg.frames:
-        raise ValueError(f"series of shape {np.shape(s_u)}, expected ({cfg.frames}, H, W)")
-    _, h, w = s_u.shape
-    if h % 2 ** cfg.depth_levels or w % 2 ** cfg.depth_levels:
-        raise ValueError(f"H,W must be divisible by {2 ** cfg.depth_levels}")
+    if cfg != params.cfg:
+        raise ValueError(f"{cfg} is not the parameters' {params.cfg}")
+    cfg.check_fits(np.shape(s_u))
     x = to_channels(s_u)
     skips = {}
     tape = []  # per executed op: (op, a conv's input or a ReLU's output, else None)

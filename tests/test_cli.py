@@ -3,6 +3,7 @@ import dataclasses
 import json
 import logging
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -17,15 +18,16 @@ from ktsecret.cli import (
     build_parser,
     load_mask,
     main,
+    save_mask,
     run_pipeline,
     worker_count,
     write_pgm,
 )
 from ktsecret.cs import CsConfig, cs_reconstruct
 from ktsecret.recon import ModlConfig, SecretConfig
-from ktsecret.container import load_tensor, save_params
+from ktsecret.container import load_tensor, save_params, save_tensor
 from ktsecret.encoding import adjoint, make_radial_mask
-from ktsecret.net import NetConfig, init_params
+from ktsecret.net import NetConfig, NetworkParams, init_params
 from ktsecret.phantom import PhantomSpec, corrupt, synthesize
 from conftest import openblas_threads
 
@@ -166,7 +168,7 @@ def _stub_recon_nn(monkeypatch, seen):
     truth = synthesize(PhantomSpec(h=16, w=16, t=8, seed=1))
     d = corrupt(truth, make_radial_mask(8, 16, 16, 4.0, seed=0), 0.0, seed=0)
     monkeypatch.setattr(cli, "load_ktdata", lambda data, mask: d)
-    monkeypatch.setattr(cli, "load_params", lambda path: (None, NetConfig(frames=8)))
+    monkeypatch.setattr(cli, "load_params", lambda path: NetworkParams(NetConfig(frames=8)))
     monkeypatch.setattr(cli, "secret_infer", lambda d_u, params, net_cfg: adjoint(d_u))
     monkeypatch.setattr(cli, "modl_forward", lambda s_u, d_u, params, cfg, net_cfg: seen.append(cfg) or s_u)
 
@@ -761,7 +763,7 @@ def _save_weights(path, **net):
     return str(path)
 
 
-@pytest.mark.parametrize("case", ["missing", "corrupt", "huge", "frames", "depth"])
+@pytest.mark.parametrize("case", ["missing", "corrupt", "huge", "frames", "depth", "not-utf8"])
 def test_pipeline_checks_pretrained_weights_before_writing(tmp_path, case):
     weights = tmp_path / "w.ktsr"
     if case == "corrupt":
@@ -771,6 +773,10 @@ def test_pipeline_checks_pretrained_weights_before_writing(tmp_path, case):
         _save_weights(weights)
         sidecar = Path(str(weights) + ".json")
         sidecar.write_text(json.dumps({**json.loads(sidecar.read_text()), "frames": 10 ** 18}))
+    elif case == "not-utf8":  # a descriptor behind a UTF-16 byte-order mark
+        _save_weights(weights)
+        sidecar = Path(str(weights) + ".json")
+        sidecar.write_bytes(b"\xff\xfe" + sidecar.read_bytes())
     elif case != "missing":
         _save_weights(weights, **({"frames": 16} if case == "frames" else {"depth_levels": 5}))
     cfg = _valid_config(tmp_path, "secret", weights=str(weights))  # a 16x16x8 phantom
@@ -822,3 +828,80 @@ def test_pipeline_reads_pretrained_weights_once_per_sweep(tmp_path, monkeypatch)
     assert run_pipeline(cfg) == 0
     assert calls == [weights]
     assert all((tmp_path / "out" / sub / "recon.ktsr").exists() for sub in ("R3", "R4"))
+
+
+@pytest.mark.parametrize("net, message", [
+    ({"frames": 16}, r"series of shape \(8, 16, 16\), expected \(16, H, W\)"),
+    ({"depth_levels": 5}, r"series of shape \(8, 16, 16\), expected \(8, H, W\), H and W multiples of 32"),
+], ids=["frames", "depth"])
+@pytest.mark.parametrize("K", [0, 2])
+def test_recon_nn_refuses_weights_that_do_not_fit_before_writing(tmp_path, capsys, net, message, K):
+    mask = make_radial_mask(8, 16, 16, 4.0, seed=0)  # 8 frames of 16x16
+    save_mask(tmp_path / "m.ktsr", mask, seed=0)
+    save_tensor(tmp_path / "d.ktsr", np.zeros(mask.shape, dtype=complex))
+    argv = ["recon-nn", "--data", tmp_path / "d.ktsr", "--mask", tmp_path / "m.ktsr", "--K", K,
+            "--weights", _save_weights(tmp_path / "w.ktsr", **net), "--out", tmp_path / "nn.ktsr"]
+    with pytest.raises(ConfigError, match="^recon-nn: " + message):
+        cli.cmd_recon_nn(build_parser().parse_args([str(a) for a in argv]))
+    assert run(*argv) == 1
+    assert re.search("error: recon-nn: " + message, capsys.readouterr().err)
+    assert not (tmp_path / "nn.ktsr").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["recon-zf", "--data", "d", "--mask", "m", "--out", "o"],
+    ["recon-cs", "--data", "d", "--mask", "m", "--out", "o"],
+    ["recon-nn", "--data", "d", "--mask", "m", "--weights", "w", "--out", "o"],
+    ["evaluate", "--recon", "r", "--ref", "f", "--out", "o"],
+    ["quantify", "--recon", "r", "--aif", "a", "--roi", "q", "--dt", "2", "--out-prefix", "o"],
+    ["profile", "--inputs", "i", "--row", "0", "--out-prefix", "o"],
+], ids=lambda argv: argv[0])
+def test_a_command_that_draws_nothing_at_random_refuses_seed(argv, capsys):
+    build_parser().parse_args(argv)
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args([*argv, "--seed", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, message", [("[1, 2]", "is not a JSON object"), ('{"seed": ', "is not UTF-8 JSON")],
+                         ids=["list", "not-json"])
+def test_pipeline_config_that_is_not_a_json_object_is_a_config_error_naming_it(tmp_path, capsys, text, message):
+    path = tmp_path / "c.json"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match=f"^{re.escape(str(path))} {message}"):
+        cli.cmd_pipeline(build_parser().parse_args(["pipeline", "--config", str(path), "--seed", "3"]))
+    assert run("pipeline", "--config", path, "--seed", 3) == 1
+    assert f"error: {path} {message}" in capsys.readouterr().err
+
+
+def test_pipeline_seed_option_overrides_the_config_seed(tmp_path):
+    def data_of(name, seed, *option):
+        cfg = _valid_config(tmp_path / name)
+        cfg["seed"], cfg["phantom"]["noise_sigma"] = seed, 0.02  # the run seed draws the noise
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(cfg))
+        assert run("pipeline", "--config", path, *option) == 0
+        return (Path(cfg["output_dir"]) / "R3" / "data.ktsr").read_bytes()
+
+    overridden = data_of("option", 5, "--seed", 9)
+    assert overridden == data_of("config", 9)
+    assert overridden != data_of("default", 5)
+
+
+def test_a_second_pipeline_run_into_one_output_dir_replaces_metrics_csv(tmp_path):
+    cfg = _valid_config(tmp_path)
+    assert run_pipeline(cfg) == 0
+    first = (tmp_path / "out" / "metrics.csv").read_bytes()
+    assert len(first.splitlines()) == 1 + 2 * (8 + 1)  # header, then per accel 8 frames and a mean
+    assert run_pipeline(cfg) == 0
+    assert (tmp_path / "out" / "metrics.csv").read_bytes() == first
+
+
+def test_train_secret_on_a_directory_without_samples_exits_1_naming_it(tmp_path, capsys):
+    data_dir = tmp_path / "empty"
+    data_dir.mkdir()
+    (data_dir / "notes.txt").write_text("")  # a file is not a sample directory
+    assert run("train-secret", "--data-dir", data_dir, "--weights", tmp_path / "w.ktsr", "--epochs", 1) == 1
+    assert f"no sample directories under {data_dir}" in capsys.readouterr().err
+    assert not (tmp_path / "w.ktsr").exists()

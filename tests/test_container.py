@@ -1,4 +1,5 @@
 import json
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -63,8 +64,8 @@ def test_params_round_trip(tmp_path):
     cfg = NetConfig(frames=2, base_channels=4)
     params = init_params(cfg, seed=3)
     save_params(tmp_path / "w.ktsr", params)
-    loaded, loaded_cfg = load_params(tmp_path / "w.ktsr")
-    assert loaded_cfg == cfg
+    loaded = load_params(tmp_path / "w.ktsr")
+    assert loaded.cfg == cfg
     assert np.array_equal(loaded.to_flat(), params.to_flat())
 
 
@@ -170,6 +171,11 @@ def _without(meta, key):
     return {k: v for k, v in meta.items() if k != key}
 
 
+def _utf16(meta):
+    """The sidecar as UTF-16 with its byte-order mark, which is not UTF-8."""
+    return b"\xff\xfe" + json.dumps(meta).encode("utf-16-le")
+
+
 @pytest.mark.parametrize("saved,load,edit", [
     (_saved_params, load_params, lambda meta: _without(meta, "frames")),
     (_saved_params, load_params, lambda meta: list(meta.values())),
@@ -190,14 +196,35 @@ def _without(meta, key):
     (_saved_phantom, _load_phantom, lambda meta: [1]),
     (_saved_phantom, _load_phantom, lambda meta: '{"dt": '),
     (_saved_phantom, _load_phantom, lambda meta: {**meta, "dt": "2"}),
+    (_saved_params, load_params, lambda meta: {**meta, "version": 2}),
+    (_saved_params, load_params, _utf16),
+    (_saved_mask, load_mask, _utf16),
+    (_saved_phantom, _load_phantom, _utf16),
 ], ids=["params-no-frames", "params-list", "params-str-frames", "params-zero-frames",
         "params-bool-depth", "params-null-version", "params-huge-frames",
         "params-huge-base-channels", "params-huge-depth", "mask-empty", "mask-str-accel", "mask-list",
         "params-not-json", "mask-not-json", "phantom-empty", "phantom-list", "phantom-not-json",
-        "phantom-str-dt"])
+        "phantom-str-dt", "params-version-2", "params-not-utf8", "mask-not-utf8", "phantom-not-utf8"])
 def test_malformed_sidecar_raises_container_error(tmp_path, saved, load, edit):
     path, meta = saved(tmp_path)
-    sidecar = edit(meta)  # a str is written as is, anything else as JSON
-    Path(str(path) + ".json").write_text(sidecar if isinstance(sidecar, str) else json.dumps(sidecar))
+    sidecar = edit(meta)  # str and bytes are written as they are, anything else as JSON
+    if not isinstance(sidecar, bytes):
+        sidecar = (sidecar if isinstance(sidecar, str) else json.dumps(sidecar)).encode()
+    Path(str(path) + ".json").write_bytes(sidecar)
     with pytest.raises(ContainerError):
         load(path)
+
+
+@pytest.mark.parametrize("version, code, message", [
+    (0, 1, "unsupported version 0"), (3, 1, "unsupported version 3"),
+    (2, 0, "unknown dtype code 0"), (2, 3, "unknown dtype code 3"),
+])
+def test_unsupported_version_or_dtype_code_rejected(tmp_path, version, code, message):
+    path = tmp_path / "t.ktsr"
+    save_tensor(path, np.arange(4.0))
+    blob = bytearray(path.read_bytes())
+    struct.pack_into("<HB", blob, 4, version, code)
+    path.write_bytes(bytes(blob))
+    with pytest.raises(ContainerError, match=f"^{message}$"):
+        load_tensor(path)
+

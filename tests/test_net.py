@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -254,6 +255,26 @@ def test_net_forward_names_the_shapes_of_a_series_that_is_not_three_dimensional(
     cfg = NetConfig(frames=8)
     with pytest.raises(ValueError, match=r"series of shape \(8, 32\), expected \(8, H, W\)"):
         net_forward(np.zeros((8, 32)), init_params(cfg, 0), cfg)
+
+
+@pytest.mark.parametrize("shape", [(8, 32, 32, 1), (4, 32, 32), (8, 30, 32), (8, 32, 2)])
+def test_check_fits_refuses_a_series_of_other_frames_or_a_size_its_pooling_does_not_divide(shape):
+    cfg = NetConfig(frames=8)
+    cfg.check_fits((8, 32, 4))
+    with pytest.raises(ValueError, match=r"expected \(8, H, W\), H and W multiples of 4$"):
+        cfg.check_fits(shape)
+    with pytest.raises(ValueError, match=rf"series of shape \({', '.join(map(str, shape))}\)"):
+        net_forward(np.zeros(shape, dtype=complex), init_params(cfg, 0), cfg)
+
+
+def test_net_forward_refuses_a_config_that_is_not_the_parameters():
+    _, params, s, _ = _micro_setup()
+    other = NetConfig(frames=2, depth_levels=2, base_channels=4)
+    message = f"{other!r} is not the parameters' {MICRO!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        net_forward(s, params, other)
+    out, _ = net_forward(s, params, NetConfig(frames=2, depth_levels=2, base_channels=2))  # an equal config
+    assert np.array_equal(out, net_forward(s, params, MICRO)[0])
 
 
 def test_net_backward_names_the_shapes_of_a_mismatched_gradient():

@@ -491,3 +491,16 @@ def test_generator_validation_set_equals_list(method):
     assert (log_gen.train_loss, log_gen.val_loss, log_gen.grad_norm) == \
         (log_list.train_loss, log_list.val_loss, log_list.grad_norm)
     assert np.array_equal(p_gen.to_flat(), p_list.to_flat())
+
+
+@pytest.mark.parametrize("infer", ["secret_infer", "modl_forward"])
+def test_inference_refuses_a_config_that_is_not_the_parameters(infer):
+    _, d = _micro_data(3)
+    params = init_params(MICRO, seed=0)
+    other = NetConfig(frames=2, depth_levels=1, base_channels=2)
+    run = {"secret_infer": lambda cfg: secret_infer(d, params, cfg),
+           "modl_forward": lambda cfg: modl_forward(adjoint(d), d, params, ModlConfig(K=2), cfg)}[infer]
+    with pytest.raises(ValueError, match=r"NetConfig\(frames=2, depth_levels=1, .* is not the parameters' "
+                                         r"NetConfig\(frames=2, depth_levels=2, base_channels=2\)"):
+        run(other)
+    assert run(MICRO).shape == d.samples.shape
