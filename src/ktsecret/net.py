@@ -6,6 +6,14 @@ pairs, 2x average pooling down, nearest-neighbor upsampling with skip
 concatenation up, a final 1x1 conv back to 2T channels, and a residual path
 that adds the temporal-average image of the input to every output frame.
 
+Pooling and its adjoint work on the four strided 2x2 phases x[:, i::2, j::2]:
+a 2x2 block sum is (top pair) + (bottom pair), bit-equal to numpy's
+reshape(C, h, 2, w, 2).sum(axis=(2, 4)), and the pool divides it by 4.
+Upsampling and its skip concatenation are one op, "upcat": the skip is copied
+into the head channels of one buffer and each phase of the tail is a copy of
+the coarse input. Its reverse slices off the skip's gradient and block-sums
+the rest; the pool's reverse writes gX / 4 into the four phases of one buffer.
+
 Every layer, 3x3 or 1x1, is one 'same' convolution with the kernel size read
 from the weight's shape, computed without a patch matrix: the input is
 zero-padded by p = k//2 and flattened once per channel, and each of the k*k
@@ -22,7 +30,8 @@ Forward records, per op, only the array its reverse needs: a conv's input and a
 ReLU's output, which the ReLU writes into the conv output it consumes, so each
 activation is held once. net_backward frees that tape entry by entry as it
 goes, and refuses a cache it has already consumed. Adam updates its moments in
-place. Gradients are validated against central finite differences in the test
+place, block by block, so its elementwise passes run over cache-sized slices.
+Gradients are validated against central finite differences in the test
 suite.
 """
 
@@ -46,6 +55,8 @@ __all__ = [
     "to_channels",
     "to_complex",
 ]
+
+_ADAM_BLOCK = 16384  # 128 KiB per vector: a block of theta, grad, m, v, new theta and two scratch fits L2
 
 
 @dataclass(frozen=True)
@@ -130,7 +141,7 @@ def _plan(cfg: NetConfig):
     ch_in = bott
     for lvl in reversed(range(cfg.depth_levels)):
         ch = cfg.base_channels * 2 ** lvl
-        ops += [("up",), ("concat", lvl)]
+        ops.append(("upcat", lvl))
         conv(3, ch_in + ch, ch)
         ops.append(("relu",))
         conv(3, ch, ch)
@@ -161,6 +172,22 @@ def to_complex(x: np.ndarray) -> np.ndarray:
     return x[:t] + 1j * x[t:]
 
 
+def _sum2x2(x):
+    """[C, 2h, 2w] -> [C, h, w], each 2x2 block summed as (top pair) + (bottom pair):
+    the pairing bit-equal to x.reshape(C, h, 2, w, 2).sum(axis=(2, 4))."""
+    s = x[:, 0::2, 0::2] + x[:, 0::2, 1::2]
+    s += x[:, 1::2, 0::2] + x[:, 1::2, 1::2]
+    return s
+
+
+def _upsample_into(out, y):
+    """Writes the nearest-neighbor 2x upsampling of y [C, h, w] into out [C, 2h, 2w]; returns out."""
+    for i in (0, 1):
+        for j in (0, 1):
+            out[:, i::2, j::2] = y
+    return out
+
+
 def _pad_flat(x, p):
     """[C,H,W] -> [C, (H+2p)(W+2p) + 2p]: each channel zero-padded by p on every
     side and flattened, then 2p trailing zeros so the last tap's window stays in
@@ -187,7 +214,8 @@ def _tap_sum(xp, w, h, wd):
     y = w[:, :, 0, 0] @ xp[:, :n]
     if k > 1:
         prod = np.empty_like(y)
-        for dy, dx in list(np.ndindex(k, k))[1:]:
+        for tap in range(1, k * k):
+            dy, dx = divmod(tap, k)
             off = dy * wp + dx
             y += np.matmul(w[:, :, dy, dx], xp[:, off:off + n], out=prod)
     return y.reshape(cout, h, wp)[:, :, :wd]
@@ -214,7 +242,8 @@ def _conv_backward(gy, x, w):
     xp, gyp = _pad_flat(x, p), _pad_flat(gy, p)
     gy_raster = gyp[:, p * wp + p:p * wp + p + n]  # the centre tap's window of the padded gY
     gw = np.empty((k, k, cout, cin))
-    for dy, dx in np.ndindex(k, k):
+    for tap in range(k * k):
+        dy, dx = divmod(tap, k)
         off = dy * wp + dx
         np.matmul(gy_raster, xp[:, off:off + n].T, out=gw[dy, dx])
     gx = _tap_sum(gyp, w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3), h, wd)
@@ -239,14 +268,17 @@ def net_forward(s_u: np.ndarray, params: NetworkParams, cfg: NetConfig):
         elif op[0] == "relu":
             np.maximum(x, 0.0, out=x)  # x is a conv output no other op reads
         elif op[0] == "pool":
-            c, hh, ww = x.shape
-            x = x.reshape(c, hh // 2, 2, ww // 2, 2).mean(axis=(2, 4))
-        elif op[0] == "up":
-            x = np.repeat(np.repeat(x, 2, axis=1), 2, axis=2)
+            x = _sum2x2(x)
+            x /= 4.0
         elif op[0] == "skip":
             skips[op[1]] = x
-        elif op[0] == "concat":
-            x = np.concatenate([skips.pop(op[1]), x], axis=0)
+        elif op[0] == "upcat":
+            skip = skips.pop(op[1])
+            c_skip = skip.shape[0]
+            cat = np.empty((c_skip + x.shape[0],) + skip.shape[1:])
+            cat[:c_skip] = skip
+            _upsample_into(cat[c_skip:], x)
+            x = cat
     avg = s_u.mean(axis=0)
     out = to_complex(x) + avg[None, :, :]
     cache = {"tape": tape, "cfg": cfg, "shape": s_u.shape}
@@ -276,18 +308,18 @@ def net_backward(grad_out: np.ndarray, cache, params: NetworkParams):
             g = grad.layers[op[1]]
             g.weight[...], g.bias[...], gx = _conv_backward(gx, x_in, params.layers[op[1]].weight)
         elif op[0] == "relu":
-            gx = gx * (x_in > 0)  # x_in is the ReLU's output: positive exactly where its input was
+            # x_in is the ReLU's output: positive exactly where its input was. A new array, as
+            # gx may be a view of a tap-sum raster, which an in-place product would keep alive
+            gx = gx * (x_in > 0)
         elif op[0] == "pool":
-            gx = np.repeat(np.repeat(gx, 2, axis=1), 2, axis=2) / 4.0
-        elif op[0] == "up":
             c, hh, ww = gx.shape
-            gx = gx.reshape(c, hh // 2, 2, ww // 2, 2).sum(axis=(2, 4))
+            gx = _upsample_into(np.empty((c, 2 * hh, 2 * ww)), gx / 4.0)
         elif op[0] == "skip":
             gx = gx + gskips.pop(op[1])
-        elif op[0] == "concat":
+        elif op[0] == "upcat":
             c_skip = cfg.base_channels * 2 ** op[1]  # the skip's channels come first
             gskips[op[1]] = gx[:c_skip]
-            gx = gx[c_skip:]
+            gx = _sum2x2(gx[c_skip:])
     # residual path: every output frame sees the temporal average of the input
     g_residual = grad_out.sum(axis=0) / cfg.frames
     grad_in = to_complex(gx) + g_residual[None, :, :]
@@ -308,21 +340,27 @@ class AdamState:
 def adam_step(theta: np.ndarray, grad: np.ndarray, state: AdamState, lr: float):
     """One bias-corrected Adam update on flat parameter vectors (beta1 0.9, beta2 0.999, eps 1e-8).
 
-    Updates state.m and state.v in place, not theta; the new theta is one of two scratch
-    vectors. The allocating formula's operations run in its order, so the bits are its bits."""
+    Updates state.m and state.v in place, not theta, and returns a new theta. The vectors are
+    stepped in blocks of _ADAM_BLOCK elements through two block-sized scratch vectors; the
+    allocating formula's operations run in its order, so the bits are its bits."""
     beta1, beta2, eps = 0.9, 0.999, 1e-8
-    if not theta.shape == grad.shape == state.m.shape == state.v.shape:
-        raise ValueError("theta, grad and state shapes must agree")
+    if theta.ndim != 1 or not theta.shape == grad.shape == state.m.shape == state.v.shape:
+        raise ValueError("theta, grad and state must be vectors of one shape")
     step = state.step + 1
-    m, v = state.m, state.v
-    a, b = np.empty_like(theta), np.empty_like(theta)
-    m *= beta1
-    m += np.multiply(1 - beta1, grad, out=a)
-    v *= beta2
-    v += np.multiply(1 - beta2, np.square(grad, out=a), out=a)
-    m_hat = np.divide(m, 1 - beta1 ** step, out=a)
-    denom = np.sqrt(np.divide(v, 1 - beta2 ** step, out=b), out=b)
-    denom += eps
-    update = np.multiply(lr, m_hat, out=a)
-    update /= denom
-    return np.subtract(theta, update, out=b), AdamState(m=m, v=v, step=step)
+    new_theta = np.empty_like(theta)
+    scratch_a, scratch_b = np.empty((2, min(theta.size, _ADAM_BLOCK)))
+    for i in range(0, theta.size, _ADAM_BLOCK):
+        block = slice(i, i + _ADAM_BLOCK)
+        m, v, g = state.m[block], state.v[block], grad[block]
+        a, b = scratch_a[:m.size], scratch_b[:m.size]
+        m *= beta1
+        m += np.multiply(1 - beta1, g, out=a)
+        v *= beta2
+        v += np.multiply(1 - beta2, np.square(g, out=a), out=a)
+        m_hat = np.divide(m, 1 - beta1 ** step, out=a)
+        denom = np.sqrt(np.divide(v, 1 - beta2 ** step, out=b), out=b)
+        denom += eps
+        update = np.multiply(lr, m_hat, out=a)
+        update /= denom
+        np.subtract(theta[block], update, out=new_theta[block])
+    return new_theta, AdamState(m=state.m, v=state.v, step=step)

@@ -70,8 +70,13 @@ class PhantomTruth:
 def gamma_variate_aif(t_axis: np.ndarray, t0: float, alpha: float, beta: float, scale: float) -> np.ndarray:
     """Gamma-variate bolus curve, peak value `scale` at t = t0 + alpha*beta."""
     t_axis = np.asarray(t_axis, dtype=float)
+    if not np.all(np.isfinite(t_axis)):
+        raise ValueError("t_axis must be finite")
     if np.any(np.diff(t_axis) <= 0):
         raise ValueError("t_axis must be strictly increasing")
+    for name, value in (("t0", t0), ("alpha", alpha), ("beta", beta), ("scale", scale)):
+        if not is_real(value):
+            raise ValueError(f"{name} must be a finite real, not {value!r}")
     if alpha <= 0 or beta <= 0 or scale <= 0:
         raise ValueError("alpha, beta, scale must be positive")
     tau = t_axis - t0

@@ -227,14 +227,14 @@ def _fit(dataset, cfg, net_cfg: NetConfig, val_dataset, K: int, lam: float):
         t_start = time.perf_counter()
         epoch_loss, grad_norms = 0.0, []
         for batch in _epoch_batches(len(dataset), cfg.batch, rng):
-            g_total = np.zeros_like(theta)
+            g_total = None
             for i in batch:
                 with _divergence_check(log):
                     loss, g = _sample_loss(dataset[i], params, net_cfg, K, lam, grad=True)
                     if not (np.isfinite(loss) and np.all(np.isfinite(g))):
                         raise FloatingPointError("training loss or gradient became non-finite")
                 epoch_loss += loss
-                g_total += g
+                g_total = g if g_total is None else np.add(g_total, g, out=g_total)
             grad_norms.append(norm(g_total))
             theta, state = adam_step(theta, g_total, state, lr=cfg.lr)
             params = params.from_flat(theta)

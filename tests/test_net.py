@@ -6,10 +6,13 @@ import pytest
 from numpy.testing import assert_allclose
 
 from ktsecret.net import (
+    _ADAM_BLOCK,
     AdamState,
     NetConfig,
     _conv_backward,
     _conv_forward,
+    _sum2x2,
+    _upsample_into,
     adam_step,
     init_params,
     net_backward,
@@ -285,6 +288,36 @@ def test_net_backward_names_the_shapes_of_a_mismatched_gradient():
     net_backward(out, cache, params)  # the refused call left the tape in place
 
 
+POOL_SHAPES = [(16, 32, 32), (32, 16, 16), (64, 8, 8), (3, 4, 4)]  # the default net's levels at 32², odd C
+
+
+def _wide_range(rng, shape):
+    return rng.standard_normal(shape) * np.exp(rng.uniform(-15, 15, shape))
+
+
+@pytest.mark.parametrize("shape", POOL_SHAPES)
+def test_pooling_helpers_are_bit_equal_to_the_reshape_and_repeat_references(rng, shape):
+    c, h, w = shape
+    x = _wide_range(rng, shape)
+    blocks = x.reshape(c, h // 2, 2, w // 2, 2)
+    assert np.array_equal(_sum2x2(x).view(np.int64), blocks.sum(axis=(2, 4)).view(np.int64))
+    pooled = _sum2x2(x)
+    pooled /= 4.0  # the forward's pool
+    assert np.array_equal(pooled.view(np.int64), blocks.mean(axis=(2, 4)).view(np.int64))
+    y = _wide_range(rng, (c, h // 2, w // 2))
+    up = _upsample_into(np.empty(shape), y)
+    assert np.array_equal(up.view(np.int64), np.repeat(np.repeat(y, 2, axis=1), 2, axis=2).view(np.int64))
+
+
+@pytest.mark.parametrize("shape", POOL_SHAPES)
+def test_upsampling_is_the_adjoint_of_the_2x2_block_sum(rng, shape):
+    c, h, w = shape
+    x, y = rng.standard_normal(shape), rng.standard_normal((c, h // 2, w // 2))
+    lhs = np.sum(_upsample_into(np.empty(shape), y) * x)
+    rhs = np.sum(y * _sum2x2(x))
+    assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), 1.0)
+
+
 def _adam_reference(theta, grad, state, lr):
     """The allocating textbook step that adam_step reproduces bit for bit."""
     beta1, beta2, eps = 0.9, 0.999, 1e-8
@@ -297,16 +330,25 @@ def _adam_reference(theta, grad, state, lr):
 
 
 def test_adam_in_place_step_is_bit_equal_to_the_allocating_formula(rng):
-    theta = rng.standard_normal(257)
-    ref_theta, ref_state = theta.copy(), AdamState.zeros(theta.size)
-    state = AdamState.zeros(theta.size)
-    for _ in range(20):
-        grad = rng.standard_normal(theta.size) * rng.uniform(1e-6, 1e3)
-        theta, state = adam_step(theta, grad, state, lr=1e-3)
-        ref_theta, ref_state = _adam_reference(ref_theta, grad, ref_state, lr=1e-3)
-        for a, b in ((theta, ref_theta), (state.m, ref_state.m), (state.v, ref_state.v)):
-            assert np.array_equal(a.view(np.int64), b.view(np.int64))
-    assert state.step == ref_state.step == 20
+    # within one block, and at and across the edges of the blocks adam_step steps in
+    for size in (257, 1, _ADAM_BLOCK - 1, _ADAM_BLOCK, _ADAM_BLOCK + 1, 120_400):
+        theta = rng.standard_normal(size)
+        ref_theta, ref_state = theta.copy(), AdamState.zeros(theta.size)
+        state = AdamState.zeros(theta.size)
+        for _ in range(20):
+            grad = rng.standard_normal(theta.size) * rng.uniform(1e-6, 1e3)
+            theta, state = adam_step(theta, grad, state, lr=1e-3)
+            ref_theta, ref_state = _adam_reference(ref_theta, grad, ref_state, lr=1e-3)
+            for a, b in ((theta, ref_theta), (state.m, ref_state.m), (state.v, ref_state.v)):
+                assert np.array_equal(a.view(np.int64), b.view(np.int64))
+        assert state.step == ref_state.step == 20
+
+
+def test_adam_refuses_vectors_of_other_shapes_or_more_than_one_axis():
+    with pytest.raises(ValueError, match="vectors of one shape"):
+        adam_step(np.zeros(3), np.zeros(4), AdamState.zeros(3), lr=1e-3)
+    with pytest.raises(ValueError, match="vectors of one shape"):
+        adam_step(np.zeros((2, 3)), np.zeros((2, 3)), AdamState(np.zeros((2, 3)), np.zeros((2, 3))), lr=1e-3)
 
 
 def test_adam_leaves_theta_unwritten():

@@ -31,6 +31,20 @@ def test_aif_rejects_non_monotone_axis():
         gamma_variate_aif(np.array([0.0, 2.0, 1.0]), 0.0, 2.0, 4.0, 1.0)
 
 
+_AIF_ARGS = {"t_axis": np.arange(8.0), "t0": 1.0, "alpha": 2.0, "beta": 4.0, "scale": 1.0}
+
+
+@pytest.mark.parametrize("name, value", [
+    ("t0", np.nan), ("t0", np.inf), ("alpha", np.nan), ("alpha", True), ("beta", np.inf),
+    ("beta", -np.inf), ("scale", np.nan), ("scale", "1"),
+    ("t_axis", np.array([0.0, np.nan, 2.0])), ("t_axis", np.array([0.0, 1.0, np.inf])),
+], ids=["t0-nan", "t0-inf", "alpha-nan", "alpha-bool", "beta-inf", "beta-minus-inf", "scale-nan", "scale-str",
+        "t_axis-nan", "t_axis-inf"])
+def test_aif_refuses_non_finite_or_non_real_arguments(name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        gamma_variate_aif(**{**_AIF_ARGS, name: value})
+
+
 def test_synthesize_deterministic():
     spec = PhantomSpec(h=32, w=32, t=8, seed=7)
     a, b = synthesize(spec), synthesize(spec)
