@@ -172,37 +172,32 @@ def load_phantom(out_dir: Path) -> PhantomTruth:
     return PhantomTruth(**arrays, dt=float(read_sidecar(out_dir / "spec", {"dt": (int, float)})["dt"]))
 
 
-def append_metrics(csv_path: Path, method: str, accel: float, phantom_id: str,
-                   report: kinetics.MetricsReport) -> None:
-    new = not csv_path.exists()
-    with open(csv_path, "a", newline="") as f:
+def write_csv(path, header, rows, append: bool = False) -> None:
+    """The package's one CSV writer: header, then rows. With append the rows go
+    after an existing file's, and the header is written only to a new file."""
+    new = not (append and Path(path).exists())
+    with open(path, "a" if append else "w", newline="") as f:
         writer = csv.writer(f)
         if new:
-            writer.writerow(METRICS_HEADER)
-        for i in range(len(report.psnr_frames)):
-            writer.writerow([method, accel, phantom_id, i,
-                             report.psnr_frames[i], report.ssim_frames[i], report.nrmse_frames[i]])
-        writer.writerow([method, accel, phantom_id, "mean", report.psnr, report.ssim, report.nrmse])
+            writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _metrics_rows(method: str, accel: float, phantom_id: str, report: kinetics.MetricsReport) -> list:
+    """METRICS_HEADER rows of one report: one per frame, then the mean."""
+    frames = zip(range(len(report.psnr_frames)), report.psnr_frames, report.ssim_frames, report.nrmse_frames)
+    return ([[method, accel, phantom_id, *row] for row in frames]
+            + [[method, accel, phantom_id, "mean", report.psnr, report.ssim, report.nrmse]])
 
 
 def write_convergence(path, log) -> None:
     """Writes a CS ConvergenceLog as CSV; a stalled line search is also logged
     as a warning that names the file."""
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["iteration", "objective", "backtracks"])
-        # backtracks[i] is the number of rejected trials on the step to iterate i + 1
-        writer.writerows(zip(range(len(log.objective)), log.objective, ["", *log.backtracks]))
+    # backtracks[i] is the number of rejected trials on the step to iterate i + 1
+    write_csv(path, ["iteration", "objective", "backtracks"],
+              zip(range(len(log.objective)), log.objective, ["", *log.backtracks]))
     if log.line_search_failed:
         logger.warning("CS line search stalled (%s): returned the last accepted iterate", path)
-
-
-def write_trainlog(path, log) -> None:
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["epoch", "train_loss", "val_loss", "seconds", "grad_norm"])
-        for i, row in enumerate(zip(log.train_loss, log.val_loss, log.seconds, log.grad_norm)):
-            writer.writerow([i, *row])
 
 
 def _load_dataset(data_dir: Path, supervised: bool):
@@ -268,7 +263,8 @@ def _train(args, train_fn, cfg, supervised: bool) -> int:
     net_cfg = NetConfig(frames=d_u.samples.shape[0])
     params, log = train_fn(dataset, cfg, net_cfg)
     save_params(args.weights, params)
-    write_trainlog(Path(str(args.weights) + ".trainlog.csv"), log)
+    write_csv(str(args.weights) + ".trainlog.csv", ["epoch", "train_loss", "val_loss", "seconds", "grad_norm"],
+              ([i, *row] for i, row in enumerate(zip(log.train_loss, log.val_loss, log.seconds, log.grad_norm))))
     return 0
 
 
@@ -301,7 +297,8 @@ def cmd_evaluate(args) -> int:
     recon = load_tensor(args.recon)
     ref = load_tensor(args.ref)
     report = kinetics.evaluate_series(recon, ref)
-    append_metrics(Path(args.out), args.method, args.accel, args.phantom_id, report)
+    rows = _metrics_rows(args.method, args.accel, args.phantom_id, report)
+    write_csv(args.out, METRICS_HEADER, rows, append=True)
     print(f"psnr={report.psnr:.3f} dB  ssim={report.ssim:.4f}  nrmse={report.nrmse:.4f}")
     return 0
 
@@ -337,13 +334,9 @@ def cmd_profile(args) -> int:
     prefix = Path(args.out_prefix)
     prefix.parent.mkdir(parents=True, exist_ok=True)
     write_pgm(str(prefix) + ".pgm", panel)
-    with open(str(prefix) + ".csv", "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["input", "frame", "x", "magnitude"])
-        for idx, s in enumerate(series_list):
-            for fr in range(t):
-                for x in range(w):
-                    writer.writerow([idx, fr, x, abs(s[fr, args.row, x])])
+    write_csv(str(prefix) + ".csv", ["input", "frame", "x", "magnitude"],
+              ([idx, fr, x, abs(s[fr, args.row, x])] for idx, s in enumerate(series_list)
+               for fr in range(t) for x in range(w)))
     return 0
 
 
@@ -482,11 +475,9 @@ def run_pipeline(config: dict) -> int:
 
     with _blas_threads_per_worker(workers), ThreadPoolExecutor(max_workers=workers) as pool:
         results = list(pool.map(run_one, accels))
-    metrics_path = out_dir / "metrics.csv"
-    if metrics_path.exists():
-        metrics_path.unlink()
-    for accel, report in results:
-        append_metrics(metrics_path, method, accel, f"phantom{spec.seed}", report)
+    phantom_id = f"phantom{spec.seed}"
+    write_csv(out_dir / "metrics.csv", METRICS_HEADER,
+              [row for accel, report in results for row in _metrics_rows(method, accel, phantom_id, report)])
     return 0
 
 

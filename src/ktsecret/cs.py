@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .encoding import KtData, adjoint
+from .encoding import KtData, adjoint, check_image_shape
 from .numerics import (
     as_complex_tensor,
     check_fields,
@@ -130,8 +130,7 @@ def _gradient(images: np.ndarray, w: np.ndarray, cfg: CsConfig, g: np.ndarray,
 
 def _point_images(s: np.ndarray, d_u: KtData) -> np.ndarray:
     s = as_complex_tensor(s)
-    if s.shape != d_u.mask.shape:
-        raise ValueError(f"image shape {s.shape} != mask shape {d_u.mask.shape}")
+    check_image_shape(s, d_u.mask)
     return _images(s, d_u.mask, d_u.samples, np.empty((4, *s.shape), np.complex128))
 
 

@@ -16,8 +16,13 @@ from .numerics import as_complex_tensor, check_pow2, dft2, is_real
 
 GOLDEN_ANGLE_DEG = 111.246117975
 
-__all__ = ["SamplingMask", "KtData", "make_radial_mask", "radial_budget", "encode", "adjoint", "normal_op",
-           "GOLDEN_ANGLE_DEG"]
+__all__ = ["SamplingMask", "KtData", "make_radial_mask", "radial_budget", "check_image_shape", "encode", "adjoint",
+           "normal_op", "GOLDEN_ANGLE_DEG"]
+
+
+def _accel_within_15pct(achieved: float, nominal: float) -> bool:
+    """The masks' acceleration contract: achieved within +-15% of nominal."""
+    return 0.85 * nominal <= achieved <= 1.15 * nominal
 
 
 @dataclass(frozen=True)
@@ -38,7 +43,7 @@ class SamplingMask:
             raise ValueError("every frame must sample DC")
         object.__setattr__(self, "bits", bits)
         ach = self.achieved_accel
-        if not (0.85 * self.accel_nominal <= ach <= 1.15 * self.accel_nominal):
+        if not _accel_within_15pct(ach, self.accel_nominal):
             raise ValueError(
                 f"achieved acceleration {ach:.3f} outside +-15% of nominal {self.accel_nominal}"
             )
@@ -61,8 +66,7 @@ class KtData:
 
     def __post_init__(self):
         samples = as_complex_tensor(self.samples)
-        if samples.shape != self.mask.shape:
-            raise ValueError(f"samples shape {samples.shape} != mask shape {self.mask.shape}")
+        check_image_shape(samples, self.mask, "samples")
         if not np.array_equal(samples, samples * self.mask.bits):
             raise ValueError("samples must be zero at unsampled locations")
         object.__setattr__(self, "samples", samples)
@@ -96,7 +100,7 @@ def radial_budget(h: int, w: int, accel: float) -> tuple[int, int]:
         raise ValueError(f"acceleration unachievable: {accel} leaves fewer than one spoke "
                          f"per frame of {h}x{w}")
     budget = int(round(h * w / accel))
-    if budget < 1 or not 0.85 * accel <= h * w / budget <= 1.15 * accel:
+    if budget < 1 or not _accel_within_15pct(h * w / budget, accel):
         raise ValueError(f"acceleration unachievable: {budget} samples per frame of {h}x{w} "
                          f"miss +-15% of {accel}")
     return n_spokes, budget
@@ -140,11 +144,17 @@ def make_radial_mask(t: int, h: int, w: int, accel: float, seed: int) -> Samplin
     return SamplingMask(bits=bits, accel_nominal=float(accel))
 
 
+def check_image_shape(image, mask: SamplingMask, what: str = "image") -> None:
+    """Raises ValueError naming both shapes unless image has the mask's [T,H,W]
+    shape; an image of one frame is not broadcast over the mask's frames."""
+    if np.shape(image) != mask.shape:
+        raise ValueError(f"{what} shape {np.shape(image)} != mask shape {mask.shape}")
+
+
 def encode(s: np.ndarray, mask: SamplingMask) -> KtData:
     """Forward encoding: frame-wise unitary DFT, then mask."""
     s = as_complex_tensor(s)
-    if s.shape != mask.shape:
-        raise ValueError(f"image shape {s.shape} != mask shape {mask.shape}")
+    check_image_shape(s, mask)
     return KtData(samples=dft2(s, "forward") * mask.bits, mask=mask)
 
 

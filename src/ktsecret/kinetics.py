@@ -111,13 +111,18 @@ def patlak_fit(series: np.ndarray, aif: np.ndarray, dt: float, roi: np.ndarray) 
     return PatlakMap(ktrans, vp, r2, roi_out)
 
 
+def _reference_peak(ref: np.ndarray) -> float:
+    """max of the magnitudes ref, the PSNR peak and default SSIM data range; it must be positive and finite."""
+    peak = ref.max()
+    if not (is_real(peak) and peak > 0):
+        raise ValueError("reference peak must be > 0")
+    return peak
+
+
 def psnr(x: np.ndarray, ref: np.ndarray) -> float:
     """Peak SNR in dB over the whole series; peak is max |ref|."""
     x, ref = _magnitudes(x, ref)
-    peak = ref.max()
-    if peak <= 0:
-        raise ValueError("reference peak must be > 0")
-    return _psnr_db(peak, np.mean((x - ref) ** 2))
+    return _psnr_db(_reference_peak(ref), np.mean((x - ref) ** 2))
 
 
 def _psnr_db(peak: float, mse: float) -> float:
@@ -160,10 +165,9 @@ def ssim(x: np.ndarray, ref: np.ndarray, data_range: float | None = None) -> flo
     if x.ndim == 2:
         x, ref = x[None], ref[None]
     _check_series(x)
-    dr = ref.max() if data_range is None else data_range
+    dr = _reference_peak(ref) if data_range is None else data_range
     if not (is_real(dr) and dr > 0):
-        raise ValueError("reference peak must be > 0" if data_range is None
-                         else f"data_range must be positive and finite, got {data_range}")
+        raise ValueError(f"data_range must be positive and finite, got {data_range}")
     return float(np.mean([_ssim_frame(x[i], ref[i], float(dr)) for i in range(x.shape[0])]))
 
 
@@ -183,9 +187,7 @@ def evaluate_series(x: np.ndarray, ref: np.ndarray) -> MetricsReport:
     reference frame's norm (NaN on an all-zero reference frame)."""
     x, ref = _magnitudes(x, ref)
     _check_series(x)
-    peak = ref.max()
-    if peak <= 0:
-        raise ValueError("reference peak must be > 0")
+    peak = _reference_peak(ref)
     dr = float(peak)
     psnrs, ssims, nrmses = [], [], []
     for i in range(x.shape[0]):

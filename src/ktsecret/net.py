@@ -300,7 +300,7 @@ def net_backward(grad_out: np.ndarray, cache, params: NetworkParams):
     if tape is None:
         raise ValueError("cache already consumed: net_backward reverses one net_forward once")
     gx = to_channels(grad_out)
-    grad = params.from_flat(np.zeros(params.size))
+    grad = params.from_flat(np.empty(params.size))  # every layer's views are written below
     gskips = {}
     while tape:
         op, x_in = tape.pop()

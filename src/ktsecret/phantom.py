@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoding import KtData, SamplingMask
+from .encoding import KtData, SamplingMask, check_image_shape
 from .numerics import check_fields, check_pow2, cumulative_trapezoid, dft2, is_real
 
 __all__ = ["PhantomSpec", "PhantomTruth", "gamma_variate_aif", "synthesize", "corrupt"]
@@ -152,9 +152,8 @@ def corrupt(truth: PhantomTruth, mask: SamplingMask, noise_sigma: float, seed: i
     """
     if not (is_real(noise_sigma) and noise_sigma >= 0):
         raise ValueError(f"noise_sigma must be >= 0 and finite, got {noise_sigma}")
+    check_image_shape(truth.ref_images, mask, "phantom")
     kspace = dft2(truth.ref_images, "forward")
-    if kspace.shape != mask.shape:
-        raise ValueError(f"phantom shape {kspace.shape} != mask shape {mask.shape}")
     if noise_sigma > 0:
         rng = np.random.default_rng(seed)
         std = noise_sigma * np.abs(kspace[:, 0, :]).max()

@@ -21,12 +21,11 @@ inference holds one tape whatever K is.
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .encoding import KtData, SamplingMask, adjoint
+from .encoding import KtData, SamplingMask, adjoint, check_image_shape
 from .numerics import check_fields, dft2, is_real, norm, re_dot
 from .net import AdamState, NetConfig, NetworkParams, adam_step, init_params, net_backward, net_forward
 
@@ -46,7 +45,7 @@ __all__ = [
 
 
 class TrainingDiverged(RuntimeError):
-    """Training met a non-finite loss, gradient or validation loss; log holds the epochs before it."""
+    """Training met a non-finite loss, gradient, Adam step or validation loss; log holds the epochs before it."""
 
     def __init__(self, message, log):
         super().__init__(message)
@@ -109,10 +108,12 @@ def dc_solve(z_k: np.ndarray, d_u: KtData, lam: float):
     """Exact data-consistency solve of (E^H E + lam*I) s = E^H d_u + lam*z_k.
 
     Returns (image, DcInfo); iterations is 0 (a direct solve) and residual is
-    the relative normal-equation residual, measured in k-space.
+    the relative normal-equation residual, measured in k-space. z_k must have
+    the mask's shape; a non-finite z_k is reported by DcInfo.converged.
     """
     if not (is_real(lam) and lam > 0):
         raise ValueError("lam must be positive and finite")
+    check_image_shape(z_k, d_u.mask)
     rhs_k = d_u.samples + lam * dft2(z_k, "forward")  # F(E^H d_u + lam*z_k)
     s_k = _inverse_normal_k(rhs_k, d_u.mask, lam)
     residual = norm((d_u.mask.bits + lam) * s_k - rhs_k) / max(norm(rhs_k), 1e-300)
@@ -160,7 +161,8 @@ def _sample_loss(sample, params: NetworkParams, net_cfg: NetConfig, K: int, lam:
 
 
 def modl_forward(s_u: np.ndarray, d_u: KtData, params: NetworkParams, cfg: ModlConfig, net_cfg: NetConfig):
-    """K unrolled iterations with shared weights: denoise, then DC solve."""
+    """K unrolled iterations with shared weights: denoise, then DC solve. s_u must have the mask's shape."""
+    check_image_shape(s_u, d_u.mask)
     return _unroll(s_u, d_u, params, net_cfg, cfg.K, cfg.lam)
 
 
@@ -174,16 +176,6 @@ def _epoch_batches(n: int, batch: int, rng) -> list:
     if batch <= 0 or batch >= n:
         return [order]
     return [order[i:i + batch] for i in range(0, n, batch)]
-
-
-@contextmanager
-def _divergence_check(log: TrainLog):
-    """Raises TrainingDiverged for a FloatingPointError in the block; other errors pass through."""
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            yield
-    except FloatingPointError as exc:
-        raise TrainingDiverged(str(exc), log) from exc
 
 
 def _check_shapes(dataset, val_dataset, net_cfg: NetConfig, paired: bool) -> None:
@@ -223,29 +215,33 @@ def _fit(dataset, cfg, net_cfg: NetConfig, val_dataset, K: int, lam: float):
     rng = np.random.default_rng(cfg.seed)
     log = TrainLog()
     best_params, best_val = None, np.inf  # params would pin the initial vector for a run without validation
-    for _ in range(cfg.epochs):
-        t_start = time.perf_counter()
-        epoch_loss, grad_norms = 0.0, []
-        for batch in _epoch_batches(len(dataset), cfg.batch, rng):
-            g_total = None
-            for i in batch:
-                with _divergence_check(log):
-                    loss, g = _sample_loss(dataset[i], params, net_cfg, K, lam, grad=True)
-                    if not (np.isfinite(loss) and np.all(np.isfinite(g))):
-                        raise FloatingPointError("training loss or gradient became non-finite")
-                epoch_loss += loss
-                g_total = g if g_total is None else np.add(g_total, g, out=g_total)
-            grad_norms.append(norm(g_total))
-            theta, state = adam_step(theta, g_total, state, lr=cfg.lr)
-            params = params.from_flat(theta)
-        with _divergence_check(log):
-            val = (sum(_sample_loss(sample, params, net_cfg, K, lam, grad=False) for sample in val_dataset)
-                   if val_dataset else np.nan)
-            if val_dataset and not np.isfinite(val):
-                raise FloatingPointError("validation loss became non-finite")
-        if val < best_val:
-            best_params, best_val = params, val
-        log.append(epoch_loss, val, time.perf_counter() - t_start, np.mean(grad_norms))
+    # one guard over every sample loss, Adam step and validation loss; the explicit checks
+    # stay, as an overflow in a BLAS thread sets no numpy flag
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            for _ in range(cfg.epochs):
+                t_start = time.perf_counter()
+                epoch_loss, grad_norms = 0.0, []
+                for batch in _epoch_batches(len(dataset), cfg.batch, rng):
+                    g_total = None
+                    for i in batch:
+                        loss, g = _sample_loss(dataset[i], params, net_cfg, K, lam, grad=True)
+                        if not (np.isfinite(loss) and np.all(np.isfinite(g))):
+                            raise FloatingPointError("training loss or gradient became non-finite")
+                        epoch_loss += loss
+                        g_total = g if g_total is None else np.add(g_total, g, out=g_total)
+                    grad_norms.append(norm(g_total))
+                    theta, state = adam_step(theta, g_total, state, lr=cfg.lr)
+                    params = params.from_flat(theta)
+                val = (sum(_sample_loss(sample, params, net_cfg, K, lam, grad=False) for sample in val_dataset)
+                       if val_dataset else np.nan)
+                if val_dataset and not np.isfinite(val):
+                    raise FloatingPointError("validation loss became non-finite")
+                if val < best_val:
+                    best_params, best_val = params, val
+                log.append(epoch_loss, val, time.perf_counter() - t_start, np.mean(grad_norms))
+    except FloatingPointError as exc:
+        raise TrainingDiverged(str(exc), log) from exc
     return (best_params if val_dataset else params), log
 
 

@@ -21,6 +21,7 @@ from ktsecret.cli import (
     save_mask,
     run_pipeline,
     worker_count,
+    write_csv,
     write_pgm,
 )
 from ktsecret.cs import CsConfig, cs_reconstruct
@@ -257,6 +258,37 @@ def test_profile_cli(tmp_path):
     # row out of range is an error
     assert run("profile", "--inputs", tmp_path / "a.ktsr", "--row", 99,
                "--out-prefix", tmp_path / "bad") == 1
+
+
+def test_profile_refuses_inputs_of_different_shapes(tmp_path, capsys):
+    save_tensor(tmp_path / "a.ktsr", np.ones((4, 8, 8)))
+    save_tensor(tmp_path / "b.ktsr", np.ones((4, 8, 4)))
+    assert run("profile", "--inputs", tmp_path / "a.ktsr", tmp_path / "b.ktsr", "--row", 3,
+               "--out-prefix", tmp_path / "prof") == 1
+    assert "all input series must share one shape" in capsys.readouterr().err
+    assert not (tmp_path / "prof.csv").exists()
+
+
+def test_two_evaluate_runs_append_to_one_metrics_file_under_one_header(tmp_path):
+    rng = np.random.default_rng(0)
+    ref, recon = rng.uniform(0.5, 1.0, size=(2, 3, 8, 8))
+    save_tensor(tmp_path / "ref.ktsr", ref)
+    save_tensor(tmp_path / "recon.ktsr", recon)
+    for method in ("first", "second"):
+        assert run("evaluate", "--recon", tmp_path / "recon.ktsr", "--ref", tmp_path / "ref.ktsr",
+                   "--method", method, "--out", tmp_path / "metrics.csv") == 0
+    rows = list(csv.reader(open(tmp_path / "metrics.csv", newline="")))
+    assert rows[0] == METRICS_HEADER
+    assert [(r[0], r[3]) for r in rows[1:]] == [(m, f) for m in ("first", "second") for f in ("0", "1", "2", "mean")]
+
+
+def test_write_csv_replaces_a_file_unless_appending(tmp_path):
+    path = tmp_path / "t.csv"
+    write_csv(path, ["a", "b"], [[1, 2.5]], append=True)  # a new file gets its header
+    write_csv(path, ["a", "b"], [[3, "x"]], append=True)
+    assert path.read_bytes() == b"a,b\r\n1,2.5\r\n3,x\r\n"
+    write_csv(path, ["c"], iter([[4]]))
+    assert path.read_bytes() == b"c\r\n4\r\n"
 
 
 def test_profile_refuses_a_non_finite_pixel(tmp_path, capsys):

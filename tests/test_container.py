@@ -228,3 +228,10 @@ def test_unsupported_version_or_dtype_code_rejected(tmp_path, version, code, mes
     with pytest.raises(ContainerError, match=f"^{message}$"):
         load_tensor(path)
 
+
+def test_complex64_is_widened_to_complex128(tmp_path, rng):
+    arr = (rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))).astype(np.complex64)
+    save_tensor(tmp_path / "c.ktsr", arr)
+    back = load_tensor(tmp_path / "c.ktsr")
+    assert back.dtype == np.complex128
+    assert np.array_equal(back, arr.astype(np.complex128))

@@ -318,3 +318,16 @@ def test_solver_output_finite_for_any_lambda(l1, l2):
 def test_config_rejects_negative_weights():
     with pytest.raises(ValueError):
         CsConfig(lambda1=-1.0)
+
+
+def test_stalled_line_search_returns_the_last_accepted_iterate():
+    # on the piecewise-constant phantom most differences are 0, where the smoothed
+    # modulus curves by lambda1 / sqrt(SMOOTH_EPS): at this lambda1 even the 50th
+    # halving of the first step overshoots, so no trial is accepted
+    d = _phantom_problem(4.0, 1)
+    cfg = CsConfig(lambda1=1e14, max_iters=10)
+    s, log = cs_reconstruct(d, cfg)
+    assert log.line_search_failed
+    assert log.backtracks == [] and len(log.objective) == 1
+    assert np.array_equal(s, adjoint(d))  # the start is the last accepted iterate
+    assert log.objective[0] == pytest.approx(cs_objective(s, d, cfg), rel=1e-12)

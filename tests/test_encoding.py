@@ -1,3 +1,4 @@
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,6 +10,7 @@ from ktsecret.encoding import (
     KtData,
     SamplingMask,
     adjoint,
+    check_image_shape,
     encode,
     make_radial_mask,
     normal_op,
@@ -210,3 +212,30 @@ def test_normal_op_self_adjoint_psd(seed):
     rhs = np.vdot(x, normal_op(y, mask, 0.3))
     assert abs(lhs - rhs) / abs(lhs) < 1e-12
     assert np.vdot(x, normal_op(x, mask, 0.0)).real >= -1e-12
+
+
+def test_mask_refuses_an_achieved_acceleration_outside_15_percent_of_nominal():
+    bits = np.ones((2, 8, 8))  # fully sampled: 1x, more than 15% below 4x
+    with pytest.raises(ValueError, match=r"achieved acceleration 1.000 outside \+-15% of nominal 4.0"):
+        SamplingMask(bits=bits, accel_nominal=4.0)
+
+
+def test_ktdata_refuses_samples_of_another_shape_or_off_the_mask():
+    mask = make_radial_mask(2, 8, 8, 2.0, seed=0)
+    with pytest.raises(ValueError, match=r"samples shape \(2, 8, 4\) != mask shape \(2, 8, 8\)"):
+        KtData(samples=np.zeros((2, 8, 4)), mask=mask)
+    samples = np.zeros((2, 8, 8), complex)
+    samples[mask.bits == 0] = 1.0
+    with pytest.raises(ValueError, match="zero at unsampled"):
+        KtData(samples=samples, mask=mask)
+
+
+@pytest.mark.parametrize("shape", [(1, 8, 8), (2, 8, 4), (2, 8)])
+def test_check_image_shape_names_both_shapes_and_does_not_broadcast(shape):
+    mask = make_radial_mask(2, 8, 8, 2.0, seed=0)
+    check_image_shape(np.zeros((2, 8, 8)), mask)
+    message = rf"phantom shape {re.escape(str(shape))} != mask shape \(2, 8, 8\)"
+    with pytest.raises(ValueError, match=message):
+        check_image_shape(np.zeros(shape), mask, "phantom")
+    with pytest.raises(ValueError, match=r"^image shape"):
+        encode(np.zeros(shape), mask)

@@ -237,3 +237,22 @@ def test_evaluate_series_rejects_all_zero_reference(rng):
     for metric in (psnr, ssim, evaluate_series):
         with pytest.raises(ValueError, match="reference peak must be > 0"):
             metric(rng.uniform(size=ref.shape), ref)
+
+
+def test_patlak_fit_needs_three_frames():
+    with pytest.raises(ValueError, match="need at least 3 frames"):
+        patlak_fit(np.ones((2, 4, 4)), np.ones(2), 2.0, np.ones((4, 4), bool))
+
+
+def test_nrmse_refuses_a_shape_mismatch(rng):
+    with pytest.raises(ValueError, match="shape mismatch"):
+        nrmse(rng.uniform(size=(2, 4, 4)), rng.uniform(size=(2, 4, 8)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_metrics_refuse_a_reference_whose_peak_is_not_finite(rng, bad):
+    ref = rng.uniform(size=(2, 8, 8))
+    ref[1, 2, 3] = bad
+    for metric in (psnr, ssim, evaluate_series):
+        with pytest.raises(ValueError, match="reference peak must be > 0"):
+            metric(rng.uniform(size=ref.shape), ref)

@@ -11,6 +11,7 @@ from ktsecret.net import (
     NetConfig,
     _conv_backward,
     _conv_forward,
+    _pad_flat,
     _sum2x2,
     _upsample_into,
     adam_step,
@@ -72,6 +73,43 @@ def test_zero_grad_out_gives_zero_grads():
     g_theta, g_in = net_backward(np.zeros_like(s), cache, params)
     assert np.abs(g_theta).max() == 0.0
     assert np.abs(g_in).max() == 0.0
+
+
+def _nan_filled_empty(monkeypatch):
+    """Makes np.empty return float and complex arrays filled with NaN, so a buffer
+    entry that is read before it is written shows in the result."""
+    empty = np.empty
+
+    def nan_empty(*args, **kwargs):
+        out = empty(*args, **kwargs)
+        if np.issubdtype(out.dtype, np.inexact):
+            out.fill(np.nan)
+        return out
+
+    monkeypatch.setattr(np, "empty", nan_empty)
+
+
+@pytest.mark.parametrize("cfg,n", [(NetConfig(frames=8), 32), (MICRO, 8)], ids=["default", "micro"])
+def test_net_backward_writes_every_entry_of_its_fresh_buffers(monkeypatch, cfg, n):
+    rng = np.random.default_rng(5)
+    params = init_params(cfg, seed=5)
+    s, g = crandn(rng, (cfg.frames, n, n)), crandn(rng, (cfg.frames, n, n))
+
+    def grads():
+        return net_backward(g, net_forward(s, params, cfg)[1], params)
+
+    expected = grads()
+    _nan_filled_empty(monkeypatch)
+    assert [a.tobytes() for a in grads()] == [a.tobytes() for a in expected]
+
+
+@pytest.mark.parametrize("shape", [(1, 1, 1), (2, 4, 4), (3, 2, 8), (2, 8, 2), (1, 5, 3)])
+@pytest.mark.parametrize("p", [0, 1, 2])
+def test_pad_flat_matches_the_np_pad_reference(monkeypatch, shape, p):
+    x = np.random.default_rng(0).standard_normal(shape)
+    reference = np.pad(np.pad(x, ((0, 0), (p, p), (p, p))).reshape(shape[0], -1), ((0, 0), (0, 2 * p)))
+    _nan_filled_empty(monkeypatch)
+    assert np.array_equal(_pad_flat(x, p), reference)
 
 
 def test_directional_derivative():

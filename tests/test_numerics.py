@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -199,3 +201,27 @@ def test_re_dot_converts_integers_before_viewing_their_bits():
 def test_re_dot_rejects_a_shape_mismatch():
     with pytest.raises(ValueError, match="shape mismatch"):
         re_dot(np.ones((2, 3)), np.ones((3, 2)))
+
+
+def test_dft2_refuses_an_unknown_direction():
+    with pytest.raises(ValueError, match="unknown direction 'backward'"):
+        dft2(np.zeros((2, 4, 4)), "backward")
+
+
+@pytest.mark.parametrize("op", [grad_spatial, grad_temporal, grad_temporal_adjoint])
+def test_differences_refuse_a_volume_that_is_not_three_dimensional_or_too_small(op):
+    with pytest.raises(ValueError, match=r"expected a T,H,W volume, got shape \(4, 4\)"):
+        op(np.zeros((4, 4)))
+    with pytest.raises(ValueError, match=r"volume too small for differencing: \(2, 1, 4\)"):
+        op(np.zeros((2, 1, 4)))
+
+
+def test_temporal_differences_need_two_frames():
+    with pytest.raises(ValueError, match="volume too small"):
+        grad_temporal(np.zeros((1, 4, 4)))
+
+
+@pytest.mark.parametrize("shape", [(3, 2, 4, 4), (2, 4, 4)])
+def test_spatial_adjoint_refuses_a_stack_that_is_not_two_volumes(shape):
+    with pytest.raises(ValueError, match=re.escape(f"expected a 2,T,H,W stack, got shape {shape}")):
+        grad_spatial_adjoint(np.zeros(shape))

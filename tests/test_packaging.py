@@ -1,7 +1,8 @@
 """The declared runtime dependencies are exactly the third-party imports; every
 import of the package is used, every __all__ name is defined and every
 private top-level helper is referenced. Only numerics.dft2 names numpy's
-transforms, and only numerics.re_dot sums products. Importing the CLI loads no scipy, which only the tests use.
+transforms, only numerics.re_dot sums products and only cli.write_csv builds a
+CSV writer. Importing the CLI loads no scipy, which only the tests use.
 The README's method_params table lists the keys cli.METHOD_PARAMS accepts."""
 
 import ast
@@ -166,6 +167,35 @@ def test_reduction_scan_sees_each_form():
                      "def re_dot(x):\n    return np.einsum('i,i->', x, x)\n")
     assert sorted(_reductions(tree, "re_dot")) == [(2, "norm"), (4, "dot"), (4, "inner"), (4, "norm"),
                                                    (4, "vdot"), (6, "einsum")]
+
+
+CSV_WRITERS = {"writer", "DictWriter"}
+
+
+def _csv_writers(tree) -> list:
+    """(line, name) of every CSV writer the tree names outside write_csv:
+    csv.writer or csv.DictWriter, or an import of one of them from csv."""
+    uses = []
+    for node in _outside(tree, "write_csv"):
+        if (isinstance(node, ast.Attribute) and node.attr in CSV_WRITERS
+                and isinstance(node.value, ast.Name) and node.value.id == "csv"):
+            uses.append((node.lineno, node.attr))
+        elif isinstance(node, ast.ImportFrom) and node.module == "csv":
+            uses.extend((node.lineno, alias.name) for alias in node.names if alias.name in CSV_WRITERS)
+    return uses
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_only_write_csv_builds_a_csv_writer(path):
+    # cli.write_csv holds the one newline and header rule of every CSV the package writes
+    assert _csv_writers(_parse(path)) == []
+
+
+def test_csv_writer_scan_sees_each_form():
+    tree = ast.parse("import csv\nfrom csv import writer\n"
+                     "def f(g):\n    return csv.writer(g), csv.DictWriter(g, [])\n"
+                     "def write_csv(g):\n    return csv.writer(g)\n")
+    assert _csv_writers(tree) == [(2, "writer"), (4, "writer"), (4, "DictWriter")]
 
 
 def test_cli_import_loads_no_scipy():

@@ -124,3 +124,22 @@ def test_patlak_linearity_of_tissue_curves():
         vp = truth.vp_map[pix][0]
         assert_allclose(curve, kt * int_aif + vp * truth.aif_signal, atol=1e-12)
 
+
+@pytest.mark.parametrize("ranges", [{"ktrans_range": (0.6, 0.1)}, {"vp_range": (-0.01, 0.1)}],
+                         ids=["max-below-min", "negative"])
+def test_spec_refuses_a_parameter_range_that_is_inverted_or_negative(ranges):
+    with pytest.raises(ValueError, match="parameter ranges must be non-negative with max >= min"):
+        PhantomSpec(h=16, w=16, t=8, **ranges)
+
+
+@pytest.mark.parametrize("name", ["alpha", "beta", "scale"])
+@pytest.mark.parametrize("value", [0.0, -1.0])
+def test_aif_refuses_a_shape_parameter_that_is_not_positive(name, value):
+    with pytest.raises(ValueError, match="alpha, beta, scale must be positive"):
+        gamma_variate_aif(**{**_AIF_ARGS, name: value})
+
+
+def test_corrupt_refuses_a_mask_of_another_shape():
+    truth = synthesize(PhantomSpec(h=16, w=16, t=8, seed=1))
+    with pytest.raises(ValueError, match=r"phantom shape \(8, 16, 16\) != mask shape \(8, 16, 32\)"):
+        corrupt(truth, make_radial_mask(8, 16, 32, 2.0, seed=0), 0.0, seed=0)

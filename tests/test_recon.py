@@ -1,3 +1,4 @@
+import re
 import time
 import tracemalloc
 import warnings
@@ -307,6 +308,42 @@ def test_secret_train_divergence_aborts():
     assert len(err.value.log.train_loss) >= 1
 
 
+def _poisoned_gradients(monkeypatch, poison):
+    """Makes every training gradient after the second (one epoch of two samples at batch 1) poison(g)."""
+    sample_loss, calls = recon._sample_loss, []
+
+    def poisoned(*args, grad):
+        if not grad:
+            return sample_loss(*args, grad=grad)
+        loss, g = sample_loss(*args, grad=grad)
+        calls.append(1)
+        return loss, (poison(g) if len(calls) > 2 else g)
+
+    monkeypatch.setattr(recon, "_sample_loss", poisoned)
+
+
+def test_an_overflow_in_the_adam_step_diverges(monkeypatch):
+    # 1e160 is finite, so the sample's gradient passes its check; its square overflows in Adam
+    def huge(g):
+        g[0] = 1e160
+        return g
+
+    _poisoned_gradients(monkeypatch, huge)
+    data, cfg_net = _grad_norm_case()
+    with pytest.raises(TrainingDiverged, match="overflow") as err:
+        secret_train(data, SecretConfig(epochs=3, seed=0), cfg_net)
+    assert len(err.value.log.train_loss) == 1
+
+
+def test_a_nan_gradient_that_sets_no_floating_point_flag_diverges(monkeypatch):
+    # np.full computes nothing, so no flag is raised: only the explicit check sees the NaN
+    _poisoned_gradients(monkeypatch, lambda g: np.full(g.shape, np.nan))
+    data, cfg_net = _grad_norm_case()
+    with pytest.raises(TrainingDiverged, match="training loss or gradient became non-finite") as err:
+        secret_train(data, SecretConfig(epochs=3, seed=0), cfg_net)
+    assert len(err.value.log.train_loss) == len(err.value.log.grad_norm) == 1
+
+
 def test_secret_train_divergence_in_validation_aborts():
     # the last step's huge weights first meet a forward pass in validation
     truth = synthesize(PhantomSpec(h=16, w=16, t=8, seed=31))
@@ -504,3 +541,22 @@ def test_inference_refuses_a_config_that_is_not_the_parameters(infer):
                                          r"NetConfig\(frames=2, depth_levels=2, base_channels=2\)"):
         run(other)
     assert run(MICRO).shape == d.samples.shape
+
+
+def test_dc_solve_refuses_an_image_of_one_frame_instead_of_broadcasting_it():
+    _, d = _micro_data(0)
+    with pytest.raises(ValueError, match=r"image shape \(1, 8, 8\) != mask shape \(2, 8, 8\)"):
+        dc_solve(np.zeros((1, 8, 8)), d, 0.05)
+
+
+def test_dc_solve_reports_a_non_finite_solve_in_its_info():
+    _, d = _micro_data(0)
+    _, info = dc_solve(np.full((2, 8, 8), np.nan), d, 0.05)
+    assert not info.converged
+
+
+@pytest.mark.parametrize("shape", [(2, 8, 4), (2, 4, 8)])
+def test_modl_forward_refuses_a_start_image_of_another_size(shape):
+    _, d = _micro_data(0)
+    with pytest.raises(ValueError, match=re.escape(f"image shape {shape} != mask shape (2, 8, 8)")):
+        modl_forward(np.zeros(shape, complex), d, init_params(MICRO, 0), ModlConfig(K=1), MICRO)
