@@ -166,8 +166,9 @@ def adjoint(d: KtData) -> np.ndarray:
 
 
 def normal_op(s: np.ndarray, mask: SamplingMask, lam: float = 0.0) -> np.ndarray:
-    """Apply E^H E + lam*I; self-adjoint, PSD (PD for lam > 0)."""
+    """Apply E^H E + lam*I; self-adjoint, PSD (PD for lam > 0). s must have the mask's shape."""
     if not (is_real(lam) and lam >= 0):
         raise ValueError(f"lam must be a finite real >= 0, got {lam!r}")
     s = as_complex_tensor(s)
+    check_image_shape(s, mask)
     return dft2(dft2(s, "forward") * mask.bits, "inverse") + lam * s

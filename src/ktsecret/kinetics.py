@@ -112,7 +112,8 @@ def patlak_fit(series: np.ndarray, aif: np.ndarray, dt: float, roi: np.ndarray) 
 
 
 def _reference_peak(ref: np.ndarray) -> float:
-    """max of the magnitudes ref, the PSNR peak and default SSIM data range; it must be positive and finite."""
+    """max of the magnitudes ref, the PSNR peak and default SSIM data range. The one rule every
+    metric applies to its reference: this peak must be positive and finite (a NaN fails it)."""
     peak = ref.max()
     if not (is_real(peak) and peak > 0):
         raise ValueError("reference peak must be > 0")
@@ -158,26 +159,29 @@ def ssim(x: np.ndarray, ref: np.ndarray, data_range: float | None = None) -> flo
     """Mean per-frame SSIM (11x11 Gaussian window, sigma 1.5, K1/K2 defaults)
     of a [T,H,W] series or one [H,W] frame.
 
-    data_range defaults to max |ref|, which must be positive; pass a shared
-    positive constant to make the measure symmetric in its arguments.
+    data_range defaults to max |ref|, which must be positive and finite even
+    when data_range is given; pass a shared positive constant to make the
+    measure symmetric in its arguments.
     """
     x, ref = _magnitudes(x, ref)
     if x.ndim == 2:
         x, ref = x[None], ref[None]
     _check_series(x)
-    dr = _reference_peak(ref) if data_range is None else data_range
+    peak = _reference_peak(ref)
+    dr = peak if data_range is None else data_range
     if not (is_real(dr) and dr > 0):
         raise ValueError(f"data_range must be positive and finite, got {data_range}")
     return float(np.mean([_ssim_frame(x[i], ref[i], float(dr)) for i in range(x.shape[0])]))
 
 
 def nrmse(x: np.ndarray, ref: np.ndarray) -> float:
-    """||x - ref|| / ||ref|| over the whole series."""
+    """||x - ref|| / ||ref|| over the whole series; max |ref| must be positive and finite."""
     x, ref = np.asarray(x), np.asarray(ref)
     if x.shape != ref.shape:
         raise ValueError("shape mismatch")
+    _reference_peak(np.abs(ref))
     denom = norm(ref)
-    if denom == 0:
+    if denom == 0:  # a positive peak whose square underflows
         raise ValueError("zero reference")
     return norm(x - ref) / denom
 

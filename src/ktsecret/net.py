@@ -24,8 +24,16 @@ laid out on the same raster, with the tap's window; the input gradient is
 the same tap-sum convolution of the output gradient with the kernel flipped
 in space and transposed (in <-> out). A 1x1 kernel is one GEMM, no copy.
 
-The parameters are one float64 vector that Adam steps and weight files store;
-the layers are views of it, and net_backward returns the gradient in its layout.
+Precision is mixed, set by the module constant ACT_DTYPE (float32). In
+ACT_DTYPE run the packed channels, every activation and buffer of both passes
+and every GEMM, with the weights and biases cast from the parameter vector once
+per net_forward; its cache keeps that cast for net_backward. In float64 stay
+the parameters, one vector `flat` that Adam steps and weight files store, whose
+layers are views of it; the gradient net_backward returns in its layout; Adam's
+moments; and the temporal average the residual path adds, so the output and
+the input gradient are complex128. ACT_DTYPE = float64 runs the whole network
+in float64, as the finite-difference tests do.
+
 Forward records, per op, only the array its reverse needs: a conv's input and a
 ReLU's output, which the ReLU writes into the conv output it consumes, so each
 activation is held once. net_backward frees that tape entry by entry as it
@@ -56,6 +64,7 @@ __all__ = [
     "to_complex",
 ]
 
+ACT_DTYPE = np.float32  # the activations' and GEMMs' dtype; see the module docstring
 _ADAM_BLOCK = 16384  # 128 KiB per vector: a block of theta, grad, m, v, new theta and two scratch fits L2
 
 
@@ -88,21 +97,32 @@ class ConvLayer:
     bias: np.ndarray  # [out_ch]
 
 
+def _convs(cfg: NetConfig) -> list:
+    """(kernel size, in_ch, out_ch) of each conv of _plan(cfg), in order."""
+    return [op[2:] for op in _plan(cfg) if op[0] == "conv"]
+
+
+def _layer_views(cfg: NetConfig, flat: np.ndarray) -> list:
+    """The conv layers of _plan(cfg) as views of flat: per layer, its raveled
+    [out, in, k, k] weight, then its [out] bias."""
+    layers, i = [], 0
+    for k, cin, cout in _convs(cfg):
+        n = cout * cin * k * k
+        layers.append(ConvLayer(flat[i:i + n].reshape(cout, cin, k, k), flat[i + n:i + n + cout]))
+        i += n + cout
+    return layers
+
+
 class NetworkParams:
-    """The conv layers of _plan(cfg) as views of one float64 vector `flat` (zeros if None): per
-    layer, its raveled [out, in, k, k] weight, then its [out] bias. from_flat aliases; to_flat copies."""
+    """The conv layers of _plan(cfg) as views of one float64 vector `flat` (zeros if None), in
+    _layer_views' layout. from_flat aliases; to_flat copies."""
 
     def __init__(self, cfg: NetConfig, flat=None):
-        convs = [op[2:] for op in _plan(cfg) if op[0] == "conv"]
-        count = sum(cout * (cin * k * k + 1) for k, cin, cout in convs)
+        count = sum(cout * (cin * k * k + 1) for k, cin, cout in _convs(cfg))
         flat = np.zeros(count) if flat is None else np.asarray(flat, dtype=np.float64)
         if flat.shape != (count,):
             raise ValueError(f"flat vector of shape {flat.shape} != parameter count {count}")
-        self.cfg, self.flat, self.layers, i = cfg, flat, [], 0
-        for k, cin, cout in convs:
-            n = cout * cin * k * k
-            self.layers.append(ConvLayer(flat[i:i + n].reshape(cout, cin, k, k), flat[i + n:i + n + cout]))
-            i += n + cout
+        self.cfg, self.flat, self.layers = cfg, flat, _layer_views(cfg, flat)
 
     @property
     def size(self) -> int:
@@ -161,13 +181,13 @@ def init_params(cfg: NetConfig, seed: int) -> NetworkParams:
 
 
 def to_channels(s: np.ndarray) -> np.ndarray:
-    """Complex [T,H,W] -> real [2T,H,W] (real parts first)."""
+    """Complex [T,H,W] -> real [2T,H,W] of ACT_DTYPE (real parts first)."""
     s = np.asarray(s, dtype=np.complex128)
-    return np.concatenate([s.real, s.imag], axis=0)
+    return np.concatenate([s.real, s.imag], axis=0, dtype=ACT_DTYPE)
 
 
 def to_complex(x: np.ndarray) -> np.ndarray:
-    """Real [2T,H,W] -> complex [T,H,W]."""
+    """Real [2T,H,W] -> complex [T,H,W] of the matching precision."""
     t = x.shape[0] // 2
     return x[:t] + 1j * x[t:]
 
@@ -241,7 +261,7 @@ def _conv_backward(gy, x, w):
     n = h * wp
     xp, gyp = _pad_flat(x, p), _pad_flat(gy, p)
     gy_raster = gyp[:, p * wp + p:p * wp + p + n]  # the centre tap's window of the padded gY
-    gw = np.empty((k, k, cout, cin))
+    gw = np.empty((k, k, cout, cin), dtype=x.dtype)
     for tap in range(k * k):
         dy, dx = divmod(tap, k)
         off = dy * wp + dx
@@ -253,17 +273,18 @@ def _conv_backward(gy, x, w):
 def net_forward(s_u: np.ndarray, params: NetworkParams, cfg: NetConfig):
     """Run the network on a complex [T,H,W] series; returns (output, cache). cfg must be params.cfg.
 
-    The cache's tape holds what net_backward needs, and net_backward consumes it."""
+    The cache's tape and layer casts hold what net_backward needs, and net_backward consumes them."""
     if cfg != params.cfg:
         raise ValueError(f"{cfg} is not the parameters' {params.cfg}")
     cfg.check_fits(np.shape(s_u))
     x = to_channels(s_u)
+    layers = _layer_views(cfg, params.flat.astype(ACT_DTYPE, copy=False))  # one cast per call, not one per conv
     skips = {}
     tape = []  # per executed op: (op, a conv's input or a ReLU's output, else None)
     for op in _plan(cfg):
         tape.append((op, x if op[0] in ("conv", "relu") else None))
         if op[0] == "conv":
-            layer = params.layers[op[1]]
+            layer = layers[op[1]]
             x = _conv_forward(x, layer.weight, layer.bias)
         elif op[0] == "relu":
             np.maximum(x, 0.0, out=x)  # x is a conv output no other op reads
@@ -275,13 +296,13 @@ def net_forward(s_u: np.ndarray, params: NetworkParams, cfg: NetConfig):
         elif op[0] == "upcat":
             skip = skips.pop(op[1])
             c_skip = skip.shape[0]
-            cat = np.empty((c_skip + x.shape[0],) + skip.shape[1:])
+            cat = np.empty((c_skip + x.shape[0],) + skip.shape[1:], dtype=x.dtype)
             cat[:c_skip] = skip
             _upsample_into(cat[c_skip:], x)
             x = cat
     avg = s_u.mean(axis=0)
     out = to_complex(x) + avg[None, :, :]
-    cache = {"tape": tape, "cfg": cfg, "shape": s_u.shape}
+    cache = {"tape": tape, "layers": layers, "cfg": cfg, "shape": s_u.shape}
     return out, cache
 
 
@@ -290,8 +311,9 @@ def net_backward(grad_out: np.ndarray, cache, params: NetworkParams):
 
     grad_out is complex [T,H,W] holding dL/d(real part) + i*dL/d(imag part)
     of the network output; the returned input gradient uses the same packing.
-    The cache's tape is released entry by entry, so a cache is reversed once;
-    its "cfg" and "shape" stay.
+    The layer gradients, computed in ACT_DTYPE, are written into one float64
+    vector. The cache's tape is released entry by entry and its layer casts
+    with it, so a cache is reversed once; its "cfg" and "shape" stay.
     """
     cfg: NetConfig = cache["cfg"]
     if np.shape(grad_out) != cache["shape"]:
@@ -299,6 +321,7 @@ def net_backward(grad_out: np.ndarray, cache, params: NetworkParams):
     tape = cache.pop("tape", None)
     if tape is None:
         raise ValueError("cache already consumed: net_backward reverses one net_forward once")
+    layers = cache.pop("layers")
     gx = to_channels(grad_out)
     grad = params.from_flat(np.empty(params.size))  # every layer's views are written below
     gskips = {}
@@ -306,14 +329,14 @@ def net_backward(grad_out: np.ndarray, cache, params: NetworkParams):
         op, x_in = tape.pop()
         if op[0] == "conv":
             g = grad.layers[op[1]]
-            g.weight[...], g.bias[...], gx = _conv_backward(gx, x_in, params.layers[op[1]].weight)
+            g.weight[...], g.bias[...], gx = _conv_backward(gx, x_in, layers[op[1]].weight)
         elif op[0] == "relu":
             # x_in is the ReLU's output: positive exactly where its input was. A new array, as
             # gx may be a view of a tap-sum raster, which an in-place product would keep alive
             gx = gx * (x_in > 0)
         elif op[0] == "pool":
             c, hh, ww = gx.shape
-            gx = _upsample_into(np.empty((c, 2 * hh, 2 * ww)), gx / 4.0)
+            gx = _upsample_into(np.empty((c, 2 * hh, 2 * ww), dtype=gx.dtype), gx / 4.0)
         elif op[0] == "skip":
             gx = gx + gskips.pop(op[1])
         elif op[0] == "upcat":

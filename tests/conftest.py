@@ -3,6 +3,8 @@ import ctypes
 import numpy as np
 import pytest
 
+from ktsecret import net
+
 
 def crandn(rng, shape):
     """Standard complex Gaussian array."""
@@ -12,6 +14,13 @@ def crandn(rng, shape):
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture
+def float64_net(monkeypatch):
+    """Runs the network's activations and GEMMs in float64, the path the
+    finite-difference oracles check; the float32 default is bounded against it."""
+    monkeypatch.setattr(net, "ACT_DTYPE", np.float64)
 
 
 def _openblas(symbol: str):

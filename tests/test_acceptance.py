@@ -83,6 +83,7 @@ def test_criterion_1_operator_adjoints():
     _report(1, f"adjoint identity, 20 seeds, worst rel err {worst:.2e}, {elapsed:.1f} s")
 
 
+@pytest.mark.usefixtures("float64_net")
 def test_criterion_2_differentiation():
     t0 = time.perf_counter()
     rng = np.random.default_rng(0)

@@ -67,6 +67,9 @@ def test_params_round_trip(tmp_path):
     loaded = load_params(tmp_path / "w.ktsr")
     assert loaded.cfg == cfg
     assert np.array_equal(loaded.to_flat(), params.to_flat())
+    # the network computes in float32, but a weight file holds the float64 vector, as before
+    assert (tmp_path / "w.ktsr").read_bytes()[6] == 1  # the header's dtype code: float64
+    assert loaded.flat.dtype == load_tensor(tmp_path / "w.ktsr").dtype == np.float64
 
 
 def test_params_holding_nan_rejected(tmp_path, capsys):

@@ -185,9 +185,15 @@ def test_normal_op_full_mask_identity(rng):
 
 def test_normal_op_zero_mask_is_scaled_identity(rng):
     # the lam*I branch in isolation; a genuine SamplingMask cannot be empty
-    stub = SimpleNamespace(bits=np.zeros((2, 16, 16), dtype=np.uint8))
+    stub = SimpleNamespace(bits=np.zeros((2, 16, 16), dtype=np.uint8), shape=(2, 16, 16))
     s = crandn(rng, (2, 16, 16))
     assert_allclose(normal_op(s, stub, 1.0), s, rtol=1e-12, atol=1e-14)
+
+
+def test_normal_op_refuses_an_image_of_another_shape_instead_of_broadcasting_it():
+    mask = make_radial_mask(2, 8, 8, 2.0, seed=0)
+    with pytest.raises(ValueError, match=r"image shape \(1, 8, 8\) != mask shape \(2, 8, 8\)"):
+        normal_op(np.ones((1, 8, 8)), mask)
 
 
 def test_normal_op_rejects_negative_lam(rng):

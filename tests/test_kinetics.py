@@ -256,3 +256,19 @@ def test_metrics_refuse_a_reference_whose_peak_is_not_finite(rng, bad):
     for metric in (psnr, ssim, evaluate_series):
         with pytest.raises(ValueError, match="reference peak must be > 0"):
             metric(rng.uniform(size=ref.shape), ref)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_nrmse_refuses_a_reference_whose_peak_is_not_finite(rng, bad):
+    ref = rng.uniform(size=(2, 8, 8)) + 0j
+    ref[1, 2, 3] = bad
+    with pytest.raises(ValueError, match="reference peak must be > 0"):
+        nrmse(rng.uniform(size=ref.shape), ref)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_ssim_with_a_data_range_refuses_a_reference_whose_peak_is_not_finite(rng, bad):
+    ref = rng.uniform(size=(2, 8, 8))
+    ref[1, 2, 3] = bad
+    with pytest.raises(ValueError, match="reference peak must be > 0"):
+        ssim(rng.uniform(size=ref.shape), ref, data_range=1.0)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from ktsecret import net
 from ktsecret.net import (
     _ADAM_BLOCK,
     AdamState,
@@ -103,6 +104,48 @@ def test_net_backward_writes_every_entry_of_its_fresh_buffers(monkeypatch, cfg, 
     assert [a.tobytes() for a in grads()] == [a.tobytes() for a in expected]
 
 
+@pytest.mark.parametrize("cfg,n", [(NetConfig(frames=8), 32), (MICRO, 8)], ids=["default", "micro"])
+def test_float32_path_stays_within_float32_rounding_of_the_float64_path(monkeypatch, cfg, n):
+    rng = np.random.default_rng(8)
+    params = init_params(cfg, seed=8)
+    s, g = crandn(rng, (cfg.frames, n, n)), crandn(rng, (cfg.frames, n, n))
+
+    def run():  # (output, parameter gradient, input gradient)
+        out, cache = net_forward(s, params, cfg)
+        return (out,) + net_backward(g, cache, params)
+
+    f32 = run()
+    monkeypatch.setattr(net, "ACT_DTYPE", np.float64)
+    f64 = run()
+    eps32 = np.finfo(np.float32).eps
+    for a, b in zip(f32, f64):
+        assert 0 < np.linalg.norm(a - b) < 16 * eps32 * np.linalg.norm(b)  # 9.3e-8 to 3.2e-7 measured
+
+
+@pytest.mark.parametrize("cfg,n", [(NetConfig(frames=8), 32), (MICRO, 8)], ids=["default", "micro"])
+def test_dtype_contract_float32_activations_float64_parameters_and_gradients(monkeypatch, cfg, n):
+    rng = np.random.default_rng(9)
+    params = init_params(cfg, seed=9)
+    s, g = crandn(rng, (cfg.frames, n, n)), crandn(rng, (cfg.frames, n, n))
+    empty, fresh = np.empty, []
+
+    def recording_empty(*args, **kwargs):
+        fresh.append(empty(*args, **kwargs))
+        return fresh[-1]
+
+    monkeypatch.setattr(np, "empty", recording_empty)
+    out, cache = net_forward(s, params, cfg)
+    assert {x.dtype for _, x in cache["tape"] if x is not None} == {np.dtype(np.float32)}
+    g_theta, g_in = net_backward(g, cache, params)
+    assert params.flat.dtype == g_theta.dtype == np.float64
+    assert out.dtype == g_in.dtype == np.complex128
+    # upcat's buffer, the weight gradients and the pool's reverse: every fresh buffer but the gradient vector
+    buffers = [b for b in fresh if b is not g_theta]
+    assert len(buffers) == len(fresh) - 1 > 0 and {b.dtype for b in buffers} == {np.dtype(np.float32)}
+    _, state = adam_step(params.flat, g_theta, AdamState.zeros(params.size), lr=1e-3)
+    assert state.m.dtype == state.v.dtype == np.float64
+
+
 @pytest.mark.parametrize("shape", [(1, 1, 1), (2, 4, 4), (3, 2, 8), (2, 8, 2), (1, 5, 3)])
 @pytest.mark.parametrize("p", [0, 1, 2])
 def test_pad_flat_matches_the_np_pad_reference(monkeypatch, shape, p):
@@ -112,6 +155,7 @@ def test_pad_flat_matches_the_np_pad_reference(monkeypatch, shape, p):
     assert np.array_equal(_pad_flat(x, p), reference)
 
 
+@pytest.mark.usefixtures("float64_net")
 def test_directional_derivative():
     rng = np.random.default_rng(3)
     cfg = NetConfig(frames=4, depth_levels=2, base_channels=4)
@@ -146,6 +190,7 @@ def test_residual_path_input_gradient(rng):
     assert_allclose(g_in, expected, rtol=1e-13)
 
 
+@pytest.mark.usefixtures("float64_net")
 def test_full_jacobian_micro_net():
     rng, params, s, target = _micro_setup(seed=5)
     out, cache = net_forward(s, params, MICRO)
@@ -188,6 +233,7 @@ def test_conv_peak_memory_stays_below_one_patch_matrix(rng):
         assert peak < patch_matrix_bytes
 
 
+@pytest.mark.usefixtures("float64_net")
 def test_input_gradient_finite_differences():
     # non-zero weights: the conv path carries input gradient too, as MoDL with K > 1 needs
     rng = np.random.default_rng(6)
@@ -205,6 +251,7 @@ def test_input_gradient_finite_differences():
             assert abs(fd - pick(g_in[idx])) / max(abs(fd), 1e-6) < 1e-5, (idx, comp)
 
 
+@pytest.mark.usefixtures("float64_net")
 def test_piecewise_linearity_in_input(rng):
     params = init_params(MICRO, seed=7)
     s = crandn(rng, (2, 8, 8))

@@ -166,6 +166,7 @@ def test_modl_train_smoke_single_phantom():
     assert np.isfinite(log.train_loss[0])
 
 
+@pytest.mark.usefixtures("float64_net")
 def test_modl_implicit_gradient_matches_finite_differences():
     rng, d = _micro_data(6)
     params = init_params(MICRO, 5)
@@ -208,6 +209,7 @@ def test_secret_loss_zero_net_matches_direct_oracle():
     assert loss == pytest.approx(oracle, rel=1e-12)
 
 
+@pytest.mark.usefixtures("float64_net")
 def test_secret_gradient_matches_finite_differences():
     rng, d = _micro_data(8)
     params = init_params(MICRO, 2)
