@@ -19,22 +19,40 @@ takes the next gradient from the accepted trial's images (one inverse DFT),
 however many backtracks it needs. The ConvergenceLog records the objective
 after every accepted step and the backtracks it took.
 
-cs_reconstruct allocates its workspace at entry: s, the direction d, the
-images of the point, of the direction and of the trial (the trial's residual
-slice doubles as the gradient), and the smoothed moduli of the three TV slices,
-one real [3,T,H,W] array. The search stops at the first accepted trial, so the
+cs_reconstruct allocates its workspace at entry: the direction d, the images
+of the point, of the direction and of the trial (the trial's residual slice
+doubles as the gradient), and the smoothed moduli of the three TV slices, one
+real [3,T,H,W] array. The search stops at the first accepted trial, so the
 last trial scored is the new point: its images rotate in by swapping
-references with the point's, the moduli already are its own, and only s is
-updated, s += a d. The point's old images and the direction's serve as the
-next gradient's scratch. Every step writes with ufunc out= or in place, in the
-same order as the plain expressions, so nothing is allocated per iteration:
-each DFT writes through dft2's out= into a slice of the images it belongs to
-(out must be C-contiguous complex128 of the input's shape and not overlap
-it), and the gradient's TV weights multiply by the moduli's reciprocals,
-formed in the moduli array.
-The real inner products (the data term, ||g||^2 and the Armijo slope) are
-numerics.re_dot, so the result does not depend on the BLAS thread count.
-cs_objective and cs_gradient validate s and allocate their own buffers.
+references with the point's, the moduli already are its own, and only the
+iterate s is updated, s += a d. The point's old images and the direction's
+serve as the next gradient's scratch. Every step writes with ufunc out= or in
+place, in the same order as the plain expressions, so nothing is allocated per
+iteration: each DFT writes through dft2's out= into a slice of the images it
+belongs to, and the gradient's TV weights multiply by the moduli's
+reciprocals, formed in the moduli array.
+
+Precision is mixed, set by the module constant WORK_DTYPE (complex64). In
+WORK_DTYPE run the workspace: the images of the point, of the direction and of
+the trial, the direction, the gradient and its scratch, and so both DFTs of an
+iteration; the smoothed moduli are its real counterpart (float32). In double
+precision stay:
+- the iterate s, complex128, updated by s += a d: the start, and a stalled
+  solve's result, is exactly adjoint(d_u), and the returned image needs no
+  final copy;
+- every reduction: the data term, ||g||^2 and the Armijo slope are
+  numerics.re_dot, and the two moduli sums sum(dtype=float64), all accumulated
+  in float64 and the same at any BLAS thread count;
+- the step sizes and the ConvergenceLog, whose entries are Python floats;
+- cs_objective and cs_gradient, which validate s, allocate their own
+  complex128 buffers, and are the oracles the solver is tested against.
+The start is cast into the workspace inside the solve's errstate: samples
+finite in float64 whose values or squares pass the float32 range give a
+starting objective that is not finite, which raises before the first
+iteration, and no RuntimeWarning escapes. The logged objective is
+that of the point's images, which move by img + a img_d rather than being
+encoded from s again, so it follows cs_objective(s) to float32 rounding.
+WORK_DTYPE = complex128 runs the whole solve in double precision.
 """
 
 from __future__ import annotations
@@ -59,6 +77,7 @@ __all__ = ["SMOOTH_EPS", "CsConfig", "ConvergenceLog", "cs_objective", "cs_gradi
            "cs_reconstruct"]
 
 SMOOTH_EPS = 1e-6
+WORK_DTYPE = np.complex64  # the workspace's dtype; see the module docstring
 
 
 @dataclass(frozen=True)
@@ -106,7 +125,8 @@ def _moduli(images: np.ndarray, w: np.ndarray) -> np.ndarray:
 def _value(images: np.ndarray, cfg: CsConfig, w: np.ndarray) -> float:
     """Objective from its images; leaves their smoothed moduli in w."""
     _moduli(images, w)
-    return float(re_dot(images[0], images[0]) + cfg.lambda1 * w[:2].sum() + cfg.lambda2 * w[2].sum())
+    return float(re_dot(images[0], images[0]) + cfg.lambda1 * w[:2].sum(dtype=np.float64)
+                 + cfg.lambda2 * w[2].sum(dtype=np.float64))
 
 
 def _gradient(images: np.ndarray, w: np.ndarray, cfg: CsConfig, g: np.ndarray,
@@ -149,7 +169,8 @@ def cs_gradient(s: np.ndarray, d_u: KtData, cfg: CsConfig) -> np.ndarray:
 def cs_reconstruct(d_u: KtData, cfg: CsConfig | None = None):
     """Nonlinear CG (Fletcher-Reeves) from the zero-filled start.
 
-    Returns (reconstruction, ConvergenceLog). The logged objective sequence is
+    Returns (reconstruction, ConvergenceLog), the reconstruction complex128
+    whatever WORK_DTYPE is. The logged objective sequence is
     non-increasing; if the Armijo search fails 50 backtracks in a row the
     current iterate is returned with the warning flag set. A starting objective
     that is not finite raises FloatingPointError. d_u was validated
@@ -158,15 +179,16 @@ def cs_reconstruct(d_u: KtData, cfg: CsConfig | None = None):
     """
     cfg = cfg or CsConfig()
     mask, samples = d_u.mask, d_u.samples
-    s = adjoint(d_u)  # the iterate, updated in place and returned
-    # the workspace: every step below writes into these buffers
-    d = np.empty_like(s)
+    s = adjoint(d_u)  # the iterate, complex128, updated in place and returned
+    # the workspace, in WORK_DTYPE: every step below writes into these buffers
+    d = np.empty(s.shape, WORK_DTYPE)
     # the trial's residual slice is also the gradient, dead from the slope on
-    img, img_d, trial = (np.empty((4, *s.shape), np.complex128) for _ in range(3))
-    moduli = np.empty((3, *s.shape))
+    img, img_d, trial = (np.empty((4, *s.shape), WORK_DTYPE) for _ in range(3))
+    moduli = np.empty((3, *s.shape), np.finfo(WORK_DTYPE).dtype)
     log = ConvergenceLog()
     with np.errstate(over="ignore", invalid="ignore"):  # reported just below
-        f = _value(_images(s, mask, samples, img), cfg, moduli)
+        np.copyto(d, s)  # the start in WORK_DTYPE, the direction's buffer as scratch
+        f = _value(_images(d, mask, samples, img), cfg, moduli)
     if not np.isfinite(f):
         raise FloatingPointError(f"the starting objective is {f}: the samples are too large")
     log.objective.append(f)

@@ -1,26 +1,30 @@
 """Complex array core: unitary 2D DFT and periodic finite-difference operators,
 plus the cumulative trapezoid integral of the Patlak model.
 
-All functions operate on complex128 numpy arrays and leave their inputs
-unchanged; the DFT is unitary in both directions so the adjoint of the forward
-transform is exactly the inverse transform. The DFT and the difference
-operators write into an optional preallocated out=, so a solver that owns its
-buffers allocates nothing per call; out must be a C-contiguous complex128 array
-of the result's shape that does not overlap the input, or a ValueError names
-it. dft2 is the only caller of numpy's transforms: it runs np.fft.fftn/ifftn
-over the last two axes, which honour out= (numpy's ifft2 ignores it). A
+The DFT and the differences keep a complex64 input in complex64 and convert
+anything else to complex128. They leave their inputs unchanged; the DFT is
+unitary in both directions so the adjoint of the forward transform is exactly
+the inverse transform. The DFT and the difference operators write into an
+optional preallocated out=, so a solver that owns its buffers allocates nothing
+per call; out must be a C-contiguous array of the result's shape and of the
+(converted) input's dtype that does not overlap the input, or a ValueError
+names it. dft2 is the only caller of numpy's transforms: it runs
+np.fft.fftn/ifftn over the last two axes, which honour out= (numpy's ifft2
+ignores it) and transform a complex64 array in single precision. A
 periodic difference views the volume as rows [prod(shape[:axis]),
 prod(shape[axis:])] and subtracts the whole interior in one contiguous pass at
 the axis's stride, then overwrites each row's wrap-around block; every element
 is the same subtraction as x[1:] - x[:-1] along the axis.
 
 re_dot is the package's one reduction of a sum of products: Re<a, b> of two
-arrays of one shape, converted to contiguous float64 (complex128 when either is
-complex) and summed by a single einsum loop over the float64 view. norm is
-sqrt(re_dot(x, x)). numpy's vdot, dot and linalg.norm call BLAS, whose sums
-change with its thread count once an array has about 10,000 elements; einsum's
-loop gives the same bits at any thread count, so no loss, log or metric that
-the package writes depends on the thread count.
+arrays of one shape, summed by a single einsum loop in float64 over their real
+views. Two complex64 (or two float32) arrays are viewed as float32 and
+widened by einsum's buffered loop, so no whole array is converted; any other
+pair is converted to contiguous float64 (complex128 when either is complex)
+first. norm is sqrt(re_dot(x, x)). numpy's vdot, dot and linalg.norm call
+BLAS, whose sums change with its thread count once an array has about 10,000
+elements; einsum's loop gives the same bits at any thread count, so no loss,
+log or metric that the package writes depends on the thread count.
 
 Every setting is checked by one rule. is_int admits Python and numpy integers;
 is_real admits Python and numpy reals that are finite as a float64. Neither
@@ -109,11 +113,15 @@ def cumulative_trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def re_dot(a, b) -> float:
-    """Re<a, b> of two array-likes of one shape, by einsum's loop over their
-    float64 views; the same bits at any BLAS thread count."""
+    """Re<a, b> of two array-likes of one shape, by einsum's float64 loop over
+    their real views; the same bits at any BLAS thread count."""
     a, b = np.asarray(a), np.asarray(b)
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} and {b.shape}")
+    if a.dtype == b.dtype and a.dtype in (np.complex64, np.float32):
+        # einsum widens the float32 views to float64 in its buffers, block by block
+        a, b = (np.ascontiguousarray(v).view(np.float32).ravel() for v in (a, b))
+        return float(np.einsum("i,i->", a, b, dtype=np.float64))
     # convert before viewing: the view reinterprets bits, so an int64 must become a float64 first
     dtype = np.complex128 if np.iscomplexobj(a) or np.iscomplexobj(b) else np.float64
     a, b = (np.ascontiguousarray(v, dtype=dtype).view(np.float64).ravel() for v in (a, b))
@@ -129,10 +137,11 @@ def dft2(x: np.ndarray, direction: str = "forward", out: np.ndarray | None = Non
     """Unitary 2D DFT over the last two axes, into out if given; returns the result.
 
     Both directions scale by 1/sqrt(h*w), so forward and inverse are
-    adjoint/inverse of each other exactly. x is converted to complex128
-    first; it must have at least 2 dimensions, the last two powers of two.
+    adjoint/inverse of each other exactly. x is converted to complex128 first,
+    unless it is complex64; it must have at least 2 dimensions, the last two
+    powers of two.
     """
-    x = np.asarray(x, dtype=np.complex128)
+    x = _complex(x, np.asarray)
     if x.ndim < 2:
         raise ValueError(f"dft2 needs at least 2 dimensions, got shape {x.shape}")
     check_pow2(*x.shape[-2:])
@@ -142,12 +151,18 @@ def dft2(x: np.ndarray, direction: str = "forward", out: np.ndarray | None = Non
     return transform(x, axes=(-2, -1), norm="ortho", out=_output(out, x.shape, x))
 
 
+def _complex(x, convert=np.ascontiguousarray) -> np.ndarray:
+    """x converted by convert to complex64 if it is complex64, else to complex128."""
+    x = np.asarray(x)
+    return convert(x, dtype=np.complex64 if x.dtype == np.complex64 else np.complex128)
+
+
 def _output(out, shape: tuple, x: np.ndarray) -> np.ndarray:
-    """A fresh complex128 array of the given shape, or out once it is checked."""
+    """A fresh array of the given shape and x's dtype, or out once it is checked."""
     if out is None:
-        return np.empty(shape, dtype=np.complex128)
-    if out.shape != shape or out.dtype != np.complex128:
-        raise ValueError(f"out must be complex128 of shape {shape}, got {out.dtype} {out.shape}")
+        return np.empty(shape, dtype=x.dtype)
+    if out.shape != shape or out.dtype != x.dtype:
+        raise ValueError(f"out must be {x.dtype} of shape {shape}, got {out.dtype} {out.shape}")
     if not out.flags.c_contiguous:
         raise ValueError("out must be C-contiguous")
     if np.may_share_memory(out, x):
@@ -182,7 +197,7 @@ def _fwd_diff_adjoint(y: np.ndarray, axis: int, out: np.ndarray) -> np.ndarray:
 
 
 def _check_3d(s: np.ndarray, min_t: int = 1) -> np.ndarray:
-    s = np.ascontiguousarray(s, dtype=np.complex128)
+    s = _complex(s)
     if s.ndim != 3:
         raise ValueError(f"expected a T,H,W volume, got shape {s.shape}")
     if s.shape[0] < min_t or s.shape[1] < 2 or s.shape[2] < 2:
@@ -204,9 +219,9 @@ def grad_spatial_adjoint(g: np.ndarray, out: np.ndarray | None = None,
     """Adjoint of grad_spatial; input shape [2,T,H,W].
 
     The result is the H term plus the W term; out receives the H term and
-    then the sum, work ([T,H,W] complex128) the W term.
+    then the sum, work ([T,H,W], g's dtype) the W term.
     """
-    g = np.ascontiguousarray(g, dtype=np.complex128)
+    g = _complex(g)
     if g.ndim != 4 or g.shape[0] != 2:
         raise ValueError(f"expected a 2,T,H,W stack, got shape {g.shape}")
     out, work = _output(out, g.shape[1:], g), _output(work, g.shape[1:], g)

@@ -3,7 +3,7 @@ import ctypes
 import numpy as np
 import pytest
 
-from ktsecret import net
+from ktsecret import cs, net
 
 
 def crandn(rng, shape):
@@ -21,6 +21,13 @@ def float64_net(monkeypatch):
     """Runs the network's activations and GEMMs in float64, the path the
     finite-difference oracles check; the float32 default is bounded against it."""
     monkeypatch.setattr(net, "ACT_DTYPE", np.float64)
+
+
+@pytest.fixture
+def complex128_cs(monkeypatch):
+    """Runs the CS solver's workspace in complex128, the path the tests that pin
+    it at float64 precision check; the complex64 default is bounded against it."""
+    monkeypatch.setattr(cs, "WORK_DTYPE", np.complex128)
 
 
 def _openblas(symbol: str):

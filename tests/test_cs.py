@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -71,6 +72,7 @@ def test_gradient_matches_central_differences():
             assert abs(fd - pick(g[t, y, x])) / max(abs(fd), 1e-12) < 1e-6
 
 
+@pytest.mark.usefixtures("complex128_cs")
 def test_solver_fixed_point_without_regularization():
     truth = synthesize(PhantomSpec(h=32, w=32, t=8, seed=2))
     mask = make_radial_mask(8, 32, 32, 1.0, seed=0)
@@ -139,6 +141,7 @@ def _phantom_problem(accel, seed):
     return corrupt(truth, make_radial_mask(8, 32, 32, accel, seed=1), 0.0, seed=0)
 
 
+@pytest.mark.usefixtures("complex128_cs")
 def test_solver_matches_plain_nlcg_at_r6():
     d = _phantom_problem(6.0, 3)
     cfg = CsConfig()
@@ -152,15 +155,18 @@ def test_solver_matches_plain_nlcg_at_r6():
 
 
 def _allocating_images(x, mask, samples):
-    """The objective's images, one fresh array per operation (np.roll differences)."""
-    return [encode(x, mask).samples - samples,
+    """The objective's images in x's dtype, one fresh array per operation (np.roll
+    differences); the samples are complex128, so the residual is rounded once."""
+    return [(dft2(x, "forward") * mask.bits - samples).astype(x.dtype),
             np.stack([np.roll(x, -1, axis=1) - x, np.roll(x, -1, axis=2) - x]),
             np.roll(x, -1, axis=0) - x]
 
 
 def _re_dot(a, b):
-    """Re<a, b> by numpy's einsum loop, which no BLAS thread count changes."""
-    return float(np.einsum("i,i->", a.view(np.float64).ravel(), b.view(np.float64).ravel()))
+    """Re<a, b> by numpy's einsum loop in float64 over the real views, which no
+    BLAS thread count changes."""
+    real = a.real.dtype
+    return float(np.einsum("i,i->", a.view(real).ravel(), b.view(real).ravel(), dtype=np.float64))
 
 
 def _allocating_value(images, cfg):
@@ -169,7 +175,7 @@ def _allocating_value(images, cfg):
         if lam is None:
             val += _re_dot(im, im)
         else:
-            val += lam * np.sqrt(np.abs(im) ** 2 + SMOOTH_EPS).sum()
+            val += lam * np.sqrt(np.abs(im) ** 2 + SMOOTH_EPS).sum(dtype=np.float64)
     return float(val)
 
 
@@ -182,11 +188,13 @@ def _allocating_gradient(images, cfg):
     return g + cfg.lambda2 * (np.roll(wt, 1, axis=0) - wt)
 
 
-def _allocating_nlcg(d_u, cfg):
+def _allocating_nlcg(d_u, cfg, dtype):
     """The solver's arithmetic in the same order, allocating a new array for
-    every operation: x + a*y for each trial, encode for each direction."""
+    every operation: x + a*y for each trial, a masked DFT for each direction. The
+    images, direction and gradient are in dtype, the iterate s is complex128,
+    and every sum is accumulated in float64."""
     s = adjoint(d_u)
-    img = _allocating_images(s, d_u.mask, d_u.samples)
+    img = _allocating_images(s.astype(dtype), d_u.mask, d_u.samples)
     objective, backtracks = [_allocating_value(img, cfg)], []
     d = gg = None
     step0 = 1.0
@@ -218,36 +226,126 @@ def _allocating_nlcg(d_u, cfg):
     return s, objective, backtracks
 
 
-@pytest.mark.parametrize("accel,seed,cfg,stops_on_tol", [
+SOLVE_CASES = pytest.mark.parametrize("accel,seed,cfg,stops_on_tol", [
     (10.0, 4, CsConfig(max_iters=100, tol=1e-12), False),
     (6.0, 3, CsConfig(), True),
 ], ids=["r10-all-iterations", "r6-stops-on-tol"])
-def test_solver_is_bit_identical_to_allocating_reference(accel, seed, cfg, stops_on_tol):
-    d = _phantom_problem(accel, seed)
+
+
+def _assert_bit_identical_to_allocating_reference(d, cfg):
+    """Solves d both ways in the workspace dtype; returns the reference's log."""
     s, log = cs_reconstruct(d, cfg)
-    s_ref, objective, backtracks = _allocating_nlcg(d, cfg)
+    s_ref, objective, backtracks = _allocating_nlcg(d, cfg, cs_module.WORK_DTYPE)
     assert np.array_equal(s, s_ref)
     assert log.objective == objective
     assert log.backtracks == backtracks
+    return objective, backtracks
+
+
+@SOLVE_CASES
+def test_solver_is_bit_identical_to_allocating_reference(accel, seed, cfg, stops_on_tol):
+    objective, backtracks = _assert_bit_identical_to_allocating_reference(_phantom_problem(accel, seed), cfg)
     assert sum(backtracks) > 0
     assert (len(objective) <= cfg.max_iters) == stops_on_tol
 
 
+@pytest.mark.usefixtures("complex128_cs")
+@SOLVE_CASES
+def test_solver_is_bit_identical_to_allocating_reference_in_complex128(accel, seed, cfg, stops_on_tol):
+    test_solver_is_bit_identical_to_allocating_reference(accel, seed, cfg, stops_on_tol)
+
+
+DRAWN_PROBLEMS = given(seed=st.integers(0, 2 ** 16), accel=st.sampled_from([2.0, 3.0, 6.0]),
+                       l1=st.floats(0.0, 1e-2), l2=st.floats(0.0, 1e-2), iters=st.integers(1, 12))
+
+
+def _drawn_problem(seed, accel):
+    ref = synthesize(PhantomSpec(h=16, w=16, t=8, seed=seed)).ref_images[:4]
+    return encode(ref, make_radial_mask(4, 16, 16, accel, seed=seed))
+
+
 @settings(derandomize=True, deadline=None, max_examples=60)
-@given(seed=st.integers(0, 2 ** 16), accel=st.sampled_from([2.0, 3.0, 6.0]),
-       l1=st.floats(0.0, 1e-2), l2=st.floats(0.0, 1e-2), iters=st.integers(1, 12))
+@DRAWN_PROBLEMS
 def test_solver_is_bit_identical_to_allocating_reference_on_drawn_problems(seed, accel, l1, l2,
                                                                              iters):
     """The accepted trial's images and moduli become the next point's; over
     drawn phantoms, masks and weights that must equal recomputing them."""
-    ref = synthesize(PhantomSpec(h=16, w=16, t=8, seed=seed)).ref_images[:4]
-    d = encode(ref, make_radial_mask(4, 16, 16, accel, seed=seed))
-    cfg = CsConfig(lambda1=l1, lambda2=l2, max_iters=iters)
+    _assert_bit_identical_to_allocating_reference(
+        _drawn_problem(seed, accel), CsConfig(lambda1=l1, lambda2=l2, max_iters=iters))
+
+
+@pytest.mark.usefixtures("complex128_cs")
+@settings(derandomize=True, deadline=None, max_examples=60)
+@DRAWN_PROBLEMS
+def test_solver_is_bit_identical_to_allocating_reference_on_drawn_problems_in_complex128(
+        seed, accel, l1, l2, iters):
+    _assert_bit_identical_to_allocating_reference(
+        _drawn_problem(seed, accel), CsConfig(lambda1=l1, lambda2=l2, max_iters=iters))
+
+
+EPS32 = np.finfo(np.float32).eps
+
+
+@SOLVE_CASES
+def test_complex64_solve_stays_within_float32_rounding_of_the_complex128_solve(monkeypatch, accel, seed,
+                                                                              cfg, stops_on_tol):
+    d = _phantom_problem(accel, seed)
     s, log = cs_reconstruct(d, cfg)
-    s_ref, objective, backtracks = _allocating_nlcg(d, cfg)
-    assert np.array_equal(s, s_ref)
-    assert log.objective == objective
-    assert log.backtracks == backtracks
+    monkeypatch.setattr(cs_module, "WORK_DTYPE", np.complex128)
+    s_ref, log_ref = cs_reconstruct(d, cfg)
+    assert log.backtracks == log_ref.backtracks
+    # measured 1.2e-6 (r10) and 5.2e-7 (r6): 10.2 and 4.3 float32 epsilons
+    assert 0 < np.linalg.norm(s - s_ref) < 16 * EPS32 * np.linalg.norm(s_ref)
+    # the logged objective follows the point's images, not s: measured 6.6e-8 and 4.1e-9
+    f = cs_objective(s, d, cfg)
+    assert abs(log.objective[-1] - f) < 4 * EPS32 * f
+
+
+def test_dtype_contract_complex64_workspace_complex128_iterate_and_float_log(monkeypatch):
+    d = _phantom_problem(6.0, 3)
+    empty, fresh = np.empty, []
+
+    def recording_empty(*args, **kwargs):
+        fresh.append(empty(*args, **kwargs))
+        return fresh[-1]
+
+    monkeypatch.setattr(np, "empty", recording_empty)
+    s, log = cs_reconstruct(d, CsConfig(max_iters=10))
+    assert s.dtype == np.complex128 and any(b is s for b in fresh)
+    shape = d.mask.shape  # the direction, the point's, direction's and trial's images, the moduli
+    assert sorted((b.dtype.name, b.shape) for b in fresh if b is not s) == sorted(
+        [("complex64", shape)] + 3 * [("complex64", (4, *shape))] + [("float32", (3, *shape))])
+    assert len(log.objective) == 11 and all(type(f) is float for f in log.objective)
+    assert all(type(b) is int for b in log.backtracks)
+
+
+def test_stalled_complex64_solve_returns_the_complex128_start():
+    d = _phantom_problem(4.0, 1)
+    cfg = CsConfig(lambda1=1e14, max_iters=10)
+    s, log = cs_reconstruct(d, cfg)
+    assert log.line_search_failed and log.backtracks == []
+    assert s.dtype == np.complex128 and np.array_equal(s, adjoint(d))
+    f = cs_objective(s, d, cfg)
+    assert abs(log.objective[0] - f) < 4 * EPS32 * f
+
+
+@pytest.mark.parametrize("scale", [1e30, 1e200])
+def test_solver_refuses_samples_past_the_float32_range_before_the_first_iteration(monkeypatch, scale):
+    """At 1e30 the samples fit float32 but their squares do not; at 1e200 the
+    cast of the start overflows. Both happen inside the solver's errstate."""
+    _, d = _random_problem(7)
+    huge = KtData(samples=scale * d.samples, mask=d.mask)
+    if scale == 1e30:  # finite in float64
+        assert np.isfinite(cs_objective(adjoint(huge), huge, CsConfig()))
+
+    def no_gradient(*args):
+        raise AssertionError("an iteration started")
+
+    monkeypatch.setattr(cs_module, "_gradient", no_gradient)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FloatingPointError, match="starting objective"):
+            cs_reconstruct(huge, CsConfig(max_iters=3))
 
 
 def _solve_peak_bytes(d, iters):
@@ -287,6 +385,7 @@ def test_solver_transforms_into_its_workspace(monkeypatch):
     assert len({id(out.base) for out in outs}) <= 3
 
 
+@pytest.mark.usefixtures("complex128_cs")
 def test_solver_refuses_non_finite_start():
     _, d = _random_problem(7)
     huge = KtData(samples=1e200 * d.samples, mask=d.mask)
@@ -294,6 +393,7 @@ def test_solver_refuses_non_finite_start():
         cs_reconstruct(huge, CsConfig(max_iters=3))
 
 
+@pytest.mark.usefixtures("complex128_cs")
 def test_solver_logged_objective_does_not_drift_at_r10():
     d = _phantom_problem(10.0, 4)
     cfg = CsConfig(max_iters=100, tol=1e-12)
@@ -320,6 +420,7 @@ def test_config_rejects_negative_weights():
         CsConfig(lambda1=-1.0)
 
 
+@pytest.mark.usefixtures("complex128_cs")
 def test_stalled_line_search_returns_the_last_accepted_iterate():
     # on the piecewise-constant phantom most differences are 0, where the smoothed
     # modulus curves by lambda1 / sqrt(SMOOTH_EPS): at this lambda1 even the 50th

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -225,3 +226,48 @@ def test_temporal_differences_need_two_frames():
 def test_spatial_adjoint_refuses_a_stack_that_is_not_two_volumes(shape):
     with pytest.raises(ValueError, match=re.escape(f"expected a 2,T,H,W stack, got shape {shape}")):
         grad_spatial_adjoint(np.zeros(shape))
+
+
+EPS32 = np.finfo(np.float32).eps
+
+
+def test_complex64_transforms_stay_complex64_within_float32_rounding(rng):
+    x, g = crandn(rng, (3, 16, 8)).astype(np.complex64), crandn(rng, (2, 3, 16, 8)).astype(np.complex64)
+    for op, arg in [(lambda v, **kw: dft2(v, "forward", **kw), x), (lambda v, **kw: dft2(v, "inverse", **kw), x),
+                    (grad_spatial, x), (grad_temporal, x), (grad_temporal_adjoint, x),
+                    (grad_spatial_adjoint, g)]:
+        single, double = op(arg), op(arg.astype(np.complex128))  # measured 0.23 to 0.80 epsilons
+        assert single.dtype == np.complex64 and double.dtype == np.complex128
+        assert np.linalg.norm(single - double) < 2 * EPS32 * np.linalg.norm(double)
+        out = np.empty_like(single)
+        assert op(arg, out=out) is out and out.tobytes() == single.tobytes()
+
+
+def test_out_must_have_the_inputs_dtype(rng):
+    x = crandn(rng, (3, 8, 8))
+    for arg, bad in [(x, np.empty(x.shape, np.complex64)), (x.astype(np.complex64), np.empty(x.shape, complex))]:
+        for op in (lambda v, out: dft2(v, "forward", out=out), lambda v, out: dft2(v, "inverse", out=out),
+                   grad_temporal, grad_temporal_adjoint):
+            with pytest.raises(ValueError, match=f"out must be {arg.dtype}"):
+                op(arg, out=bad)
+        with pytest.raises(ValueError, match=f"out must be {arg.dtype}"):
+            grad_spatial(arg, out=np.empty((2, *x.shape), bad.dtype))
+        with pytest.raises(ValueError, match=f"out must be {arg.dtype}"):
+            grad_spatial_adjoint(np.stack([arg, arg]), out=bad)
+
+
+def test_re_dot_of_complex64_matches_its_complex128_widening_without_a_whole_copy(rng):
+    for shape in [(5,), (3, 4), (16, 64, 64)]:  # the last beyond einsum's buffer
+        a, b = crandn(rng, shape).astype(np.complex64), crandn(rng, shape).astype(np.complex64)
+        for x, y in [(a, b), (a.real, b.imag)]:  # complex64, and non-contiguous float32
+            wide = re_dot(x.astype(np.complex128 if x.dtype == np.complex64 else np.float64), y.astype(
+                np.complex128 if y.dtype == np.complex64 else np.float64))
+            assert re_dot(x, y) == pytest.approx(wide, rel=1e-14)
+            assert isinstance(re_dot(x, y), float)
+    tracemalloc.start()
+    try:
+        re_dot(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < a.nbytes / 2  # a float64 copy of one operand would take 2 * a.nbytes
