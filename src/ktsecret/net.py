@@ -29,18 +29,24 @@ ACT_DTYPE run the packed channels, every activation and buffer of both passes
 and every GEMM, with the weights and biases cast from the parameter vector once
 per net_forward; its cache keeps that cast for net_backward. In float64 stay
 the parameters, one vector `flat` that Adam steps and weight files store, whose
-layers are views of it; the gradient net_backward returns in its layout; Adam's
-moments; and the temporal average the residual path adds, so the output and
-the input gradient are complex128. ACT_DTYPE = float64 runs the whole network
-in float64, as the finite-difference tests do.
+layers are views of it (per conv in _plan's order, the raveled weight, then the
+bias); the gradient net_backward returns in its layout; Adam's moments; and the
+temporal average the residual path adds, so the output and the input gradient
+are complex128. ACT_DTYPE = float64 runs the whole network in float64, as the
+finite-difference tests do.
+
+A NetworkParams carries its NetConfig as .cfg. NetConfig.check_fits is the one
+rule for which series a network takes: F frames and L pooling levels take a
+[T,H,W] series when T = F and 2**L divides H and W. net_forward applies it and
+refuses a NetConfig other than params.cfg, naming both, so every caller that
+runs the network (secret_infer, modl_forward) refuses them too.
 
 Forward records, per op, only the array its reverse needs: a conv's input and a
 ReLU's output, which the ReLU writes into the conv output it consumes, so each
 activation is held once. net_backward frees that tape entry by entry as it
-goes, and refuses a cache it has already consumed. Adam updates its moments in
-place, block by block, so its elementwise passes run over cache-sized slices.
-Gradients are validated against central finite differences in the test
-suite.
+goes, and refuses a cache it has already consumed. Adam takes Kingma & Ba's
+folded step and updates its moments in place. Gradients are validated against
+central finite differences in the test suite.
 """
 
 from __future__ import annotations
@@ -65,7 +71,6 @@ __all__ = [
 ]
 
 ACT_DTYPE = np.float32  # the activations' and GEMMs' dtype; see the module docstring
-_ADAM_BLOCK = 16384  # 128 KiB per vector: a block of theta, grad, m, v, new theta and two scratch fits L2
 
 
 @dataclass(frozen=True)
@@ -363,27 +368,22 @@ class AdamState:
 def adam_step(theta: np.ndarray, grad: np.ndarray, state: AdamState, lr: float):
     """One bias-corrected Adam update on flat parameter vectors (beta1 0.9, beta2 0.999, eps 1e-8).
 
-    Updates state.m and state.v in place, not theta, and returns a new theta. The vectors are
-    stepped in blocks of _ADAM_BLOCK elements through two block-sized scratch vectors; the
-    allocating formula's operations run in its order, so the bits are its bits."""
+    Kingma & Ba's folded step (ICLR 2015, section 2), theta - alpha_t * m / (sqrt(v) + eps * c),
+    alpha_t = lr * c / (1 - beta1**t), c = sqrt(1 - beta2**t). Updates state in place, not theta,
+    and returns (new theta, state); the new theta is the one fresh vector its passes run through."""
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     if theta.ndim != 1 or not theta.shape == grad.shape == state.m.shape == state.v.shape:
         raise ValueError("theta, grad and state must be vectors of one shape")
-    step = state.step + 1
-    new_theta = np.empty_like(theta)
-    scratch_a, scratch_b = np.empty((2, min(theta.size, _ADAM_BLOCK)))
-    for i in range(0, theta.size, _ADAM_BLOCK):
-        block = slice(i, i + _ADAM_BLOCK)
-        m, v, g = state.m[block], state.v[block], grad[block]
-        a, b = scratch_a[:m.size], scratch_b[:m.size]
-        m *= beta1
-        m += np.multiply(1 - beta1, g, out=a)
-        v *= beta2
-        v += np.multiply(1 - beta2, np.square(g, out=a), out=a)
-        m_hat = np.divide(m, 1 - beta1 ** step, out=a)
-        denom = np.sqrt(np.divide(v, 1 - beta2 ** step, out=b), out=b)
-        denom += eps
-        update = np.multiply(lr, m_hat, out=a)
-        update /= denom
-        np.subtract(theta[block], update, out=new_theta[block])
-    return new_theta, AdamState(m=state.m, v=state.v, step=step)
+    state.step += 1
+    c = np.sqrt(1 - beta2 ** state.step)
+    out = np.multiply(1 - beta1, grad)
+    state.m *= beta1
+    state.m += out
+    np.multiply(1 - beta2, np.square(grad, out=out), out=out)
+    state.v *= beta2
+    state.v += out
+    np.sqrt(state.v, out=out)
+    out += eps * c
+    np.divide(state.m, out, out=out)
+    out *= lr * c / (1 - beta1 ** state.step)
+    return np.subtract(theta, out, out=out), state

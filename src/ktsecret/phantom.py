@@ -40,6 +40,8 @@ class PhantomSpec:
                 or self.noise_sigma < 0 or self.dt <= 0):
             raise ValueError("need t >= 8, n_tissue_regions >= 1, seed >= 0, noise_sigma >= 0, dt > 0")
         check_pow2(self.h, self.w)
+        if min(self.h, self.w) < 8:  # below 8 the regions overflow the image, or no pixel varies
+            raise ValueError("need h, w >= 8: synthesize draws no smaller phantom")
         for lo, hi in (self.ktrans_range, self.vp_range):
             if not 0 <= lo <= hi:
                 raise ValueError("parameter ranges must be non-negative with max >= min")
@@ -87,8 +89,6 @@ def gamma_variate_aif(t_axis: np.ndarray, t0: float, alpha: float, beta: float, 
 
 
 def _ellipse(h: int, w: int, cy: float, cx: float, ry: float, rx: float) -> np.ndarray:
-    if cy - ry < 0 or cy + ry > h - 1 or cx - rx < 0 or cx + rx > w - 1:
-        raise ValueError("region overflows image bounds")
     yy, xx = np.mgrid[0:h, 0:w]
     return ((yy - cy) / ry) ** 2 + ((xx - cx) / rx) ** 2 <= 1.0
 

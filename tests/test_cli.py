@@ -512,6 +512,17 @@ def test_pipeline_refuses_unachievable_accel_before_writing(tmp_path, accel):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("h, w", [(4, 4), (2, 4)])
+def test_pipeline_refuses_a_phantom_too_small_to_draw_before_writing(tmp_path, h, w):
+    cfg = _valid_config(tmp_path)
+    cfg["phantom"].update(h=h, w=w)
+    with pytest.raises(ConfigError, match="^phantom: need h, w >= 8"):
+        run_pipeline(cfg)
+    assert not (tmp_path / "out").exists()
+    with pytest.raises(ConfigError, match="^phantom: need h, w >= 8"):
+        cli._options_config(build_parser().parse_args(["phantom", "--out", "o", "--h", str(h), "--w", str(w)]))
+
+
 def test_pipeline_rejects_non_object_config():
     with pytest.raises(ConfigError):
         run_pipeline([])
@@ -740,6 +751,26 @@ def test_user_thread_setting_leaves_blas_threads_alone(tmp_path, monkeypatch, bl
     seen = _record_blas_threads(monkeypatch, blas_threads)
     assert run_pipeline(_valid_config(tmp_path)) == 0
     assert seen == [before] * 2
+
+
+def test_blas_cap_is_a_no_op_without_the_bundled_openblas(tmp_path, monkeypatch, blas_threads):
+    # a numpy linked against another BLAS: its library has no scipy_openblas_* symbols to call
+    import ctypes
+
+    loaded = []
+
+    class OtherBlas:
+        def __init__(self, path):
+            loaded.append(path)
+
+    monkeypatch.setattr(ctypes, "CDLL", OtherBlas)
+    before = blas_threads()
+    with cli._blas_threads_per_worker(2):
+        assert blas_threads() == before
+    assert len(loaded) == 1
+    seen = _record_blas_threads(monkeypatch, blas_threads)
+    assert run_pipeline(_valid_config(tmp_path)) == 0
+    assert seen == [before] * 2 and blas_threads() == before
 
 
 def _assert_r6_alone_equals_r6_swept(tmp_path, method, size, **params):

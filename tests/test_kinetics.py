@@ -172,6 +172,13 @@ def test_nrmse_basics(rng):
     assert nrmse(ints, ints + 1) == pytest.approx(np.sqrt(12 / np.sum((ints + 1) ** 2)), rel=1e-12)
 
 
+def test_nrmse_refuses_a_reference_whose_squared_norm_underflows():
+    # the peak 1e-200 is positive and finite, so the peak check passes; its square 1e-400 is 0
+    ref = np.full((2, 8, 8), 1e-200)
+    with pytest.raises(ValueError, match="^zero reference$"):
+        nrmse(np.zeros_like(ref), ref)
+
+
 def test_psnr_nrmse_monotone_relation(rng):
     ref = rng.uniform(0.2, 1.0, size=(2, 16, 16))
     candidates = [ref + eps * rng.standard_normal(ref.shape) for eps in (0.01, 0.05, 0.2)]

@@ -7,7 +7,6 @@ from numpy.testing import assert_allclose
 
 from ktsecret import net
 from ktsecret.net import (
-    _ADAM_BLOCK,
     AdamState,
     NetConfig,
     _conv_backward,
@@ -404,7 +403,7 @@ def test_upsampling_is_the_adjoint_of_the_2x2_block_sum(rng, shape):
 
 
 def _adam_reference(theta, grad, state, lr):
-    """The allocating textbook step that adam_step reproduces bit for bit."""
+    """The allocating textbook step, with bias-corrected moments; adam_step's m and v are its bits."""
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     step = state.step + 1
     m = beta1 * state.m + (1 - beta1) * grad
@@ -414,18 +413,35 @@ def _adam_reference(theta, grad, state, lr):
     return theta - lr * m_hat / (np.sqrt(v_hat) + eps), AdamState(m=m, v=v, step=step)
 
 
+def _adam_folded_reference(theta, grad, state, lr):
+    """The allocating folded step of Kingma & Ba (ICLR 2015, section 2), whose bits adam_step's theta is."""
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    step = state.step + 1
+    m = beta1 * state.m + (1 - beta1) * grad
+    v = beta2 * state.v + (1 - beta2) * grad ** 2
+    alpha_t = lr * np.sqrt(1 - beta2 ** step) / (1 - beta1 ** step)
+    eps_t = eps * np.sqrt(1 - beta2 ** step)
+    return theta - alpha_t * (m / (np.sqrt(v) + eps_t)), AdamState(m=m, v=v, step=step)
+
+
 def test_adam_in_place_step_is_bit_equal_to_the_allocating_formula(rng):
-    # within one block, and at and across the edges of the blocks adam_step steps in
-    for size in (257, 1, _ADAM_BLOCK - 1, _ADAM_BLOCK, _ADAM_BLOCK + 1, 120_400):
+    # m and v are the textbook step's bits and theta the folded step's. From one theta and state the
+    # two steps differ by the update's round-off (each rounds it about six times) and one rounding of
+    # theta - update, measured at most spacing + 3.3 eps |update| over 100 seeds
+    eps = np.finfo(np.float64).eps
+    for size in (257, 1, 16_383, 16_384, 16_385, 120_400):
         theta = rng.standard_normal(size)
-        ref_theta, ref_state = theta.copy(), AdamState.zeros(theta.size)
-        state = AdamState.zeros(theta.size)
+        ref_state, state = AdamState.zeros(theta.size), AdamState.zeros(theta.size)
         for _ in range(20):
             grad = rng.standard_normal(theta.size) * rng.uniform(1e-6, 1e3)
-            theta, state = adam_step(theta, grad, state, lr=1e-3)
-            ref_theta, ref_state = _adam_reference(ref_theta, grad, ref_state, lr=1e-3)
-            for a, b in ((theta, ref_theta), (state.m, ref_state.m), (state.v, ref_state.v)):
+            folded_theta, _ = _adam_folded_reference(theta, grad, ref_state, lr=1e-3)
+            ref_theta, ref_state = _adam_reference(theta, grad, ref_state, lr=1e-3)
+            new_theta, state = adam_step(theta, grad, state, lr=1e-3)
+            for a, b in ((new_theta, folded_theta), (state.m, ref_state.m), (state.v, ref_state.v)):
                 assert np.array_equal(a.view(np.int64), b.view(np.int64))
+            gap = np.spacing(np.abs(ref_theta)) + 8 * eps * np.abs(theta - ref_theta)
+            assert np.all(np.abs(new_theta - ref_theta) <= gap)
+            theta = new_theta
         assert state.step == ref_state.step == 20
 
 
@@ -455,6 +471,13 @@ def test_adam_zero_grad_no_move():
     out, state = adam_step(theta, np.zeros(3), AdamState.zeros(3), lr=1e-2)
     assert_allclose(out, theta)
     assert state.step == 1
+
+
+def test_adam_advances_the_state_it_is_given():
+    state = AdamState.zeros(3)
+    m, v = state.m, state.v
+    _, returned = adam_step(np.zeros(3), np.ones(3), state, lr=1e-2)
+    assert returned is state and state.step == 1 and state.m is m and state.v is v
 
 
 def test_adam_first_step_is_signed_lr():

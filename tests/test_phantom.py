@@ -143,3 +143,20 @@ def test_corrupt_refuses_a_mask_of_another_shape():
     truth = synthesize(PhantomSpec(h=16, w=16, t=8, seed=1))
     with pytest.raises(ValueError, match=r"phantom shape \(8, 16, 16\) != mask shape \(8, 16, 32\)"):
         corrupt(truth, make_radial_mask(8, 16, 32, 2.0, seed=0), 0.0, seed=0)
+
+
+@pytest.mark.parametrize("h, w", [(2, 4), (4, 4), (8, 4), (4, 128)])
+def test_spec_refuses_a_side_synthesize_cannot_draw(h, w):
+    # at 4x4 a tissue region overflowed the image; at 2x4 every pixel was NaN
+    with pytest.raises(ValueError, match="need h, w >= 8"):
+        PhantomSpec(h=h, w=w, t=8, n_tissue_regions=1)
+
+
+def test_every_drawable_spec_has_finite_images_a_ventricle_and_a_tissue_region():
+    sides = (8, 16, 32, 64, 128)
+    for h in sides:
+        for w in sides:
+            for n in range(1, 13):
+                truth = synthesize(PhantomSpec(h=h, w=w, t=8, n_tissue_regions=n))
+                assert np.all(np.isfinite(truth.ref_images)), (h, w, n)
+                assert np.any(truth.region_labels == 1) and np.any(truth.region_labels == 2), (h, w, n)

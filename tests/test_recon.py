@@ -62,11 +62,10 @@ def test_dc_solve_large_lam_returns_prior():
 def test_dc_solve_normal_equation_residual(seed):
     rng, d = _micro_data(seed, n=16, accel=3.0)
     z = crandn(rng, (2, 16, 16))
-    s, info = dc_solve(z, d, lam=0.05)
+    s, _ = dc_solve(z, d, lam=0.05)
     rhs = adjoint(d) + 0.05 * z
     res = np.linalg.norm(normal_op(s, d.mask, 0.05) - rhs) / np.linalg.norm(rhs)
     assert res < 1e-6
-    assert info.residual < 1e-6
 
 
 def _dense_normal(mask, lam):
@@ -87,7 +86,7 @@ def test_dc_solve_matches_dense_solve(lam, accel):
     # measured through the dense matrix: at lam=1e-8 with unsampled entries the
     # dense solve itself is only cond*eps ~ 1e-8 accurate in the solution
     assert np.linalg.norm(dense @ (s.ravel() - expected)) <= 1e-10 * np.linalg.norm(rhs)
-    assert info.converged and info.iterations == 0 and info.residual < 1e-12
+    assert info.converged and info.iterations == 0
 
 
 def test_modl_implicit_gradient_matches_dense_inverse(monkeypatch):
