@@ -8,11 +8,17 @@ every method, no container, PGM, metric or logged loss depends on the BLAS threa
 (tested at 1 and 4 threads): every sum of products is numerics.re_dot, not a BLAS reduction. So a pipeline
 acceleration's files and metrics.csv rows do not depend on the others in its sweep.
 No pipeline reconstruction reads the phantom's reference images: SECRET trains on the
-measurement alone, and the supervised MoDL only reads a weight file. KTSECRET_THREADS
-caps the worker threads used by the pipeline's acceleration sweep. While that pool
-runs, OpenBLAS gets at most cpu_count // workers threads (at least 1), so pool and
-BLAS threads together do not oversubscribe the cores; a user-set OPENBLAS_NUM_THREADS
-or OMP_NUM_THREADS wins, and the previous count is restored when the sweep ends.
+measurement alone, and the supervised MoDL only reads a weight file.
+
+Cores. KTSECRET_THREADS caps the worker threads of the pipeline's acceleration sweep
+(default: cpu_count). The sweep runs its accelerations in rounds of `workers` on one
+pool, and each job of a round of k jobs gets a core share of max(1, cpu_count // k):
+OpenBLAS gets at most that many threads while the round runs (never more than it had),
+and a CS solve runs on that many threads (cs_reconstruct's threads, which it clamps to
+its frame blocks). So pool, solve and BLAS threads together do not oversubscribe the
+cores, and a round's last, lone job uses them all; recon-cs, a round of one, does too.
+A user-set OPENBLAS_NUM_THREADS or OMP_NUM_THREADS leaves the BLAS count alone, and the
+previous count is restored when the sweep ends. No output depends on these counts.
 """
 
 from __future__ import annotations
@@ -100,14 +106,20 @@ def worker_count() -> int:
     return n
 
 
+def _core_share(jobs: int) -> int:
+    """The cores each of `jobs` concurrent jobs gets: cpu_count // jobs, at least 1."""
+    return max(1, (os.cpu_count() or 1) // jobs)
+
+
 @contextmanager
 def _blas_threads_per_worker(workers: int):
-    """Caps OpenBLAS at cpu_count // workers threads (at least 1) for the
-    duration, then restores the previous count. A no-op when the user set
+    """Caps OpenBLAS at _core_share(workers) threads, never more than it had, and
+    yields cap(jobs), which re-caps it at _core_share(jobs) the same way; the
+    count on entry is restored at exit. A no-op, cap included, when the user set
     OPENBLAS_NUM_THREADS/OMP_NUM_THREADS or numpy's BLAS is not the
     scipy-openblas its wheels bundle."""
     if any(os.environ.get(var) for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")):
-        yield
+        yield lambda jobs: None
         return
     import ctypes
     from numpy.linalg import _umath_linalg  # linked against numpy's BLAS
@@ -116,14 +128,18 @@ def _blas_threads_per_worker(workers: int):
     get_n = getattr(lib, "scipy_openblas_get_num_threads64_", None)
     set_n = getattr(lib, "scipy_openblas_set_num_threads64_", None)
     if get_n is None or set_n is None:
-        yield
+        yield lambda jobs: None
         return
     get_n.argtypes, get_n.restype = [], ctypes.c_int
     set_n.argtypes, set_n.restype = [ctypes.c_int], None
     before = get_n()
-    set_n(max(1, min(before, (os.cpu_count() or 1) // workers)))
+
+    def cap(jobs: int) -> None:
+        set_n(max(1, min(before, _core_share(jobs))))
+
+    cap(workers)
     try:
-        yield
+        yield cap
     finally:
         set_n(before)
 
@@ -251,7 +267,7 @@ def cmd_recon_zf(args) -> int:
 
 def cmd_recon_cs(args) -> int:
     d_u = load_ktdata(args.data, args.mask)
-    s, log = cs_mod.cs_reconstruct(d_u, _options_config(args))
+    s, log = cs_mod.cs_reconstruct(d_u, _options_config(args), threads=_core_share(1))
     save_tensor(args.out, s)
     write_convergence(Path(args.out).with_suffix(".convergence.csv"), log)
     return 0
@@ -424,11 +440,12 @@ def _parse_config(config):
     return spec, accels, cfg, None if weights is None else _load_weights(weights, shape, "method_params.weights")
 
 
-def _reconstruct(method: str, d_u: KtData, cfg, params):
+def _reconstruct(method: str, d_u: KtData, cfg, params, threads: int = 1):
+    """(reconstruction, CS ConvergenceLog or None); a CS solve runs on `threads` threads."""
     if method == "zf":
         return adjoint(d_u), None
     if method == "cs":
-        return cs_mod.cs_reconstruct(d_u, cfg)
+        return cs_mod.cs_reconstruct(d_u, cfg, threads=threads)
     if method == "modl":  # _load_weights has loaded its params
         return modl_forward(adjoint(d_u), d_u, params, cfg, params.cfg), None
     if params is None:  # scan-specific SECRET: trains on the measurement alone
@@ -446,14 +463,14 @@ def run_pipeline(config: dict) -> int:
     save_phantom(out_dir / "phantom", spec, truth)
     method = config["method"]
 
-    def run_one(accel):
+    def run_one(accel, threads):
         sub = out_dir / _accel_dir(accel)
         sub.mkdir(exist_ok=True)
         mask = make_radial_mask(spec.t, spec.h, spec.w, accel, config["mask"]["seed"])
         save_mask(sub / "mask.ktsr", mask, config["mask"]["seed"])
         d_u = corrupt(truth, mask, spec.noise_sigma, seed)
         save_tensor(sub / "data.ktsr", d_u.samples)
-        recon, cs_log = _reconstruct(method, d_u, cfg, params)
+        recon, cs_log = _reconstruct(method, d_u, cfg, params, threads)
         save_tensor(sub / "recon.ktsr", recon)
         zf = adjoint(d_u)
         save_tensor(sub / "recon_zf.ktsr", zf)
@@ -473,8 +490,13 @@ def run_pipeline(config: dict) -> int:
                   np.hstack([truth.ktrans_map, np.nan_to_num(pmap.ktrans)]), lo=0.0, hi=hi)
         return accel, report
 
-    with _blas_threads_per_worker(workers), ThreadPoolExecutor(max_workers=workers) as pool:
-        results = list(pool.map(run_one, accels))
+    results = []
+    with _blas_threads_per_worker(workers) as cap_blas, ThreadPoolExecutor(max_workers=workers) as pool:
+        for start in range(0, len(accels), workers):  # rounds of `workers` jobs; see the module docstring
+            jobs = accels[start:start + workers]
+            cap_blas(len(jobs))
+            futures = [pool.submit(run_one, accel, _core_share(len(jobs))) for accel in jobs]
+            results += [future.result() for future in futures]
     phantom_id = f"phantom{spec.seed}"
     write_csv(out_dir / "metrics.csv", METRICS_HEADER,
               [row for accel, report in results for row in _metrics_rows(method, accel, phantom_id, report)])

@@ -21,16 +21,46 @@ after every accepted step and the backtracks it took.
 
 cs_reconstruct allocates its workspace at entry: the direction d, the images
 of the point, of the direction and of the trial (the trial's residual slice
-doubles as the gradient), and the smoothed moduli of the three TV slices, one
-real [3,T,H,W] array. The search stops at the first accepted trial, so the
-last trial scored is the new point: its images rotate in by swapping
-references with the point's, the moduli already are its own, and only the
-iterate s is updated, s += a d. The point's old images and the direction's
-serve as the next gradient's scratch. Every step writes with ufunc out= or in
-place, in the same order as the plain expressions, so nothing is allocated per
-iteration: each DFT writes through dft2's out= into a slice of the images it
-belongs to, and the gradient's TV weights multiply by the moduli's
-reciprocals, formed in the moduli array.
+doubles as the gradient, its TV slices as the TV weights), and the smoothed
+moduli of the three TV slices, one real [3,T,H,W] array. The search stops at
+the first accepted trial, so the last trial scored is the new point: its
+images rotate in by swapping references with the point's, the moduli already
+are its own, and only the iterate s is updated, s += a d. The direction's
+images serve as the next gradient's scratch. Every step writes with ufunc out=
+or in place, in the same order as the plain expressions, so nothing is
+allocated per iteration: each DFT writes through dft2's out= into a slice of
+the images it belongs to, and the gradient's TV weights multiply by the
+moduli's reciprocals, formed in the moduli array.
+
+Frame blocks. The frames are split into FRAME_BLOCKS fixed contiguous blocks
+(min(FRAME_BLOCKS, T) of them; the first holds T // 2 frames at two). Every
+sum the solve takes is a float64 partial sum over one block: the data term
+re_dot(r, r), the moduli sums of grad_s's two slices (one sum over both) and
+of grad_t's, ||g||^2 and the Armijo slope re_dot(g, d). A scalar is its
+blocks' partial sums added left to right in block order, so the objective is
+data + l1 tv_s + l2 tv_t; cs_objective takes the same sums.
+
+Threads. cs_reconstruct(d_u, cfg, threads) runs on the caller's thread and up
+to threads - 1 helpers, at most one thread per block, started at entry and
+joined before it returns. Each thread owns a contiguous run of blocks and runs
+the same control flow: both DFTs, the mask, the spatial differences, and the
+trial, moduli and update passes are each one call over its own frames, and
+the partial sums of its blocks go into a shared list. The threads meet only
+at barriers, about five per iteration:
+- after each reduction (the objective, each Armijo trial's value, ||g||^2 and
+  the slope), every thread adds all the blocks' sums in block order, so every
+  thread takes the same branch. Two lists of sums are used in turn, so one is
+  rewritten only after the barrier that follows its reading;
+- grad_t and its adjoint read one edge frame of the neighbouring block, so
+  they run after a barrier: the direction's grad_t after the slope's (a
+  restart on steepest descent adds one), the adjoint after one that follows
+  the TV weights, and the start's grad_t after one that follows its cast.
+The blocks do not depend on the thread count, and the elementwise passes and
+per-frame DFTs give the same bits however the frames are split, so neither
+the image nor the log does. Each thread enters the caller's np.errstate
+(thread-local in numpy 2) and the start's. An exception in one thread aborts
+the barrier, so the others stop at their next one; all are joined, and the
+first exception that is not the barrier's own surfaces as itself.
 
 Precision is mixed, set by the module constant WORK_DTYPE (complex64). In
 WORK_DTYPE run the workspace: the images of the point, of the direction and of
@@ -40,9 +70,8 @@ precision stay:
 - the iterate s, complex128, updated by s += a d: the start, and a stalled
   solve's result, is exactly adjoint(d_u), and the returned image needs no
   final copy;
-- every reduction: the data term, ||g||^2 and the Armijo slope are
-  numerics.re_dot, and the two moduli sums sum(dtype=float64), all accumulated
-  in float64 and the same at any BLAS thread count;
+- every reduction: the block sums above, by numerics.re_dot and
+  sum(dtype=float64), the same at any BLAS thread count;
 - the step sizes and the ConvergenceLog, whose entries are Python floats;
 - cs_objective and cs_gradient, which validate s, allocate their own
   complex128 buffers, and are the oracles the solver is tested against.
@@ -57,27 +86,20 @@ WORK_DTYPE = complex128 runs the whole solve in double precision.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .encoding import KtData, adjoint, check_image_shape
-from .numerics import (
-    as_complex_tensor,
-    check_fields,
-    dft2,
-    grad_spatial,
-    grad_spatial_adjoint,
-    grad_temporal,
-    grad_temporal_adjoint,
-    re_dot,
-)
+from .numerics import as_complex_tensor, check_fields, dft2, grad_spatial, grad_spatial_adjoint, is_int, re_dot
 
 __all__ = ["SMOOTH_EPS", "CsConfig", "ConvergenceLog", "cs_objective", "cs_gradient",
            "cs_reconstruct"]
 
 SMOOTH_EPS = 1e-6
 WORK_DTYPE = np.complex64  # the workspace's dtype; see the module docstring
+FRAME_BLOCKS = 2  # the fixed frame blocks every sum is split into; see the module docstring
 
 
 @dataclass(frozen=True)
@@ -100,135 +122,270 @@ class ConvergenceLog:
     line_search_failed: bool = False
 
 
-def _images(x: np.ndarray, mask, samples, out: np.ndarray) -> np.ndarray:
-    """Writes the objective's affine images of x into the complex [4,T,H,W]
-    out and returns it: E x - samples, then grad_s x (2), then grad_t x;
-    samples None stands for zero."""
-    dft2(x, "forward", out=out[0])
-    np.multiply(out[0], mask.bits, out=out[0])
+def _blocks(t: int) -> list:
+    """The min(FRAME_BLOCKS, t) contiguous frame blocks of t frames, as slices."""
+    n = min(FRAME_BLOCKS, t)
+    return [slice(t * k // n, t * (k + 1) // n) for k in range(n)]
+
+
+def _in_block_order(values) -> float:
+    """The sum of per-block values, added left to right."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
+def _alone() -> None:
+    """A one-thread solve's barrier: there is no one to wait for."""
+
+
+def _grad_t(x: np.ndarray, out: np.ndarray, f: slice) -> None:
+    """Frames f of grad_temporal(x), x[t + 1] - x[t] with periodic wrap, into
+    out[f]; reads frame f.stop of x."""
+    lo, hi = f.start, f.stop
+    np.subtract(x[lo + 1:hi], x[lo:hi - 1], out=out[lo:hi - 1])
+    np.subtract(x[hi % len(x)], x[hi - 1], out=out[hi - 1])
+
+
+def _grad_t_adjoint(y: np.ndarray, out: np.ndarray, f: slice) -> np.ndarray:
+    """Frames f of grad_temporal_adjoint(y), y[t - 1] - y[t] with periodic wrap,
+    into out[f], which is returned; reads frame f.start - 1 of y."""
+    lo, hi = f.start, f.stop
+    np.subtract(y[lo:hi - 1], y[lo + 1:hi], out=out[lo + 1:hi])
+    np.subtract(y[lo - 1], y[lo], out=out[lo])
+    return out[f]
+
+
+def _images(x: np.ndarray, mask, samples, out: np.ndarray, f: slice) -> np.ndarray:
+    """Writes frames f of the objective's affine images of x into the complex
+    [4,T,H,W] out and returns it: E x - samples, then grad_s x (2), then
+    grad_t x, which reads frame f.stop of x; samples None stands for zero."""
+    residual = out[0, f]
+    dft2(x[f], "forward", out=residual)
+    np.multiply(residual, mask.bits[f], out=residual)
     if samples is not None:
-        np.subtract(out[0], samples, out=out[0])
-    grad_spatial(x, out=out[1:3])
-    grad_temporal(x, out=out[3])
+        np.subtract(residual, samples[f], out=residual)
+    grad_spatial(x[f], out=out[1:3, f])
+    _grad_t(x, out[3], f)
     return out
 
 
-def _moduli(images: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """sqrt(|im|^2 + SMOOTH_EPS) of the three TV images, written into the
-    real [3,T,H,W] w and returned."""
-    np.abs(images[1:], out=w)
+def _moduli(images: np.ndarray, w: np.ndarray, f: slice) -> None:
+    """sqrt(|im|^2 + SMOOTH_EPS) of frames f of the three TV images, written
+    into the same frames of the real [3,T,H,W] w."""
+    w = w[:, f]
+    np.abs(images[1:, f], out=w)
     np.square(w, out=w)
     np.add(w, SMOOTH_EPS, out=w)
-    return np.sqrt(w, out=w)
+    np.sqrt(w, out=w)
 
 
-def _value(images: np.ndarray, cfg: CsConfig, w: np.ndarray) -> float:
-    """Objective from its images; leaves their smoothed moduli in w."""
-    _moduli(images, w)
-    return float(re_dot(images[0], images[0]) + cfg.lambda1 * w[:2].sum(dtype=np.float64)
-                 + cfg.lambda2 * w[2].sum(dtype=np.float64))
+def _block_sums(images: np.ndarray, w: np.ndarray, b: slice) -> tuple:
+    """The objective's float64 partial sums over block b, from its images and
+    their smoothed moduli w: the data term, then the moduli sums of grad_s's
+    two slices and of grad_t's."""
+    return (re_dot(images[0, b], images[0, b]), float(w[:2, b].sum(dtype=np.float64)),
+            float(w[2, b].sum(dtype=np.float64)))
 
 
-def _gradient(images: np.ndarray, w: np.ndarray, cfg: CsConfig, g: np.ndarray,
-              scratch: np.ndarray, tv: np.ndarray, work: np.ndarray) -> np.ndarray:
-    """Gradient w.r.t. the real/imag parts of s, packed complex, from s's
-    images and their smoothed moduli w, written into g. scratch ([3,T,H,W]),
-    tv and work ([T,H,W]) are complex scratch. w is overwritten by its
-    reciprocal: the TV weights images[1:] / w are formed as
-    images[1:] * (1 / w), which numpy's complex-by-real division also
-    computes, up to the sign of an exact zero. Nothing reads the moduli
-    again before the next trial rewrites them."""
+def _value(block_sums: list, cfg: CsConfig) -> float:
+    """The objective from its blocks' partial sums, each added in block order."""
+    data, tv_s, tv_t = (_in_block_order(column) for column in zip(*block_sums))
+    return data + cfg.lambda1 * tv_s + cfg.lambda2 * tv_t
+
+
+def _weights(images: np.ndarray, w: np.ndarray, out: np.ndarray, f: slice) -> None:
+    """Frames f of the TV weights images[1:] / w, formed as images[1:] * (1 / w),
+    which numpy's complex-by-real division also computes, up to the sign of an
+    exact zero, into the complex [3,T,H,W] out. w is overwritten by its
+    reciprocal there: nothing reads the moduli again before the next trial
+    rewrites them."""
+    np.multiply(images[1:, f], np.divide(1.0, w[:, f], out=w[:, f]), out=out[:, f])
+
+
+def _gradient(images: np.ndarray, weights: np.ndarray, cfg: CsConfig, g: np.ndarray,
+              tv: np.ndarray, work: np.ndarray, f: slice) -> np.ndarray:
+    """Frames f of the gradient w.r.t. the real/imag parts of s, packed complex,
+    from s's images and TV weights, written into g, which is returned; grad_t's
+    adjoint reads frame f.start - 1 of the weights. tv and work ([T,H,W]) are
+    complex scratch."""
+    gf, tvf = g[f], tv[f]
     # E^H r; the residual already lives on the sampled set
-    dft2(images[0], "inverse", out=g)
-    np.multiply(2.0, g, out=g)
-    np.multiply(images[1:], np.divide(1.0, w, out=w), out=scratch)
-    np.multiply(cfg.lambda1, grad_spatial_adjoint(scratch[:2], out=tv, work=work), out=tv)
-    np.add(g, tv, out=g)
-    np.multiply(cfg.lambda2, grad_temporal_adjoint(scratch[2], out=tv), out=tv)
-    return np.add(g, tv, out=g)
+    dft2(images[0, f], "inverse", out=gf)
+    np.multiply(2.0, gf, out=gf)
+    np.multiply(cfg.lambda1, grad_spatial_adjoint(weights[:2, f], out=tvf, work=work[f]), out=tvf)
+    np.add(gf, tvf, out=gf)
+    np.multiply(cfg.lambda2, _grad_t_adjoint(weights[2], tv, f), out=tvf)
+    np.add(gf, tvf, out=gf)
+    return g
 
 
-def _point_images(s: np.ndarray, d_u: KtData) -> np.ndarray:
+def _point_images(s: np.ndarray, d_u: KtData) -> tuple:
+    """s's images and smoothed moduli, in fresh double-precision arrays."""
     s = as_complex_tensor(s)
     check_image_shape(s, d_u.mask)
-    return _images(s, d_u.mask, d_u.samples, np.empty((4, *s.shape), np.complex128))
+    whole = slice(0, len(s))
+    images = _images(s, d_u.mask, d_u.samples, np.empty((4, *s.shape), np.complex128), whole)
+    w = np.empty((3, *s.shape))
+    _moduli(images, w, whole)
+    return images, w
 
 
 def cs_objective(s: np.ndarray, d_u: KtData, cfg: CsConfig) -> float:
-    return _value(_point_images(s, d_u), cfg, np.empty((3, *d_u.mask.shape)))
+    images, w = _point_images(s, d_u)
+    return _value([_block_sums(images, w, b) for b in _blocks(w.shape[1])], cfg)
 
 
 def cs_gradient(s: np.ndarray, d_u: KtData, cfg: CsConfig) -> np.ndarray:
     """Gradient of cs_objective w.r.t. the real/imag parts of s, packed complex."""
-    shape, images = d_u.mask.shape, _point_images(s, d_u)
-    return _gradient(images, _moduli(images, np.empty((3, *shape))), cfg,
-                     np.empty(shape, np.complex128), np.empty((3, *shape), np.complex128),
-                     np.empty(shape, np.complex128), np.empty(shape, np.complex128))
+    images, w = _point_images(s, d_u)
+    shape, whole = w.shape[1:], slice(0, w.shape[1])
+    weights = np.empty((3, *shape), np.complex128)
+    _weights(images, w, weights, whole)
+    return _gradient(images, weights, cfg, np.empty(shape, np.complex128), np.empty(shape, np.complex128),
+                     np.empty(shape, np.complex128), whole)
 
 
-def cs_reconstruct(d_u: KtData, cfg: CsConfig | None = None):
-    """Nonlinear CG (Fletcher-Reeves) from the zero-filled start.
+def cs_reconstruct(d_u: KtData, cfg: CsConfig | None = None, threads: int = 1):
+    """Nonlinear CG (Fletcher-Reeves) from the zero-filled start, on up to
+    `threads` threads (an integer >= 1, else ValueError; at most one per
+    frame block).
 
     Returns (reconstruction, ConvergenceLog), the reconstruction complex128
-    whatever WORK_DTYPE is. The logged objective sequence is
-    non-increasing; if the Armijo search fails 50 backtracks in a row the
-    current iterate is returned with the warning flag set. A starting objective
-    that is not finite raises FloatingPointError. d_u was validated
-    when the KtData was built; the search directions are encoded straight
-    into the workspace, so nothing is re-validated per iteration.
+    whatever WORK_DTYPE is; neither depends on the thread count. The logged
+    objective sequence is non-increasing; if the Armijo search fails 50
+    backtracks in a row the current iterate is returned with the warning flag
+    set. A starting objective that is not finite raises FloatingPointError.
+    d_u was validated when the KtData was built; the search directions are
+    encoded straight into the workspace, so nothing is re-validated per
+    iteration.
     """
-    cfg = cfg or CsConfig()
-    mask, samples = d_u.mask, d_u.samples
-    s = adjoint(d_u)  # the iterate, complex128, updated in place and returned
-    # the workspace, in WORK_DTYPE: every step below writes into these buffers
-    d = np.empty(s.shape, WORK_DTYPE)
-    # the trial's residual slice is also the gradient, dead from the slope on
-    img, img_d, trial = (np.empty((4, *s.shape), WORK_DTYPE) for _ in range(3))
-    moduli = np.empty((3, *s.shape), np.finfo(WORK_DTYPE).dtype)
-    log = ConvergenceLog()
-    with np.errstate(over="ignore", invalid="ignore"):  # reported just below
-        np.copyto(d, s)  # the start in WORK_DTYPE, the direction's buffer as scratch
-        f = _value(_images(d, mask, samples, img), cfg, moduli)
-    if not np.isfinite(f):
-        raise FloatingPointError(f"the starting objective is {f}: the samples are too large")
-    log.objective.append(f)
-    gg = None
-    step0 = 1.0
-    for it in range(cfg.max_iters):
-        # moduli holds the point's; the trial's and direction's images are scratch
-        g = _gradient(img, moduli, cfg, trial[0], trial[1:], img_d[0], img_d[1])
-        gg_prev, gg = gg, re_dot(g, g)
-        if gg < 1e-30:
-            break
-        # Fletcher-Reeves direction -g + (gg / gg_prev) d; the first one is steepest descent
-        if it == 0:
-            np.negative(g, out=d)
-        else:
-            np.subtract(np.multiply(gg / gg_prev, d, out=d), g, out=d)
-        # Armijo backtracking: f(s + a d) <= f + c a Re<g, d>
-        slope = re_dot(g, d)
-        if slope >= 0:  # not a descent direction; restart on steepest descent
-            np.negative(g, out=d)
-            slope = -gg
-        _images(d, mask, None, img_d)
-        a = step0
-        for rejected in range(50):
-            np.add(img, np.multiply(a, img_d, out=trial), out=trial)
-            f_new = _value(trial, cfg, moduli)
-            if f_new <= f + 1e-4 * a * slope:
+    if not (is_int(threads) and threads >= 1):
+        raise ValueError(f"threads must be an integer >= 1, got {threads!r}")
+    solve = _Solve(d_u, cfg or CsConfig(), threads)
+    helpers = [threading.Thread(target=solve.run, args=(j,), name=f"cs_reconstruct-{j}")
+               for j in range(1, solve.threads)]
+    try:
+        for helper in helpers:
+            helper.start()
+        solve.run(0)
+    except BaseException:  # a helper did not start: the started ones stop at their next barrier
+        solve.barrier.abort()
+        raise
+    finally:
+        for helper in helpers:
+            if helper.ident is not None:
+                helper.join()
+    errors = [e for e in solve.errors if e is not None]
+    if errors:
+        raise next((e for e in errors if not isinstance(e, threading.BrokenBarrierError)), errors[0])
+    return solve.s, solve.logs[0]
+
+
+class _Solve:
+    """One cs_reconstruct: the workspace its threads share, and the control
+    flow each runs over its own run of blocks (see the module docstring)."""
+
+    def __init__(self, d_u: KtData, cfg: CsConfig, threads: int):
+        self.d_u, self.cfg = d_u, cfg
+        self.s = adjoint(d_u)  # the iterate, complex128, updated in place and returned
+        # the workspace, in WORK_DTYPE: every step below writes into these buffers
+        shape = self.s.shape
+        self.d = np.empty(shape, WORK_DTYPE)
+        # the point's, the direction's and the trial's images
+        self.images = [np.empty((4, *shape), WORK_DTYPE) for _ in range(3)]
+        self.moduli = np.empty((3, *shape), np.finfo(WORK_DTYPE).dtype)
+        self.blocks = _blocks(shape[0])
+        self.threads = min(threads, len(self.blocks))
+        self.sums = [[None] * len(self.blocks) for _ in range(2)]  # two slots, used in turn
+        self.barrier = threading.Barrier(self.threads)
+        self.errstate = np.geterr()
+        self.logs = [ConvergenceLog() for _ in range(self.threads)]
+        self.errors = [None] * self.threads
+
+    def run(self, j: int) -> None:
+        """Thread j's share of the solve; an exception is kept for the caller,
+        and the barrier aborted so that no other thread waits for this one."""
+        try:
+            with np.errstate(**self.errstate):
+                self._iterate(j)
+        except BaseException as exc:
+            self.errors[j] = exc
+            self.barrier.abort()
+
+    def _iterate(self, j: int) -> None:
+        cfg, mask, samples, s, d, w = self.cfg, self.d_u.mask, self.d_u.samples, self.s, self.d, self.moduli
+        img, img_d, trial = self.images
+        log = self.logs[j]
+        sync = self.barrier.wait if self.threads > 1 else _alone
+        n = len(self.blocks)
+        own = range(n * j // self.threads, n * (j + 1) // self.threads)
+        f = slice(self.blocks[own.start].start, self.blocks[own.stop - 1].stop)  # this thread's frames
+        slot = 0
+
+        def reduced(block_sum) -> list:
+            """block_sum(b) of every block b in block order, once each thread
+            has stored those of its own blocks."""
+            nonlocal slot
+            sums = self.sums[slot]
+            for k in own:
+                sums[k] = block_sum(self.blocks[k])
+            sync()
+            slot ^= 1
+            return list(sums)
+
+        with np.errstate(over="ignore", invalid="ignore"):  # reported just below
+            np.copyto(d[f], s[f])  # the start in WORK_DTYPE, the direction's buffer as scratch
+            sync()  # grad_t reads the next block's first frame
+            _images(d, mask, samples, img, f)
+            _moduli(img, w, f)
+            obj = _value(reduced(lambda b: _block_sums(img, w, b)), cfg)
+        if not np.isfinite(obj):
+            raise FloatingPointError(f"the starting objective is {obj}: the samples are too large")
+        log.objective.append(obj)
+        gg = None
+        step0 = 1.0
+        for it in range(cfg.max_iters):
+            # moduli holds the point's; the trial's and direction's images are scratch
+            g = trial[0]
+            _weights(img, w, trial[1:], f)
+            sync()  # grad_t's adjoint reads the previous block's last frame
+            _gradient(img, trial[1:], cfg, g, img_d[0], img_d[1], f)
+            gg_prev, gg = gg, _in_block_order(reduced(lambda b: re_dot(g[b], g[b])))
+            if gg < 1e-30:
                 break
-            a *= 0.5
-        else:
-            log.line_search_failed = True
-            break
-        # the last trial scored is the new point: its images rotate in and
-        # moduli already holds its moduli
-        img, trial = trial, img
-        np.add(s, np.multiply(a, d, out=img_d[0]), out=s)
-        log.backtracks.append(rejected)
-        step0 = min(1.0, a * 2.0)
-        f_prev, f = f, f_new
-        log.objective.append(f)
-        if abs(f_prev - f) <= cfg.tol * max(abs(f_prev), 1e-30):
-            break
-    return s, log
+            # Fletcher-Reeves direction -g + (gg / gg_prev) d; the first one is steepest descent
+            if it == 0:
+                np.negative(g[f], out=d[f])
+            else:
+                np.subtract(np.multiply(gg / gg_prev, d[f], out=d[f]), g[f], out=d[f])
+            # Armijo backtracking: f(s + a d) <= f + c a Re<g, d>; the slope's barrier
+            # also lets grad_t read the next block's first frame of d
+            slope = _in_block_order(reduced(lambda b: re_dot(g[b], d[b])))
+            if slope >= 0:  # not a descent direction; restart on steepest descent
+                np.negative(g[f], out=d[f])
+                slope = -gg
+                sync()  # grad_t reads the next block's first frame of d
+            _images(d, mask, None, img_d, f)
+            a = step0
+            for rejected in range(50):
+                np.add(img[:, f], np.multiply(a, img_d[:, f], out=trial[:, f]), out=trial[:, f])
+                _moduli(trial, w, f)
+                obj_new = _value(reduced(lambda b: _block_sums(trial, w, b)), cfg)
+                if obj_new <= obj + 1e-4 * a * slope:
+                    break
+                a *= 0.5
+            else:
+                log.line_search_failed = True
+                break
+            # the last trial scored is the new point: its images rotate in and
+            # moduli already holds its moduli
+            img, trial = trial, img
+            np.add(s[f], np.multiply(a, d[f], out=img_d[0, f]), out=s[f])
+            log.backtracks.append(rejected)
+            step0 = min(1.0, a * 2.0)
+            obj_prev, obj = obj, obj_new
+            log.objective.append(obj)
+            if abs(obj_prev - obj) <= cfg.tol * max(abs(obj_prev), 1e-30):
+                break

@@ -8,7 +8,9 @@ the inverse transform. The DFT and the difference operators write into an
 optional preallocated out=, so a solver that owns its buffers allocates nothing
 per call; out must be a C-contiguous array of the result's shape and of the
 (converted) input's dtype that does not overlap the input, or a ValueError
-names it. dft2 is the only caller of numpy's transforms: it runs
+names it. grad_spatial's out and grad_spatial_adjoint's input need only be
+C-contiguous in each of their two slices, so either may be a run of frames of
+a larger stack. dft2 is the only caller of numpy's transforms: it runs
 np.fft.fftn/ifftn over the last two axes, which honour out= (numpy's ifft2
 ignores it) and transform a complex64 array in single precision. A
 periodic difference views the volume as rows [prod(shape[:axis]),
@@ -157,14 +159,16 @@ def _complex(x, convert=np.ascontiguousarray) -> np.ndarray:
     return convert(x, dtype=np.complex64 if x.dtype == np.complex64 else np.complex128)
 
 
-def _output(out, shape: tuple, x: np.ndarray) -> np.ndarray:
-    """A fresh array of the given shape and x's dtype, or out once it is checked."""
+def _output(out, shape: tuple, x: np.ndarray, slices: bool = False) -> np.ndarray:
+    """A fresh array of the given shape and x's dtype, or out once it is
+    checked; with slices, out need only be C-contiguous in each slice along
+    its first axis."""
     if out is None:
         return np.empty(shape, dtype=x.dtype)
     if out.shape != shape or out.dtype != x.dtype:
         raise ValueError(f"out must be {x.dtype} of shape {shape}, got {out.dtype} {out.shape}")
-    if not out.flags.c_contiguous:
-        raise ValueError("out must be C-contiguous")
+    if not all(o.flags.c_contiguous for o in (out if slices else [out])):
+        raise ValueError("out must be C-contiguous" + (" in each slice" if slices else ""))
     if np.may_share_memory(out, x):
         raise ValueError("out must not share memory with the input")
     return out
@@ -208,7 +212,7 @@ def _check_3d(s: np.ndarray, min_t: int = 1) -> np.ndarray:
 def grad_spatial(s: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Forward differences along H and W (periodic), as a [2,T,H,W] stack."""
     s = _check_3d(s)
-    out = _output(out, (2, *s.shape), s)
+    out = _output(out, (2, *s.shape), s, slices=True)
     _fwd_diff(s, 1, out[0])
     _fwd_diff(s, 2, out[1])
     return out
@@ -221,7 +225,7 @@ def grad_spatial_adjoint(g: np.ndarray, out: np.ndarray | None = None,
     The result is the H term plus the W term; out receives the H term and
     then the sum, work ([T,H,W], g's dtype) the W term.
     """
-    g = _complex(g)
+    g = _complex(g, np.asarray)  # each slice is read alone: a contiguous one is not copied
     if g.ndim != 4 or g.shape[0] != 2:
         raise ValueError(f"expected a 2,T,H,W stack, got shape {g.shape}")
     out, work = _output(out, g.shape[1:], g), _output(work, g.shape[1:], g)

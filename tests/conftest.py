@@ -1,4 +1,5 @@
 import ctypes
+import threading
 
 import numpy as np
 import pytest
@@ -9,6 +10,17 @@ from ktsecret import cs, net
 def crandn(rng, shape):
     """Standard complex Gaussian array."""
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@pytest.fixture(autouse=True)
+def no_thread_left_running():
+    """Fails a test that leaves a non-daemon thread it started still running:
+    a pool not shut down, or a solver thread not joined."""
+    before = set(threading.enumerate())
+    yield
+    left = [t.name for t in threading.enumerate() if t not in before and not t.daemon]
+    if left:
+        pytest.fail(f"threads left running: {left}")
 
 
 @pytest.fixture

@@ -88,7 +88,7 @@ def test_recon_cs_writes_convergence(tmp_path):
 
 def _stub_cs_reconstruct(stalled: bool):
     """A cs_reconstruct that returns the zero-filled image and a fixed log."""
-    def cs_reconstruct(d_u, cfg):
+    def cs_reconstruct(d_u, cfg, threads=1):
         log = cli.cs_mod.ConvergenceLog(objective=[2.0, 1.0], backtracks=[3], line_search_failed=stalled)
         return adjoint(d_u), log
     return cs_reconstruct
@@ -523,6 +523,22 @@ def test_pipeline_refuses_a_phantom_too_small_to_draw_before_writing(tmp_path, h
         cli._options_config(build_parser().parse_args(["phantom", "--out", "o", "--h", str(h), "--w", str(w)]))
 
 
+@pytest.mark.parametrize("h, w, regions, label", [(8, 8, 7, 8), (128, 8, 5, 5)])
+def test_pipeline_and_phantom_refuse_a_spec_that_draws_an_empty_label_before_writing(tmp_path, h, w, regions,
+                                                                                      label):
+    message = f"^phantom: n_tissue_regions={regions} does not fit {h}x{w}: region label {label} would draw no pixel"
+    cfg = _valid_config(tmp_path)
+    cfg["phantom"].update(h=h, w=w, n_tissue_regions=regions)
+    with pytest.raises(ConfigError, match=message):
+        run_pipeline(cfg)
+    assert not (tmp_path / "out").exists()
+    argv = ["phantom", "--out", str(tmp_path / "ph"), "--h", str(h), "--w", str(w), "--regions", str(regions)]
+    with pytest.raises(ConfigError, match=message):
+        cli._options_config(build_parser().parse_args(argv))
+    assert run(*argv) == 1
+    assert not (tmp_path / "ph").exists()
+
+
 def test_pipeline_rejects_non_object_config():
     with pytest.raises(ConfigError):
         run_pipeline([])
@@ -609,7 +625,8 @@ def test_options_reach_config(tmp_path, monkeypatch, argv, expected):
     monkeypatch.setattr(cli, "_train", lambda args, train_fn, cfg, supervised: seen.append(cfg) or 0)
     monkeypatch.setattr(cli, "load_ktdata", lambda data, mask: None)
     monkeypatch.setattr(cli.cs_mod, "cs_reconstruct",
-                        lambda d_u, cfg: seen.append(cfg) or (np.zeros((8, 4, 4)), cli.cs_mod.ConvergenceLog()))
+                        lambda d_u, cfg, threads=1: seen.append(cfg) or (np.zeros((8, 4, 4)),
+                                                                         cli.cs_mod.ConvergenceLog()))
     monkeypatch.chdir(tmp_path)
     assert run(*argv) == 0
     assert seen == [expected]
@@ -742,6 +759,56 @@ def test_pipeline_restores_blas_threads_when_a_worker_raises(tmp_path, monkeypat
     with pytest.raises(RuntimeError, match="worker failed"):
         run_pipeline(_valid_config(tmp_path))
     assert seen and blas_threads() == before
+
+
+def _three_accelerations(tmp_path, method="zf", **params):
+    config = _valid_config(tmp_path, method, **params)
+    config["mask"]["accel"] = [3, 6, 10]
+    return config
+
+
+def test_pipeline_gives_each_job_of_a_round_its_core_share(tmp_path, monkeypatch, blas_threads):
+    """Three accelerations on two workers run in two rounds: two jobs on half
+    the cores each, then the third alone on all of them, as its BLAS cap (never
+    above the count before) and as its solve's threads."""
+    before = blas_threads()
+    seen, solve = [], cli.cs_mod.cs_reconstruct
+
+    def recording(d_u, cfg, threads=1):
+        seen.append((blas_threads(), threads))
+        return solve(d_u, cfg, threads=threads)
+
+    monkeypatch.setattr(cli.cs_mod, "cs_reconstruct", recording)
+    assert run_pipeline(_three_accelerations(tmp_path, "cs", iters=2)) == 0
+    shares = [max(1, os.cpu_count() // jobs) for jobs in (2, 2, 1)]
+    assert seen == [(max(1, min(before, share)), share) for share in shares]
+    assert blas_threads() == before
+
+
+def test_recon_cs_solves_on_every_core(tmp_path, monkeypatch):
+    seen = []
+    monkeypatch.setattr(cli, "load_ktdata", lambda data, mask: None)
+    monkeypatch.setattr(cli.cs_mod, "cs_reconstruct",
+                        lambda d_u, cfg, threads=1: seen.append(threads) or (np.zeros((8, 4, 4)),
+                                                                             cli.cs_mod.ConvergenceLog()))
+    assert run("recon-cs", "--data", "d", "--mask", "m", "--out", tmp_path / "cs.ktsr") == 0
+    assert seen == [max(1, os.cpu_count())]
+
+
+def test_pipeline_restores_blas_threads_when_a_second_round_job_raises(tmp_path, monkeypatch, blas_threads):
+    before = blas_threads()
+    seen, reconstruct = [], cli._reconstruct
+
+    def third_fails(*args):
+        seen.append(blas_threads())
+        if len(seen) == 3:
+            raise RuntimeError("round 2 failed")
+        return reconstruct(*args)
+
+    monkeypatch.setattr(cli, "_reconstruct", third_fails)
+    with pytest.raises(RuntimeError, match="round 2 failed"):
+        run_pipeline(_three_accelerations(tmp_path))
+    assert len(seen) == 3 and blas_threads() == before
 
 
 @pytest.mark.parametrize("var", ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"])

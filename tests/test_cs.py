@@ -1,3 +1,4 @@
+import threading
 import tracemalloc
 import warnings
 
@@ -162,21 +163,33 @@ def _allocating_images(x, mask, samples):
             np.roll(x, -1, axis=0) - x]
 
 
+def _frame_blocks(t):
+    """The solver's FRAME_BLOCKS contiguous runs of frames (fewer for fewer frames),
+    the first holding t // 2 of them at two blocks."""
+    n = min(cs_module.FRAME_BLOCKS, t)
+    return [slice(t * k // n, t * (k + 1) // n) for k in range(n)]
+
+
 def _re_dot(a, b):
-    """Re<a, b> by numpy's einsum loop in float64 over the real views, which no
-    BLAS thread count changes."""
-    real = a.real.dtype
-    return float(np.einsum("i,i->", a.view(real).ravel(), b.view(real).ravel(), dtype=np.float64))
+    """Re<a, b> as a sum of float64 partial sums over the frame blocks, added in
+    block order; each by numpy's einsum loop in float64 over the real views,
+    which no BLAS thread count changes."""
+    real, total = a.real.dtype, 0.0
+    for f in _frame_blocks(len(a)):
+        total += float(np.einsum("i,i->", a[f].view(real).ravel(), b[f].view(real).ravel(), dtype=np.float64))
+    return total
 
 
 def _allocating_value(images, cfg):
-    val = 0.0
-    for lam, im in zip((None, cfg.lambda1, cfg.lambda2), images):
-        if lam is None:
-            val += _re_dot(im, im)
-        else:
-            val += lam * np.sqrt(np.abs(im) ** 2 + SMOOTH_EPS).sum(dtype=np.float64)
-    return float(val)
+    """Each term a sum of per-block partial sums in block order; a spatial
+    block's is one sum over both difference images' frames of the block."""
+    r, gs, gt = images
+    ms, mt = (np.sqrt(np.abs(im) ** 2 + SMOOTH_EPS) for im in (gs, gt))
+    tv_s = tv_t = 0.0
+    for f in _frame_blocks(len(r)):
+        tv_s += float(ms[:, f].sum(dtype=np.float64))
+        tv_t += float(mt[f].sum(dtype=np.float64))
+    return float(_re_dot(r, r) + cfg.lambda1 * tv_s + cfg.lambda2 * tv_t)
 
 
 def _allocating_gradient(images, cfg):
@@ -233,8 +246,11 @@ SOLVE_CASES = pytest.mark.parametrize("accel,seed,cfg,stops_on_tol", [
 
 
 def _assert_bit_identical_to_allocating_reference(d, cfg):
-    """Solves d both ways in the workspace dtype; returns the reference's log."""
+    """Solves d both ways in the workspace dtype, the solver on one thread and
+    on two; returns the reference's log."""
     s, log = cs_reconstruct(d, cfg)
+    s_threaded, log_threaded = cs_reconstruct(d, cfg, threads=2)
+    assert s.tobytes() == s_threaded.tobytes() and log == log_threaded
     s_ref, objective, backtracks = _allocating_nlcg(d, cfg, cs_module.WORK_DTYPE)
     assert np.array_equal(s, s_ref)
     assert log.objective == objective
@@ -255,32 +271,118 @@ def test_solver_is_bit_identical_to_allocating_reference_in_complex128(accel, se
     test_solver_is_bit_identical_to_allocating_reference(accel, seed, cfg, stops_on_tol)
 
 
+# two frames (one per block), odd counts (unequal blocks) and four
 DRAWN_PROBLEMS = given(seed=st.integers(0, 2 ** 16), accel=st.sampled_from([2.0, 3.0, 6.0]),
-                       l1=st.floats(0.0, 1e-2), l2=st.floats(0.0, 1e-2), iters=st.integers(1, 12))
+                       l1=st.floats(0.0, 1e-2), l2=st.floats(0.0, 1e-2), iters=st.integers(1, 12),
+                       t=st.sampled_from([2, 3, 4, 5]))
 
 
-def _drawn_problem(seed, accel):
-    ref = synthesize(PhantomSpec(h=16, w=16, t=8, seed=seed)).ref_images[:4]
-    return encode(ref, make_radial_mask(4, 16, 16, accel, seed=seed))
+def _drawn_problem(seed, accel, t):
+    ref = synthesize(PhantomSpec(h=16, w=16, t=8, seed=seed)).ref_images[:t]
+    return encode(ref, make_radial_mask(t, 16, 16, accel, seed=seed))
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)
 @DRAWN_PROBLEMS
 def test_solver_is_bit_identical_to_allocating_reference_on_drawn_problems(seed, accel, l1, l2,
-                                                                             iters):
+                                                                             iters, t):
     """The accepted trial's images and moduli become the next point's; over
     drawn phantoms, masks and weights that must equal recomputing them."""
     _assert_bit_identical_to_allocating_reference(
-        _drawn_problem(seed, accel), CsConfig(lambda1=l1, lambda2=l2, max_iters=iters))
+        _drawn_problem(seed, accel, t), CsConfig(lambda1=l1, lambda2=l2, max_iters=iters))
 
 
 @pytest.mark.usefixtures("complex128_cs")
 @settings(derandomize=True, deadline=None, max_examples=60)
 @DRAWN_PROBLEMS
 def test_solver_is_bit_identical_to_allocating_reference_on_drawn_problems_in_complex128(
-        seed, accel, l1, l2, iters):
+        seed, accel, l1, l2, iters, t):
     _assert_bit_identical_to_allocating_reference(
-        _drawn_problem(seed, accel), CsConfig(lambda1=l1, lambda2=l2, max_iters=iters))
+        _drawn_problem(seed, accel, t), CsConfig(lambda1=l1, lambda2=l2, max_iters=iters))
+
+
+@pytest.mark.parametrize("t", [1, 2, 3, 5, 16])
+def test_temporal_differences_over_blocks_equal_the_whole_volume_operators(rng, t):
+    from ktsecret.numerics import grad_temporal, grad_temporal_adjoint
+
+    x = crandn(rng, (t, 4, 4)).astype(np.complex64)
+    diff, adj = np.empty_like(x), np.empty_like(x)
+    for b in cs_module._blocks(t):
+        cs_module._grad_t(x, diff, b)
+        cs_module._grad_t_adjoint(x, adj, b)
+    if t == 1:  # the one frame's periodic neighbour is itself
+        assert not np.any(diff) and not np.any(adj)
+    else:
+        assert diff.tobytes() == grad_temporal(x).tobytes() and adj.tobytes() == grad_temporal_adjoint(x).tobytes()
+
+
+def test_frame_blocks_split_at_half_and_shrink_to_the_frame_count():
+    assert cs_module.FRAME_BLOCKS == 2
+    assert cs_module._blocks(16) == [slice(0, 8), slice(8, 16)]
+    assert cs_module._blocks(5) == [slice(0, 2), slice(2, 5)]
+    assert cs_module._blocks(1) == [slice(0, 1)]
+
+
+def test_one_frame_solves_as_one_block_without_a_temporal_term():
+    # its periodic temporal difference is the frame minus itself
+    _, d = _random_problem(11, t=1)
+    s, log = cs_reconstruct(d, CsConfig(max_iters=5), threads=2)
+    assert len(log.objective) == 6 and all(b <= a for a, b in zip(log.objective, log.objective[1:]))
+    assert abs(log.objective[-1] - cs_objective(s, d, CsConfig())) < 4 * EPS32 * log.objective[-1]
+
+
+@pytest.mark.parametrize("threads", [True, 0, -1, 2.0])
+def test_solver_refuses_a_thread_count_that_is_not_a_positive_integer(threads):
+    _, d = _random_problem(7)
+    with pytest.raises(ValueError, match="threads must be an integer >= 1"):
+        cs_reconstruct(d, CsConfig(max_iters=2), threads=threads)
+
+
+def test_solver_clamps_its_threads_to_the_frame_blocks_before_starting_any(monkeypatch):
+    started = []
+
+    class CountedThread(threading.Thread):
+        def start(self):
+            started.append(self)
+            # refuse, rather than start, a helper past the blocks' count
+            assert len(started) < cs_module.FRAME_BLOCKS, "a helper thread per further block at most"
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", CountedThread)
+    d, cfg = _phantom_problem(6.0, 3), CsConfig(max_iters=5)
+    s, log = cs_reconstruct(d, cfg, threads=10 ** 6)
+    assert len(started) == cs_module.FRAME_BLOCKS - 1
+    s_one, log_one = cs_reconstruct(d, cfg)
+    assert s.tobytes() == s_one.tobytes() and log == log_one
+
+
+@pytest.mark.parametrize("failing_block", [0, 1])
+def test_an_exception_in_one_block_surfaces_as_itself_and_leaves_no_thread(monkeypatch, failing_block):
+    """Block 0 is the calling thread's, block 1 the helper's; the other thread
+    is waiting at a barrier or about to, and must not be left there."""
+    d, error = _phantom_problem(6.0, 3), ZeroDivisionError(f"a DFT of block {failing_block}")
+    caller, raised = [], []
+
+    def failing_dft2(x, direction, **kwargs):
+        if (threading.get_ident() == caller[0]) == (failing_block == 0):
+            raise error
+        return dft2(x, direction, **kwargs)
+
+    def solve():
+        caller.append(threading.get_ident())
+        try:
+            cs_reconstruct(d, CsConfig(max_iters=5), threads=2)
+        except BaseException as exc:  # handed to the test's thread
+            raised.append(exc)
+
+    monkeypatch.setattr(cs_module, "dft2", failing_dft2)
+    before = set(threading.enumerate())
+    runner = threading.Thread(target=solve, daemon=True)
+    runner.start()
+    runner.join(timeout=60)
+    assert not runner.is_alive(), "the solve hangs"
+    assert len(raised) == 1 and raised[0] is error
+    assert set(threading.enumerate()) <= before
 
 
 EPS32 = np.finfo(np.float32).eps
@@ -342,10 +444,11 @@ def test_solver_refuses_samples_past_the_float32_range_before_the_first_iteratio
         raise AssertionError("an iteration started")
 
     monkeypatch.setattr(cs_module, "_gradient", no_gradient)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(FloatingPointError, match="starting objective"):
-            cs_reconstruct(huge, CsConfig(max_iters=3))
+    for threads in (1, 2):  # each thread enters the solve's errstate, which is thread-local
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FloatingPointError, match="starting objective"):
+                cs_reconstruct(huge, CsConfig(max_iters=3), threads=threads)
 
 
 def _solve_peak_bytes(d, iters):

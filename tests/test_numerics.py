@@ -165,6 +165,20 @@ def test_difference_out_is_checked(rng):
         grad_spatial_adjoint(g, out=out, work=out)
 
 
+def test_spatial_differences_take_frames_of_a_larger_stack(rng):
+    """out of grad_spatial and the input of its adjoint may be a run of frames
+    of a [k,T,H,W] stack: contiguous per slice, not as a whole."""
+    x, stack = crandn(rng, (6, 4, 8)).astype(np.complex64), np.zeros((3, 6, 4, 8), np.complex64)
+    grad_spatial(x[2:5], out=stack[1:3, 2:5])
+    assert stack[1:3, 2:5].tobytes() == grad_spatial(x[2:5]).tobytes()
+    assert not np.any(stack[0]) and not np.any(stack[1:3, :2]) and not np.any(stack[1:3, 5:])
+    out, work = np.empty((3, 4, 8), np.complex64), np.empty((3, 4, 8), np.complex64)
+    adjoint = grad_spatial_adjoint(stack[1:3, 2:5], out=out, work=work)
+    assert adjoint.tobytes() == grad_spatial_adjoint(stack[1:3, 2:5].copy()).tobytes()
+    with pytest.raises(ValueError, match="C-contiguous in each slice"):
+        grad_spatial(x, out=np.empty((2, 6, 4, 16), np.complex64)[..., ::2])
+
+
 def test_differences_leave_input_unchanged(rng):
     x, g = crandn(rng, (3, 4, 4)), crandn(rng, (2, 3, 4, 4))
     x0, g0 = x.copy(), g.copy()
