@@ -11,14 +11,16 @@ No pipeline reconstruction reads the phantom's reference images: SECRET trains o
 measurement alone, and the supervised MoDL only reads a weight file.
 
 Cores. KTSECRET_THREADS caps the worker threads of the pipeline's acceleration sweep
-(default: cpu_count). The sweep runs its accelerations in rounds of `workers` on one
-pool, and each job of a round of k jobs gets a core share of max(1, cpu_count // k):
-OpenBLAS gets at most that many threads while the round runs (never more than it had),
-and a CS solve runs on that many threads (cs_reconstruct's threads, which it clamps to
-its frame blocks). So pool, solve and BLAS threads together do not oversubscribe the
-cores, and a round's last, lone job uses them all; recon-cs, a round of one, does too.
-A user-set OPENBLAS_NUM_THREADS or OMP_NUM_THREADS leaves the BLAS count alone, and the
-previous count is restored when the sweep ends. No output depends on these counts.
+(default: cpu_count). While that pool runs, OpenBLAS gets at most cpu_count // workers
+threads (at least 1), so pool and BLAS threads together do not oversubscribe the
+cores; a user-set OPENBLAS_NUM_THREADS or OMP_NUM_THREADS wins, and the previous count
+is restored when the sweep ends. The cores no worker holds are spare: cpu_count -
+workers at the start, and one more each time a job ends with no job left for its
+worker. A CS solve takes spare cores as helper threads (cs_reconstruct's threads is
+the sweep's semaphore of spare cores) at the top of an iteration while it runs alone,
+and gives them back when it returns. So a freed core starts the next job at once, and
+once none is left it joins a running solve; recon-cs solves on cpu_count threads. No
+output depends on these counts.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ import json
 import logging
 import os
 import sys
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
@@ -106,20 +109,14 @@ def worker_count() -> int:
     return n
 
 
-def _core_share(jobs: int) -> int:
-    """The cores each of `jobs` concurrent jobs gets: cpu_count // jobs, at least 1."""
-    return max(1, (os.cpu_count() or 1) // jobs)
-
-
 @contextmanager
 def _blas_threads_per_worker(workers: int):
-    """Caps OpenBLAS at _core_share(workers) threads, never more than it had, and
-    yields cap(jobs), which re-caps it at _core_share(jobs) the same way; the
-    count on entry is restored at exit. A no-op, cap included, when the user set
+    """Caps OpenBLAS at cpu_count // workers threads (at least 1) for the
+    duration, then restores the previous count. A no-op when the user set
     OPENBLAS_NUM_THREADS/OMP_NUM_THREADS or numpy's BLAS is not the
     scipy-openblas its wheels bundle."""
     if any(os.environ.get(var) for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")):
-        yield lambda jobs: None
+        yield
         return
     import ctypes
     from numpy.linalg import _umath_linalg  # linked against numpy's BLAS
@@ -128,18 +125,14 @@ def _blas_threads_per_worker(workers: int):
     get_n = getattr(lib, "scipy_openblas_get_num_threads64_", None)
     set_n = getattr(lib, "scipy_openblas_set_num_threads64_", None)
     if get_n is None or set_n is None:
-        yield lambda jobs: None
+        yield
         return
     get_n.argtypes, get_n.restype = [], ctypes.c_int
     set_n.argtypes, set_n.restype = [ctypes.c_int], None
     before = get_n()
-
-    def cap(jobs: int) -> None:
-        set_n(max(1, min(before, _core_share(jobs))))
-
-    cap(workers)
+    set_n(max(1, min(before, (os.cpu_count() or 1) // workers)))
     try:
-        yield cap
+        yield
     finally:
         set_n(before)
 
@@ -238,9 +231,17 @@ def _options_config(args, **fixed):
     return _build(cls, values, args.command, names, **fixed)
 
 
+def _synthesize(spec: PhantomSpec) -> PhantomTruth:
+    """synthesize(spec), its ValueError (a spec it cannot draw) a ConfigError."""
+    try:
+        return synthesize(spec)
+    except ValueError as exc:
+        raise ConfigError(f"phantom: {exc}") from exc
+
+
 def cmd_phantom(args) -> int:
     spec = _options_config(args, seed=args.seed)
-    save_phantom(Path(args.out), spec, synthesize(spec))
+    save_phantom(Path(args.out), spec, _synthesize(spec))
     return 0
 
 
@@ -267,7 +268,7 @@ def cmd_recon_zf(args) -> int:
 
 def cmd_recon_cs(args) -> int:
     d_u = load_ktdata(args.data, args.mask)
-    s, log = cs_mod.cs_reconstruct(d_u, _options_config(args), threads=_core_share(1))
+    s, log = cs_mod.cs_reconstruct(d_u, _options_config(args), threads=os.cpu_count() or 1)
     save_tensor(args.out, s)
     write_convergence(Path(args.out).with_suffix(".convergence.csv"), log)
     return 0
@@ -440,8 +441,8 @@ def _parse_config(config):
     return spec, accels, cfg, None if weights is None else _load_weights(weights, shape, "method_params.weights")
 
 
-def _reconstruct(method: str, d_u: KtData, cfg, params, threads: int = 1):
-    """(reconstruction, CS ConvergenceLog or None); a CS solve runs on `threads` threads."""
+def _reconstruct(method: str, d_u: KtData, cfg, params, threads=1):
+    """(reconstruction, CS ConvergenceLog or None); threads is cs_reconstruct's."""
     if method == "zf":
         return adjoint(d_u), None
     if method == "cs":
@@ -456,21 +457,21 @@ def _reconstruct(method: str, d_u: KtData, cfg, params, threads: int = 1):
 def run_pipeline(config: dict) -> int:
     spec, accels, cfg, params = _parse_config(config)
     workers = min(worker_count(), len(accels))
+    truth = _synthesize(spec)
     out_dir = Path(config["output_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     seed = config["seed"]
-    truth = synthesize(spec)
     save_phantom(out_dir / "phantom", spec, truth)
     method = config["method"]
 
-    def run_one(accel, threads):
+    def run_one(accel):
         sub = out_dir / _accel_dir(accel)
         sub.mkdir(exist_ok=True)
         mask = make_radial_mask(spec.t, spec.h, spec.w, accel, config["mask"]["seed"])
         save_mask(sub / "mask.ktsr", mask, config["mask"]["seed"])
         d_u = corrupt(truth, mask, spec.noise_sigma, seed)
         save_tensor(sub / "data.ktsr", d_u.samples)
-        recon, cs_log = _reconstruct(method, d_u, cfg, params, threads)
+        recon, cs_log = _reconstruct(method, d_u, cfg, params, spare)
         save_tensor(sub / "recon.ktsr", recon)
         zf = adjoint(d_u)
         save_tensor(sub / "recon_zf.ktsr", zf)
@@ -490,13 +491,21 @@ def run_pipeline(config: dict) -> int:
                   np.hstack([truth.ktrans_map, np.nan_to_num(pmap.ktrans)]), lo=0.0, hi=hi)
         return accel, report
 
-    results = []
-    with _blas_threads_per_worker(workers) as cap_blas, ThreadPoolExecutor(max_workers=workers) as pool:
-        for start in range(0, len(accels), workers):  # rounds of `workers` jobs; see the module docstring
-            jobs = accels[start:start + workers]
-            cap_blas(len(jobs))
-            futures = [pool.submit(run_one, accel, _core_share(len(jobs))) for accel in jobs]
-            results += [future.result() for future in futures]
+    spare = threading.Semaphore(max(0, (os.cpu_count() or 1) - workers))  # see the module docstring
+    queued, lock = [len(accels) - workers], threading.Lock()  # the jobs no worker has taken yet
+
+    def job(accel):
+        try:
+            return run_one(accel)
+        finally:
+            with lock:
+                if queued[0]:  # this worker takes the next job
+                    queued[0] -= 1
+                else:
+                    spare.release()
+
+    with _blas_threads_per_worker(workers), ThreadPoolExecutor(max_workers=workers) as pool:
+        results = list(pool.map(job, accels))
     phantom_id = f"phantom{spec.seed}"
     write_csv(out_dir / "metrics.csv", METRICS_HEADER,
               [row for accel, report in results for row in _metrics_rows(method, accel, phantom_id, report)])

@@ -40,27 +40,34 @@ of grad_t's, ||g||^2 and the Armijo slope re_dot(g, d). A scalar is its
 blocks' partial sums added left to right in block order, so the objective is
 data + l1 tv_s + l2 tv_t; cs_objective takes the same sums.
 
-Threads. cs_reconstruct(d_u, cfg, threads) runs on the caller's thread and up
-to threads - 1 helpers, at most one thread per block, started at entry and
-joined before it returns. Each thread owns a contiguous run of blocks and runs
-the same control flow: both DFTs, the mask, the spatial differences, and the
-trial, moduli and update passes are each one call over its own frames, and
-the partial sums of its blocks go into a shared list. The threads meet only
-at barriers, about five per iteration:
-- after each reduction (the objective, each Armijo trial's value, ||g||^2 and
-  the slope), every thread adds all the blocks' sums in block order, so every
-  thread takes the same branch. Two lists of sums are used in turn, so one is
-  rewritten only after the barrier that follows its reading;
+Threads. cs_reconstruct's threads are the threads it runs on, at most one
+per block: an integer, or a threading.Semaphore of spare cores (the pipeline
+passes its sweep's). The start (its cast, images, moduli and objective) runs
+on the caller's thread alone. Helper threads join at the top of an iteration,
+and only while the solve runs alone: for an integer, threads - 1 of them at
+the first; from a semaphore, one per core it acquires without waiting, at the
+first iteration that finds one. They start from that iteration's state (its
+index, ||g||^2, the objective, the first step, and which images buffer holds
+the point's), and the blocks are split again, each thread owning a contiguous
+run of them. Every thread runs the same control flow: both DFTs, the mask,
+the spatial differences, and the trial, moduli and update passes are each one
+call over its own frames, and the partial sums of its blocks go into a shared
+list. The threads meet only at barriers, about five per iteration:
+- after each reduction (||g||^2, the slope, each Armijo trial's value), every
+  thread adds all the blocks' sums in block order, so every thread takes the
+  same branch. Two lists of sums are used in turn, so one is rewritten only
+  after the barrier that follows its reading;
 - grad_t and its adjoint read one edge frame of the neighbouring block, so
   they run after a barrier: the direction's grad_t after the slope's (a
   restart on steepest descent adds one), the adjoint after one that follows
-  the TV weights, and the start's grad_t after one that follows its cast.
-The blocks do not depend on the thread count, and the elementwise passes and
+  the TV weights.
+The blocks do not depend on the threads, and the elementwise passes and
 per-frame DFTs give the same bits however the frames are split, so neither
-the image nor the log does. Each thread enters the caller's np.errstate
-(thread-local in numpy 2) and the start's. An exception in one thread aborts
-the barrier, so the others stop at their next one; all are joined, and the
-first exception that is not the barrier's own surfaces as itself.
+the image nor the log depends on how many threads join, or when. Each helper
+enters the caller's np.errstate (thread-local in numpy 2). An exception in
+one thread aborts the barrier, so the others stop at their next one; the
+helpers are joined and the cores given back before cs_reconstruct returns,
+and the first exception that is not the barrier's own surfaces as itself.
 
 Precision is mixed, set by the module constant WORK_DTYPE (complex64). In
 WORK_DTYPE run the workspace: the images of the point, of the direction and of
@@ -92,7 +99,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .encoding import KtData, adjoint, check_image_shape
-from .numerics import as_complex_tensor, check_fields, dft2, grad_spatial, grad_spatial_adjoint, is_int, re_dot
+from .numerics import (
+    as_complex_tensor,
+    check_fields,
+    dft2,
+    grad_spatial,
+    grad_spatial_adjoint,
+    grad_temporal,
+    grad_temporal_adjoint,
+    is_int,
+    re_dot,
+)
 
 __all__ = ["SMOOTH_EPS", "CsConfig", "ConvergenceLog", "cs_objective", "cs_gradient",
            "cs_reconstruct"]
@@ -140,34 +157,17 @@ def _alone() -> None:
     """A one-thread solve's barrier: there is no one to wait for."""
 
 
-def _grad_t(x: np.ndarray, out: np.ndarray, f: slice) -> None:
-    """Frames f of grad_temporal(x), x[t + 1] - x[t] with periodic wrap, into
-    out[f]; reads frame f.stop of x."""
-    lo, hi = f.start, f.stop
-    np.subtract(x[lo + 1:hi], x[lo:hi - 1], out=out[lo:hi - 1])
-    np.subtract(x[hi % len(x)], x[hi - 1], out=out[hi - 1])
-
-
-def _grad_t_adjoint(y: np.ndarray, out: np.ndarray, f: slice) -> np.ndarray:
-    """Frames f of grad_temporal_adjoint(y), y[t - 1] - y[t] with periodic wrap,
-    into out[f], which is returned; reads frame f.start - 1 of y."""
-    lo, hi = f.start, f.stop
-    np.subtract(y[lo:hi - 1], y[lo + 1:hi], out=out[lo + 1:hi])
-    np.subtract(y[lo - 1], y[lo], out=out[lo])
-    return out[f]
-
-
 def _images(x: np.ndarray, mask, samples, out: np.ndarray, f: slice) -> np.ndarray:
     """Writes frames f of the objective's affine images of x into the complex
     [4,T,H,W] out and returns it: E x - samples, then grad_s x (2), then
-    grad_t x, which reads frame f.stop of x; samples None stands for zero."""
+    grad_t x, which reads the frame after f of x; samples None stands for zero."""
     residual = out[0, f]
     dft2(x[f], "forward", out=residual)
     np.multiply(residual, mask.bits[f], out=residual)
     if samples is not None:
         np.subtract(residual, samples[f], out=residual)
     grad_spatial(x[f], out=out[1:3, f])
-    _grad_t(x, out[3], f)
+    grad_temporal(x, out=out[3], frames=f)
     return out
 
 
@@ -208,7 +208,7 @@ def _gradient(images: np.ndarray, weights: np.ndarray, cfg: CsConfig, g: np.ndar
               tv: np.ndarray, work: np.ndarray, f: slice) -> np.ndarray:
     """Frames f of the gradient w.r.t. the real/imag parts of s, packed complex,
     from s's images and TV weights, written into g, which is returned; grad_t's
-    adjoint reads frame f.start - 1 of the weights. tv and work ([T,H,W]) are
+    adjoint reads the frame before f of the weights. tv and work ([T,H,W]) are
     complex scratch."""
     gf, tvf = g[f], tv[f]
     # E^H r; the residual already lives on the sampled set
@@ -216,7 +216,7 @@ def _gradient(images: np.ndarray, weights: np.ndarray, cfg: CsConfig, g: np.ndar
     np.multiply(2.0, gf, out=gf)
     np.multiply(cfg.lambda1, grad_spatial_adjoint(weights[:2, f], out=tvf, work=work[f]), out=tvf)
     np.add(gf, tvf, out=gf)
-    np.multiply(cfg.lambda2, _grad_t_adjoint(weights[2], tv, f), out=tvf)
+    np.multiply(cfg.lambda2, grad_temporal_adjoint(weights[2], out=tv, frames=f)[f], out=tvf)
     np.add(gf, tvf, out=gf)
     return g
 
@@ -247,13 +247,16 @@ def cs_gradient(s: np.ndarray, d_u: KtData, cfg: CsConfig) -> np.ndarray:
                      np.empty(shape, np.complex128), whole)
 
 
-def cs_reconstruct(d_u: KtData, cfg: CsConfig | None = None, threads: int = 1):
-    """Nonlinear CG (Fletcher-Reeves) from the zero-filled start, on up to
-    `threads` threads (an integer >= 1, else ValueError; at most one per
-    frame block).
+def cs_reconstruct(d_u: KtData, cfg: CsConfig | None = None, threads: int | threading.Semaphore = 1):
+    """Nonlinear CG (Fletcher-Reeves) from the zero-filled start.
+
+    threads is the threads it runs on, at most one per frame block: an
+    integer >= 1, or a threading.Semaphore of spare cores, of which it takes
+    what it can get while it runs alone and gives each back when it returns;
+    anything else raises ValueError. See the module docstring.
 
     Returns (reconstruction, ConvergenceLog), the reconstruction complex128
-    whatever WORK_DTYPE is; neither depends on the thread count. The logged
+    whatever WORK_DTYPE is; neither depends on the threads. The logged
     objective sequence is non-increasing; if the Armijo search fails 50
     backtracks in a row the current iterate is returned with the warning flag
     set. A starting objective that is not finite raises FloatingPointError.
@@ -261,34 +264,32 @@ def cs_reconstruct(d_u: KtData, cfg: CsConfig | None = None, threads: int = 1):
     encoded straight into the workspace, so nothing is re-validated per
     iteration.
     """
-    if not (is_int(threads) and threads >= 1):
-        raise ValueError(f"threads must be an integer >= 1, got {threads!r}")
-    solve = _Solve(d_u, cfg or CsConfig(), threads)
-    helpers = [threading.Thread(target=solve.run, args=(j,), name=f"cs_reconstruct-{j}")
-               for j in range(1, solve.threads)]
+    if isinstance(threads, threading.Semaphore):
+        spare, wanted = threads, 0
+    elif is_int(threads) and threads >= 1:
+        spare, wanted = None, threads - 1
+    else:
+        raise ValueError(f"threads must be an integer >= 1 or a threading.Semaphore, got {threads!r}")
+    solve = _Solve(d_u, cfg or CsConfig(), spare, wanted)
     try:
-        for helper in helpers:
-            helper.start()
         solve.run(0)
-    except BaseException:  # a helper did not start: the started ones stop at their next barrier
-        solve.barrier.abort()
-        raise
     finally:
-        for helper in helpers:
+        for helper in solve.helpers:
             if helper.ident is not None:
                 helper.join()
-    errors = [e for e in solve.errors if e is not None]
-    if errors:
-        raise next((e for e in errors if not isinstance(e, threading.BrokenBarrierError)), errors[0])
-    return solve.s, solve.logs[0]
+        for _ in range(solve.taken):
+            spare.release()
+    if solve.errors:
+        raise next((e for e in solve.errors if not isinstance(e, threading.BrokenBarrierError)), solve.errors[0])
+    return solve.s, solve.log
 
 
 class _Solve:
     """One cs_reconstruct: the workspace its threads share, and the control
     flow each runs over its own run of blocks (see the module docstring)."""
 
-    def __init__(self, d_u: KtData, cfg: CsConfig, threads: int):
-        self.d_u, self.cfg = d_u, cfg
+    def __init__(self, d_u: KtData, cfg: CsConfig, spare, wanted: int):
+        self.d_u, self.cfg, self.spare, self.wanted = d_u, cfg, spare, wanted
         self.s = adjoint(d_u)  # the iterate, complex128, updated in place and returned
         # the workspace, in WORK_DTYPE: every step below writes into these buffers
         shape = self.s.shape
@@ -297,31 +298,67 @@ class _Solve:
         self.images = [np.empty((4, *shape), WORK_DTYPE) for _ in range(3)]
         self.moduli = np.empty((3, *shape), np.finfo(WORK_DTYPE).dtype)
         self.blocks = _blocks(shape[0])
-        self.threads = min(threads, len(self.blocks))
-        self.sums = [[None] * len(self.blocks) for _ in range(2)]  # two slots, used in turn
-        self.barrier = threading.Barrier(self.threads)
+        self.sums = [[None] * len(self.blocks) for _ in range(2)]  # two lists, used in turn
+        self.threads, self.barrier, self.helpers, self.taken = 1, None, [], 0
         self.errstate = np.geterr()
-        self.logs = [ConvergenceLog() for _ in range(self.threads)]
-        self.errors = [None] * self.threads
+        self.log = ConvergenceLog()
+        self.errors = []
 
-    def run(self, j: int) -> None:
-        """Thread j's share of the solve; an exception is kept for the caller,
-        and the barrier aborted so that no other thread waits for this one."""
+    def run(self, j: int, *state) -> None:
+        """Thread j's share of the solve from an iteration's state, the caller's
+        (j = 0) from the start; an exception is kept for the caller, and the
+        barrier aborted so that no other thread waits for this one."""
         try:
             with np.errstate(**self.errstate):
-                self._iterate(j)
+                self._iterate(j, *(state or self._start()))
         except BaseException as exc:
-            self.errors[j] = exc
-            self.barrier.abort()
+            self.errors.append(exc)
+            if self.barrier is not None:
+                self.barrier.abort()
 
-    def _iterate(self, j: int) -> None:
-        cfg, mask, samples, s, d, w = self.cfg, self.d_u.mask, self.d_u.samples, self.s, self.d, self.moduli
-        img, img_d, trial = self.images
-        log = self.logs[j]
-        sync = self.barrier.wait if self.threads > 1 else _alone
-        n = len(self.blocks)
-        own = range(n * j // self.threads, n * (j + 1) // self.threads)
-        f = slice(self.blocks[own.start].start, self.blocks[own.stop - 1].stop)  # this thread's frames
+    def _start(self) -> tuple:
+        """The start's images, moduli and objective, on the caller's thread
+        alone; returns the state of the first iteration."""
+        img, whole = self.images[0], slice(0, len(self.s))
+        with np.errstate(over="ignore", invalid="ignore"):  # reported just below
+            np.copyto(self.d, self.s)  # the start in WORK_DTYPE, the direction's buffer as scratch
+            _images(self.d, self.d_u.mask, self.d_u.samples, img, whole)
+            _moduli(img, self.moduli, whole)
+            obj = _value([_block_sums(img, self.moduli, b) for b in self.blocks], self.cfg)
+        if not np.isfinite(obj):
+            raise FloatingPointError(f"the starting objective is {obj}: the samples are too large")
+        self.log.objective.append(obj)
+        return 0, None, obj, 1.0, img, self.images[2]
+
+    def _share(self, j: int) -> tuple:
+        """Thread j's barrier, blocks and frames at the current thread count."""
+        n, k = len(self.blocks), self.threads
+        own = range(n * j // k, n * (j + 1) // k)
+        return (self.barrier.wait if k > 1 else _alone), own, slice(self.blocks[own.start].start,
+                                                                    self.blocks[own.stop - 1].stop)
+
+    def _take_helpers(self, *state) -> bool:
+        """While the solve runs alone, at the top of an iteration: starts its
+        helpers from that iteration's state, at most one thread per block; the
+        wanted ones once, for an integer thread count, else one per spare core
+        it acquires without waiting. Whether it started any."""
+        n = min(self.wanted, len(self.blocks) - 1)
+        self.wanted = 0
+        while self.spare is not None and n < len(self.blocks) - 1 and self.spare.acquire(blocking=False):
+            n += 1
+            self.taken += 1
+        if n == 0:
+            return False
+        self.threads, self.barrier = 1 + n, threading.Barrier(1 + n)
+        for j in range(1, 1 + n):
+            self.helpers.append(threading.Thread(target=self.run, args=(j, *state), name=f"cs_reconstruct-{j}"))
+            self.helpers[-1].start()
+        return True
+
+    def _iterate(self, j: int, it: int, gg, obj: float, step0: float, img: np.ndarray, trial: np.ndarray) -> None:
+        cfg, mask, s, d, w, img_d = self.cfg, self.d_u.mask, self.s, self.d, self.moduli, self.images[1]
+        log = self.log if j == 0 else ConvergenceLog()  # a helper's is dropped
+        sync, own, f = self._share(j)
         slot = 0
 
         def reduced(block_sum) -> list:
@@ -335,18 +372,9 @@ class _Solve:
             slot ^= 1
             return list(sums)
 
-        with np.errstate(over="ignore", invalid="ignore"):  # reported just below
-            np.copyto(d[f], s[f])  # the start in WORK_DTYPE, the direction's buffer as scratch
-            sync()  # grad_t reads the next block's first frame
-            _images(d, mask, samples, img, f)
-            _moduli(img, w, f)
-            obj = _value(reduced(lambda b: _block_sums(img, w, b)), cfg)
-        if not np.isfinite(obj):
-            raise FloatingPointError(f"the starting objective is {obj}: the samples are too large")
-        log.objective.append(obj)
-        gg = None
-        step0 = 1.0
-        for it in range(cfg.max_iters):
+        for it in range(it, cfg.max_iters):
+            if j == 0 and self.threads == 1 and self._take_helpers(it, gg, obj, step0, img, trial):
+                (sync, own, f), slot = self._share(0), 0
             # moduli holds the point's; the trial's and direction's images are scratch
             g = trial[0]
             _weights(img, w, trial[1:], f)

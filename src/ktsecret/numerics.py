@@ -10,13 +10,16 @@ per call; out must be a C-contiguous array of the result's shape and of the
 (converted) input's dtype that does not overlap the input, or a ValueError
 names it. grad_spatial's out and grad_spatial_adjoint's input need only be
 C-contiguous in each of their two slices, so either may be a run of frames of
-a larger stack. dft2 is the only caller of numpy's transforms: it runs
-np.fft.fftn/ifftn over the last two axes, which honour out= (numpy's ifft2
-ignores it) and transform a complex64 array in single precision. A
-periodic difference views the volume as rows [prod(shape[:axis]),
-prod(shape[axis:])] and subtracts the whole interior in one contiguous pass at
-the axis's stride, then overwrites each row's wrap-around block; every element
-is the same subtraction as x[1:] - x[:-1] along the axis.
+a larger stack. The temporal differences write only the run of frames that
+their frames= picks, so threads that own runs of frames can fill one out. dft2
+is the only caller of numpy's transforms: it runs np.fft.fftn/ifftn over the
+last two axes, which honour out= (numpy's ifft2 ignores it) and transform a
+complex64 array in single precision. A periodic spatial difference views the
+volume as rows [prod(shape[:axis]), prod(shape[axis:])] and subtracts the
+whole interior in one contiguous pass at the axis's stride, then overwrites
+each row's wrap-around block; a temporal one subtracts the run's interior
+frames in one pass and its wrap-around frame in another. Every element is the
+same subtraction as x[1:] - x[:-1] along the axis.
 
 re_dot is the package's one reduction of a sum of products: Re<a, b> of two
 arrays of one shape, summed by a single einsum loop in float64 over their real
@@ -235,13 +238,32 @@ def grad_spatial_adjoint(g: np.ndarray, out: np.ndarray | None = None,
     return np.add(out, _fwd_diff_adjoint(g[1], 2, work), out=out)
 
 
-def grad_temporal(s: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Forward difference along the frame axis (periodic)."""
+def _frame_range(frames: slice, t: int) -> tuple:
+    lo, hi, step = frames.indices(t)
+    if step != 1 or lo >= hi:
+        raise ValueError(f"frames must pick a run of frames, got {frames}")
+    return lo, hi
+
+
+def grad_temporal(s: np.ndarray, out: np.ndarray | None = None, frames: slice = slice(None)) -> np.ndarray:
+    """Forward difference along the frame axis (periodic), out[t] = s[t + 1] - s[t].
+    Only the run of frames of out that frames picks is written; it reads the
+    same frames of s and the one after them."""
     s = _check_3d(s, min_t=2)
-    return _fwd_diff(s, 0, _output(out, s.shape, s))
+    out = _output(out, s.shape, s)
+    lo, hi = _frame_range(frames, len(s))
+    np.subtract(s[lo + 1:hi], s[lo:hi - 1], out=out[lo:hi - 1])
+    np.subtract(s[hi % len(s)], s[hi - 1], out=out[hi - 1])
+    return out
 
 
-def grad_temporal_adjoint(g: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Adjoint of grad_temporal."""
+def grad_temporal_adjoint(g: np.ndarray, out: np.ndarray | None = None, frames: slice = slice(None)) -> np.ndarray:
+    """Adjoint of grad_temporal, out[t] = g[t - 1] - g[t]. Only the run of
+    frames of out that frames picks is written; it reads the same frames of g
+    and the one before them."""
     g = _check_3d(g, min_t=2)
-    return _fwd_diff_adjoint(g, 0, _output(out, g.shape, g))
+    out = _output(out, g.shape, g)
+    lo, hi = _frame_range(frames, len(g))
+    np.subtract(g[lo:hi - 1], g[lo + 1:hi], out=out[lo + 1:hi])
+    np.subtract(g[lo - 1], g[lo], out=out[lo])
+    return out

@@ -9,7 +9,6 @@ series so inter-frame contrast is preserved.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,10 +45,6 @@ class PhantomSpec:
         for lo, hi in (self.ktrans_range, self.vp_range):
             if not 0 <= lo <= hi:
                 raise ValueError("parameter ranges must be non-negative with max >= min")
-        empty = _first_empty_label(self.h, self.w, self.n_tissue_regions)
-        if empty is not None:
-            raise ValueError(f"n_tissue_regions={self.n_tissue_regions} does not fit {self.h}x{self.w}: "
-                             f"region label {empty} would draw no pixel")
 
 
 @dataclass(frozen=True)
@@ -98,58 +93,10 @@ def _ellipse(h: int, w: int, cy: float, cx: float, ry: float, rx: float) -> np.n
     return ((yy - cy) / ry) ** 2 + ((xx - cx) / rx) ** 2 <= 1.0
 
 
-def _ellipses(h: int, w: int, n: int):
-    """(cy, cx, ry, rx) of the ventricle, then of the n tissue regions on an arc
-    around the image center, right of the ventricle: label k's ellipse is the
-    k-th, and it keeps the pixels no earlier one took."""
-    yield 0.5 * (h - 1), 0.3 * (w - 1), 0.14 * h, 0.1 * w
-    ring_r = 0.28 * min(h, w)
-    cy0, cx0 = 0.5 * (h - 1), 0.55 * (w - 1)
-    for i in range(n):
-        phi = -np.pi / 2 + i * np.pi / max(1, n - 1) if n > 1 else 0.0
-        yield cy0 + ring_r * np.sin(phi), cx0 + 0.5 * ring_r * np.cos(phi) + 0.12 * w, 0.09 * h, 0.09 * w
-
-
-def _row_spans(h: int, w: int, cy: float, cx: float, ry: float, rx: float):
-    """The first and last column of _ellipse(h, w, cy, cx, ry, rx) in each of its
-    h rows (first > last where a row has none). Each is found by the same
-    predicate at the three columns around the exact edge, so without drawing
-    the h x w image."""
-    y = np.arange(h)[:, None]
-    dy = ((y - cy) / ry) ** 2
-    half = rx * np.sqrt(np.maximum(1.0 - dy, 0.0))
-
-    def edge(x):  # per row: the first of its three columns x inside, and whether one is
-        inside = dy + ((x - cx) / rx) ** 2 <= 1.0
-        return np.take_along_axis(x, inside.argmax(axis=1)[:, None], axis=1)[:, 0], inside.any(axis=1)
-
-    first, drawn = edge(np.ceil(cx - half).astype(np.int64) + np.array([-1, 0, 1]))
-    last, _ = edge(np.floor(cx + half).astype(np.int64) + np.array([1, 0, -1]))
-    return np.where(drawn, np.maximum(first, 0), w), np.where(drawn, np.minimum(last, w - 1), -1)
-
-
-@functools.lru_cache(maxsize=128)
-def _first_empty_label(h: int, w: int, n: int) -> int | None:
-    """The first label that synthesize would draw with no pixel, or None. Row by
-    row, an ellipse keeps the columns of its span that no earlier span covers:
-    walking the earlier spans in order of their first column finds its first
-    free one. The cost grows with n^2 and h, not with h * w; the walk stops at
-    the first empty label, and a size seen before costs a cache lookup."""
-    starts, stops = np.empty((0, h), np.int64), np.empty((0, h), np.int64)
-    for label, ellipse in enumerate(_ellipses(h, w, n), start=1):
-        first, last = _row_spans(h, w, *ellipse)
-        free = first
-        order = np.argsort(starts, axis=0, kind="stable")
-        for start, stop in zip(np.take_along_axis(starts, order, 0), np.take_along_axis(stops, order, 0)):
-            free = np.where(start <= free, np.maximum(free, stop + 1), free)
-        if not np.any(free <= last):
-            return label
-        starts, stops = np.vstack([starts, first]), np.vstack([stops, last])
-    return None
-
-
 def synthesize(spec: PhantomSpec) -> PhantomTruth:
-    """Generate a phantom whose tissue curves are exactly Patlak-linear."""
+    """Generate a phantom whose tissue curves are exactly Patlak-linear. A spec
+    whose tissue regions leave a region label without a pixel (the ventricle
+    and the earlier regions cover it) raises ValueError."""
     rng = np.random.default_rng(spec.seed)
     h, w, t = spec.h, spec.w, spec.t
     t_axis = np.arange(t) * spec.dt
@@ -163,15 +110,23 @@ def synthesize(spec: PhantomSpec) -> PhantomTruth:
     vp_map = np.zeros((h, w))
     conc = np.zeros((t, h, w))
 
-    ellipses = _ellipses(h, w, spec.n_tissue_regions)
     # ventricle: carries the AIF directly
-    vent = _ellipse(h, w, *next(ellipses))
+    vent = _ellipse(h, w, 0.5 * (h - 1), 0.3 * (w - 1), 0.14 * h, 0.1 * w)
     labels[vent] = 1
     conc[:, vent] = aif[:, None]
 
-    for i, ellipse in enumerate(ellipses):
-        region = _ellipse(h, w, *ellipse)
+    # tissue regions on an arc around the image center, right of the ventricle
+    ring_r = 0.28 * min(h, w)
+    cy0, cx0 = 0.5 * (h - 1), 0.55 * (w - 1)
+    for i in range(spec.n_tissue_regions):
+        phi = -np.pi / 2 + i * np.pi / max(1, spec.n_tissue_regions - 1) if spec.n_tissue_regions > 1 else 0.0
+        cy = cy0 + ring_r * np.sin(phi)
+        cx = cx0 + 0.5 * ring_r * np.cos(phi) + 0.12 * w
+        region = _ellipse(h, w, cy, cx, 0.09 * h, 0.09 * w)
         region &= labels == 0
+        if not region.any():
+            raise ValueError(f"n_tissue_regions={spec.n_tissue_regions} does not fit {h}x{w}: "
+                             f"region label {2 + i} would draw no pixel")
         ktrans = rng.uniform(*spec.ktrans_range)
         vp = rng.uniform(*spec.vp_range)
         labels[region] = 2 + i

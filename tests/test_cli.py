@@ -1,11 +1,13 @@
 import csv
 import dataclasses
+import itertools
 import json
 import logging
 import os
 import re
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -534,7 +536,7 @@ def test_pipeline_and_phantom_refuse_a_spec_that_draws_an_empty_label_before_wri
     assert not (tmp_path / "out").exists()
     argv = ["phantom", "--out", str(tmp_path / "ph"), "--h", str(h), "--w", str(w), "--regions", str(regions)]
     with pytest.raises(ConfigError, match=message):
-        cli._options_config(build_parser().parse_args(argv))
+        cli.cmd_phantom(build_parser().parse_args(argv))
     assert run(*argv) == 1
     assert not (tmp_path / "ph").exists()
 
@@ -767,21 +769,30 @@ def _three_accelerations(tmp_path, method="zf", **params):
     return config
 
 
-def test_pipeline_gives_each_job_of_a_round_its_core_share(tmp_path, monkeypatch, blas_threads):
-    """Three accelerations on two workers run in two rounds: two jobs on half
-    the cores each, then the third alone on all of them, as its BLAS cap (never
-    above the count before) and as its solve's threads."""
+def test_pipeline_hands_the_core_of_a_finished_job_to_a_running_solve(tmp_path, monkeypatch, blas_threads):
+    """Three accelerations on two workers and two cores: while the first two
+    jobs run no core is spare; the third job's solve gets the core of the one
+    that ends last, through the semaphore it is given as its threads. The BLAS
+    cap stays cpu_count // workers throughout."""
+    monkeypatch.setenv("KTSECRET_THREADS", "2")
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     before = blas_threads()
-    seen, solve = [], cli.cs_mod.cs_reconstruct
+    calls, both_running, seen = itertools.count(), threading.Barrier(2, timeout=30), []
+    solve = cli.cs_mod.cs_reconstruct
 
     def recording(d_u, cfg, threads=1):
-        seen.append((blas_threads(), threads))
+        seen.append(blas_threads())
+        if next(calls) < 2:
+            both_running.wait()
+            assert not threads.acquire(blocking=False), "a spare core while both workers are busy"
+        else:
+            assert threads.acquire(timeout=30), "no core freed for the last solve"
+            threads.release()
         return solve(d_u, cfg, threads=threads)
 
     monkeypatch.setattr(cli.cs_mod, "cs_reconstruct", recording)
     assert run_pipeline(_three_accelerations(tmp_path, "cs", iters=2)) == 0
-    shares = [max(1, os.cpu_count() // jobs) for jobs in (2, 2, 1)]
-    assert seen == [(max(1, min(before, share)), share) for share in shares]
+    assert seen == [max(1, min(before, 1))] * 3
     assert blas_threads() == before
 
 
@@ -795,18 +806,18 @@ def test_recon_cs_solves_on_every_core(tmp_path, monkeypatch):
     assert seen == [max(1, os.cpu_count())]
 
 
-def test_pipeline_restores_blas_threads_when_a_second_round_job_raises(tmp_path, monkeypatch, blas_threads):
+def test_pipeline_restores_blas_threads_when_a_later_job_raises(tmp_path, monkeypatch, blas_threads):
     before = blas_threads()
     seen, reconstruct = [], cli._reconstruct
 
     def third_fails(*args):
         seen.append(blas_threads())
         if len(seen) == 3:
-            raise RuntimeError("round 2 failed")
+            raise RuntimeError("the third job failed")
         return reconstruct(*args)
 
     monkeypatch.setattr(cli, "_reconstruct", third_fails)
-    with pytest.raises(RuntimeError, match="round 2 failed"):
+    with pytest.raises(RuntimeError, match="the third job failed"):
         run_pipeline(_three_accelerations(tmp_path))
     assert len(seen) == 3 and blas_threads() == before
 

@@ -301,34 +301,11 @@ def test_solver_is_bit_identical_to_allocating_reference_on_drawn_problems_in_co
         _drawn_problem(seed, accel, t), CsConfig(lambda1=l1, lambda2=l2, max_iters=iters))
 
 
-@pytest.mark.parametrize("t", [1, 2, 3, 5, 16])
-def test_temporal_differences_over_blocks_equal_the_whole_volume_operators(rng, t):
-    from ktsecret.numerics import grad_temporal, grad_temporal_adjoint
-
-    x = crandn(rng, (t, 4, 4)).astype(np.complex64)
-    diff, adj = np.empty_like(x), np.empty_like(x)
-    for b in cs_module._blocks(t):
-        cs_module._grad_t(x, diff, b)
-        cs_module._grad_t_adjoint(x, adj, b)
-    if t == 1:  # the one frame's periodic neighbour is itself
-        assert not np.any(diff) and not np.any(adj)
-    else:
-        assert diff.tobytes() == grad_temporal(x).tobytes() and adj.tobytes() == grad_temporal_adjoint(x).tobytes()
-
-
 def test_frame_blocks_split_at_half_and_shrink_to_the_frame_count():
     assert cs_module.FRAME_BLOCKS == 2
     assert cs_module._blocks(16) == [slice(0, 8), slice(8, 16)]
     assert cs_module._blocks(5) == [slice(0, 2), slice(2, 5)]
     assert cs_module._blocks(1) == [slice(0, 1)]
-
-
-def test_one_frame_solves_as_one_block_without_a_temporal_term():
-    # its periodic temporal difference is the frame minus itself
-    _, d = _random_problem(11, t=1)
-    s, log = cs_reconstruct(d, CsConfig(max_iters=5), threads=2)
-    assert len(log.objective) == 6 and all(b <= a for a, b in zip(log.objective, log.objective[1:]))
-    assert abs(log.objective[-1] - cs_objective(s, d, CsConfig())) < 4 * EPS32 * log.objective[-1]
 
 
 @pytest.mark.parametrize("threads", [True, 0, -1, 2.0])
@@ -359,12 +336,14 @@ def test_solver_clamps_its_threads_to_the_frame_blocks_before_starting_any(monke
 @pytest.mark.parametrize("failing_block", [0, 1])
 def test_an_exception_in_one_block_surfaces_as_itself_and_leaves_no_thread(monkeypatch, failing_block):
     """Block 0 is the calling thread's, block 1 the helper's; the other thread
-    is waiting at a barrier or about to, and must not be left there."""
+    is waiting at a barrier or about to, and must not be left there. The start
+    transforms the whole volume on the caller's thread alone; a block's DFT
+    fails."""
     d, error = _phantom_problem(6.0, 3), ZeroDivisionError(f"a DFT of block {failing_block}")
     caller, raised = [], []
 
     def failing_dft2(x, direction, **kwargs):
-        if (threading.get_ident() == caller[0]) == (failing_block == 0):
+        if len(x) < len(d.samples) and (threading.get_ident() == caller[0]) == (failing_block == 0):
             raise error
         return dft2(x, direction, **kwargs)
 
@@ -383,6 +362,51 @@ def test_an_exception_in_one_block_surfaces_as_itself_and_leaves_no_thread(monke
     assert not runner.is_alive(), "the solve hangs"
     assert len(raised) == 1 and raised[0] is error
     assert set(threading.enumerate()) <= before
+
+
+def _cores_held(spare):
+    """How many cores the semaphore holds; takes them all."""
+    n = 0
+    while spare.acquire(blocking=False):
+        n += 1
+    return n
+
+
+@pytest.mark.parametrize("spare_cores, frees_at_dft, helpers", [
+    (0, None, 0),  # no spare core: the solve runs alone
+    (3, None, 1),  # more than its blocks take
+    (0, 0, 1),  # one frees during the start, taken by the first iteration
+    (0, 7, 1),  # one frees in the fourth iteration, taken by the fifth
+])
+def test_solver_takes_spare_cores_while_alone_and_gives_them_back(monkeypatch, spare_cores, frees_at_dft,
+                                                                  helpers):
+    """Given a semaphore of spare cores, the solve starts a helper at the top of
+    an iteration once it can acquire one, at most one per further block; the
+    image and the log are those of a one-thread solve, and every core it took
+    is back when it returns."""
+    d, cfg = _phantom_problem(6.0, 3), CsConfig(max_iters=10)
+    s_one, log_one = cs_reconstruct(d, cfg)
+    spare, started, dfts = threading.Semaphore(spare_cores), [], []
+
+    class CountedThread(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    def freeing_dft2(x, direction, **kwargs):
+        if len(dfts) == frees_at_dft:
+            spare.release()
+        dfts.append(threading.get_ident())
+        return dft2(x, direction, **kwargs)
+
+    monkeypatch.setattr(threading, "Thread", CountedThread)
+    monkeypatch.setattr(cs_module, "dft2", freeing_dft2)
+    s, log = cs_reconstruct(d, cfg, threads=spare)
+    assert len(started) == helpers
+    assert s.tobytes() == s_one.tobytes() and log == log_one
+    assert _cores_held(spare) == spare_cores + (frees_at_dft is not None)
+    if frees_at_dft == 7:  # the start's DFT and two per iteration, on the caller's thread alone
+        assert len(set(dfts[:9])) == 1 and len(set(dfts[9:])) == 2
 
 
 EPS32 = np.finfo(np.float32).eps

@@ -179,6 +179,26 @@ def test_spatial_differences_take_frames_of_a_larger_stack(rng):
         grad_spatial(x, out=np.empty((2, 6, 4, 16), np.complex64)[..., ::2])
 
 
+@pytest.mark.parametrize("t", [2, 3, 5, 16])
+def test_temporal_differences_over_runs_of_frames_fill_the_whole_volume_operators(rng, t):
+    """Each call writes only its run of frames of out; two runs that split the
+    frames give the whole-volume result, bit for bit."""
+    x = crandn(rng, (t, 4, 4)).astype(np.complex64)
+    for op in (grad_temporal, grad_temporal_adjoint):
+        out = np.zeros_like(x)
+        op(x, out=out, frames=slice(0, t // 2))
+        assert not np.any(out[t // 2:])
+        op(x, out=out, frames=slice(t // 2, None))
+        assert out.tobytes() == op(x).tobytes()
+
+
+@pytest.mark.parametrize("frames", [slice(0, 4, 2), slice(2, 2), slice(3, 1)])
+def test_temporal_differences_refuse_frames_that_are_not_a_run(frames):
+    for op in (grad_temporal, grad_temporal_adjoint):
+        with pytest.raises(ValueError, match="frames must pick a run of frames"):
+            op(np.zeros((4, 4, 4)), frames=frames)
+
+
 def test_differences_leave_input_unchanged(rng):
     x, g = crandn(rng, (3, 4, 4)), crandn(rng, (2, 3, 4, 4))
     x0, g0 = x.copy(), g.copy()
