@@ -14,13 +14,13 @@ Cores. KTSECRET_THREADS caps the worker threads of the pipeline's acceleration s
 (default: cpu_count). While that pool runs, OpenBLAS gets at most cpu_count // workers
 threads (at least 1), so pool and BLAS threads together do not oversubscribe the
 cores; a user-set OPENBLAS_NUM_THREADS or OMP_NUM_THREADS wins, and the previous count
-is restored when the sweep ends. The cores no worker holds are spare: cpu_count -
-workers at the start, and one more each time a job ends with no job left for its
-worker. A CS solve takes spare cores as helper threads (cs_reconstruct's threads is
-the sweep's semaphore of spare cores) at the top of an iteration while it runs alone,
-and gives them back when it returns. So a freed core starts the next job at once, and
-once none is left it joins a running solve; recon-cs solves on cpu_count threads. No
-output depends on these counts.
+is restored when the sweep ends. The cores no busy worker holds are spare: cpu_count -
+workers at the start (none if negative), then one more each time a job ends with no
+job left for its worker and no more workers busy than cores. A CS solve takes spare
+cores as helper threads (cs_reconstruct's threads is the sweep's semaphore of them)
+at the top of an iteration while it runs alone, and gives them back when it returns.
+So a freed core starts the next job at once, and once no job is left it joins a
+running solve; recon-cs solves on cpu_count threads. No output depends on these counts.
 """
 
 from __future__ import annotations
@@ -491,16 +491,18 @@ def run_pipeline(config: dict) -> int:
                   np.hstack([truth.ktrans_map, np.nan_to_num(pmap.ktrans)]), lo=0.0, hi=hi)
         return accel, report
 
-    spare = threading.Semaphore(max(0, (os.cpu_count() or 1) - workers))  # see the module docstring
-    queued, lock = [len(accels) - workers], threading.Lock()  # the jobs no worker has taken yet
+    cores = os.cpu_count() or 1
+    spare = threading.Semaphore(max(0, cores - workers))  # see the module docstring
+    # the first jobs to end hand their core to a queued job, or to a worker past cpu_count
+    keep, lock = [len(accels) - workers + max(0, workers - cores)], threading.Lock()
 
     def job(accel):
         try:
             return run_one(accel)
         finally:
             with lock:
-                if queued[0]:  # this worker takes the next job
-                    queued[0] -= 1
+                if keep[0]:
+                    keep[0] -= 1
                 else:
                     spare.release()
 

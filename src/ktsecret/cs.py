@@ -334,8 +334,8 @@ class _Solve:
         """Thread j's barrier, blocks and frames at the current thread count."""
         n, k = len(self.blocks), self.threads
         own = range(n * j // k, n * (j + 1) // k)
-        return (self.barrier.wait if k > 1 else _alone), own, slice(self.blocks[own.start].start,
-                                                                    self.blocks[own.stop - 1].stop)
+        frames = slice(self.blocks[own.start].start, self.blocks[own.stop - 1].stop)
+        return (self.barrier.wait if k > 1 else _alone), own, frames
 
     def _take_helpers(self, *state) -> bool:
         """While the solve runs alone, at the top of an iteration: starts its

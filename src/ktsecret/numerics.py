@@ -239,6 +239,7 @@ def grad_spatial_adjoint(g: np.ndarray, out: np.ndarray | None = None,
 
 
 def _frame_range(frames: slice, t: int) -> tuple:
+    """The first and past-the-last frame of the run of t frames that frames picks."""
     lo, hi, step = frames.indices(t)
     if step != 1 or lo >= hi:
         raise ValueError(f"frames must pick a run of frames, got {frames}")

@@ -796,6 +796,38 @@ def test_pipeline_hands_the_core_of_a_finished_job_to_a_running_solve(tmp_path, 
     assert blas_threads() == before
 
 
+def test_pipeline_spare_cores_stay_counted_with_more_workers_than_cores(tmp_path, monkeypatch):
+    """Three workers on two cores, six jobs, a short switch interval: a running
+    job never sees both cores spare, and once every job has ended both are."""
+    monkeypatch.setenv("KTSECRET_THREADS", "3")
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    spares, seen = {}, []
+
+    def solve(d_u, cfg, threads=1):
+        spares[id(threads)] = threads
+        held = 0
+        while threads.acquire(blocking=False):
+            held += 1
+        seen.append(held)
+        for _ in range(held):
+            threads.release()
+        return adjoint(d_u), cli.cs_mod.ConvergenceLog(objective=[2.0, 1.0], backtracks=[0])
+
+    monkeypatch.setattr(cli.cs_mod, "cs_reconstruct", solve)
+    config = _valid_config(tmp_path, "cs")
+    config["mask"]["accel"] = [2, 3, 4, 5, 6, 8]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            assert run_pipeline(config) == 0
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(spares) == 5 and len(seen) == 30 and max(seen) <= 1
+    for spare in spares.values():
+        assert [spare.acquire(blocking=False) for _ in range(3)] == [True, True, False]
+
+
 def test_recon_cs_solves_on_every_core(tmp_path, monkeypatch):
     seen = []
     monkeypatch.setattr(cli, "load_ktdata", lambda data, mask: None)
