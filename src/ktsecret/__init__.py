@@ -8,8 +8,9 @@ Subpackages/modules:
     net        - small conv net with hand-written backprop and Adam
     recon      - unrolled supervised (MoDL) and self-supervised (SECRET) paths
     kinetics   - Patlak quantification and PSNR/SSIM/NRMSE metrics
-    container  - bit-exact tensor/weight file format
-    cli        - command-line orchestration
+    container  - every file format: tensors, weights, masks, phantoms, PGM and CSV
+    pipeline   - the end-to-end pipeline run and the config checks
+    cli        - command-line argument parsing and subcommands
 """
 
 __version__ = "0.1.0"

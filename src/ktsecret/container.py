@@ -6,10 +6,13 @@ u8 ndim, u64 dims, little-endian row-major payload, trailing CRC32. Version 2
 even when the payload is empty; version 1 (still read) took it over the payload
 only. Weight files are a JSON descriptor, NetConfig's fields plus "version" and
 "param_count", and one KTSR tensor holding the finite flat parameter vector.
+Masks and phantom directories are KTSR tensors with JSON sidecars; images are
+8-bit PGM, and every CSV the package writes goes through write_csv.
 """
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 import struct
@@ -19,15 +22,22 @@ from pathlib import Path
 
 import numpy as np
 
+from .encoding import KtData, SamplingMask
 from .net import NetConfig, NetworkParams
+from .numerics import is_int, is_real
+from .phantom import PhantomSpec, PhantomTruth
 
 MAGIC = b"KTSR"
 VERSION = 2  # 1: the CRC covers the payload only
 _DTYPES = {1: np.float64, 2: np.complex128}
 _CODES = {np.dtype(np.float64): 1, np.dtype(np.complex128): 2}
 
-__all__ = ["save_tensor", "load_tensor", "save_params", "load_params", "read_json_object",
-           "read_sidecar", "ContainerError"]
+__all__ = ["save_tensor", "load_tensor", "save_params", "load_params", "read_json_object", "read_sidecar",
+           "ContainerError", "save_mask", "load_mask", "load_ktdata", "load_dataset", "PHANTOM_FILES",
+           "save_phantom", "load_phantom", "write_pgm", "write_csv"]
+# phantom directory: file stem -> PhantomTruth array (labels are stored as float64)
+PHANTOM_FILES = {"ref_images": "ref_images", "ktrans": "ktrans_map", "vp": "vp_map", "aif": "aif",
+                 "aif_signal": "aif_signal", "labels": "region_labels"}
 
 
 class ContainerError(ValueError):
@@ -93,20 +103,20 @@ def read_json_object(path) -> dict:
     return meta
 
 
-def read_sidecar(path, types: dict) -> dict:
-    """The JSON object in <path>.json; ContainerError unless each key in `types` has its type."""
+def read_sidecar(path, checks: dict) -> dict:
+    """The JSON object in <path>.json; ContainerError unless checks[key](value)
+    holds for each key (numerics.is_int or is_real, which refuse NaN and ±Infinity)."""
     meta = read_json_object(str(path) + ".json")
-    for key, kind in types.items():
-        value = meta.get(key)
-        if isinstance(value, bool) or not isinstance(value, kind):
-            raise ContainerError(f"{path}.json: {key!r} is missing or of the wrong type")
+    for key, check in checks.items():
+        if not check(meta.get(key)):
+            raise ContainerError(f"{path}.json: {key!r} is missing or invalid: {meta.get(key)!r}")
     return meta
 
 
 def load_params(path) -> NetworkParams:
     """The NetworkParams of a weight file; rejects descriptor/tensor mismatch and non-finite weights."""
     names = [f.name for f in fields(NetConfig)]
-    descriptor = read_sidecar(path, dict.fromkeys(["version", *names, "param_count"], int))
+    descriptor = read_sidecar(path, dict.fromkeys(["version", *names, "param_count"], is_int))
     if descriptor["version"] != 1:
         raise ContainerError("unsupported weight descriptor version")
     try:
@@ -123,3 +133,73 @@ def load_params(path) -> NetworkParams:
     if not np.all(np.isfinite(flat)):
         raise ContainerError("weight vector holds NaN or inf")
     return params
+
+
+def save_mask(path, mask: SamplingMask, seed: int) -> None:
+    save_tensor(path, mask.bits.astype(np.float64))
+    Path(str(path) + ".json").write_text(json.dumps({"accel": mask.accel_nominal, "seed": seed}))
+
+
+def load_mask(path) -> SamplingMask:
+    return SamplingMask(bits=load_tensor(path), accel_nominal=float(read_sidecar(path, {"accel": is_real})["accel"]))
+
+
+def load_ktdata(data_path, mask_path) -> KtData:
+    return KtData(samples=load_tensor(data_path), mask=load_mask(mask_path))
+
+
+def load_dataset(data_dir, supervised: bool) -> list:
+    """The samples in data_dir's subdirectories, in name order: each a KtData from
+    data.ktsr + mask.ktsr, paired with target.ktsr if supervised."""
+    samples = []
+    for sub in sorted(p for p in Path(data_dir).iterdir() if p.is_dir()):
+        d_u = load_ktdata(sub / "data.ktsr", sub / "mask.ktsr")
+        samples.append((d_u, load_tensor(sub / "target.ktsr")) if supervised else d_u)
+    if not samples:
+        raise FileNotFoundError(f"no sample directories under {data_dir}")
+    return samples
+
+
+def save_phantom(out_dir: Path, spec: PhantomSpec, truth: PhantomTruth) -> None:
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for stem, name in PHANTOM_FILES.items():
+        save_tensor(out_dir / f"{stem}.ktsr", getattr(truth, name))
+    (out_dir / "spec.json").write_text(json.dumps(spec.__dict__, indent=2))
+
+
+def load_phantom(out_dir: Path) -> PhantomTruth:
+    arrays = {name: load_tensor(out_dir / f"{stem}.ktsr") for stem, name in PHANTOM_FILES.items()}
+    arrays["region_labels"] = arrays["region_labels"].astype(np.int64)
+    return PhantomTruth(**arrays, dt=float(read_sidecar(out_dir / "spec", {"dt": is_real})["dt"]))
+
+
+def write_pgm(path, image: np.ndarray, lo: float | None = None, hi: float | None = None) -> None:
+    """8-bit binary PGM; values clipped to [lo, hi] (default min/max).
+    Raises ValueError if the image holds a NaN or infinity, which would blank
+    the whole scale."""
+    img = np.abs(np.asarray(image, dtype=float))
+    if not np.all(np.isfinite(img)):
+        raise ValueError("image holds non-finite values")
+    lo = img.min() if lo is None else lo
+    hi = img.max() if hi is None else hi
+    span = hi - lo if hi > lo else 1.0
+    pix = np.clip((img - lo) / span * 255.0, 0, 255).astype(np.uint8)
+    with open(path, "wb") as f:
+        f.write(f"P5\n{pix.shape[1]} {pix.shape[0]}\n255\n".encode())
+        f.write(pix.tobytes())
+
+
+def write_csv(path, header, rows, append: bool = False) -> None:
+    """The package's one CSV writer: header, then rows. With append the rows go
+    after those of an existing non-empty file, whose first row must be header
+    (else ValueError naming the file), and the header is written only to a new one."""
+    new = not (append and Path(path).exists() and Path(path).stat().st_size)
+    if not new:
+        with open(path, newline="") as f:
+            if next(csv.reader(f), None) != list(header):
+                raise ValueError(f"{path}: its first row is not the header {','.join(header)}")
+    with open(path, "a" if append else "w", newline="") as f:
+        writer = csv.writer(f)
+        if new:
+            writer.writerow(header)
+        writer.writerows(rows)

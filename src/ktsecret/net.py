@@ -58,17 +58,8 @@ import numpy as np
 
 from .numerics import check_fields
 
-__all__ = [
-    "NetConfig",
-    "NetworkParams",
-    "AdamState",
-    "init_params",
-    "net_forward",
-    "net_backward",
-    "adam_step",
-    "to_channels",
-    "to_complex",
-]
+__all__ = ["NetConfig", "NetworkParams", "AdamState", "init_params", "net_forward", "net_backward", "adam_step",
+           "to_channels", "to_complex"]
 
 ACT_DTYPE = np.float32  # the activations' and GEMMs' dtype; see the module docstring
 

@@ -31,12 +31,16 @@ BLAS, whose sums change with its thread count once an array has about 10,000
 elements; einsum's loop gives the same bits at any thread count, so no loss,
 log or metric that the package writes depends on the thread count.
 
-Every setting is checked by one rule. is_int admits Python and numpy integers;
-is_real admits Python and numpy reals that are finite as a float64. Neither
-admits a bool, and neither raises or warns, whatever it is given.
+Every setting is checked by one rule. is_int admits Python and numpy integers
+(not 2.5); is_real admits Python and numpy reals that are finite as a float64, so
+not NaN or Infinity, which a JSON config may spell, nor an integer such as 10**400.
+Neither admits a bool, and neither raises or warns, whatever it is given.
 check_fields applies them to each field of a config dataclass by its
 annotation: "int", "float", or "tuple" (as many reals as the default holds).
-A config's __post_init__ calls it first and then applies its range rules.
+A config's __post_init__ calls it first, so the rule holds through the Python
+API too, and then applies its range rules; the ValueError names the field.
+make_radial_mask, corrupt, patlak_fit and dc_solve apply is_real to their
+accel, noise level, dt and lam, and container.read_sidecar to a sidecar's numbers.
 """
 
 from __future__ import annotations
@@ -46,21 +50,8 @@ from dataclasses import fields
 
 import numpy as np
 
-__all__ = [
-    "as_complex_tensor",
-    "check_fields",
-    "check_pow2",
-    "cumulative_trapezoid",
-    "dft2",
-    "grad_spatial",
-    "grad_spatial_adjoint",
-    "grad_temporal",
-    "grad_temporal_adjoint",
-    "is_int",
-    "is_real",
-    "norm",
-    "re_dot",
-]
+__all__ = ["as_complex_tensor", "check_fields", "check_pow2", "cumulative_trapezoid", "dft2", "grad_spatial",
+           "grad_spatial_adjoint", "grad_temporal", "grad_temporal_adjoint", "is_int", "is_real", "norm", "re_dot"]
 
 
 def as_complex_tensor(data) -> np.ndarray:

@@ -16,6 +16,13 @@ each DC block. Only a loss with a gradient keeps the K network caches (the
 activation tapes) for its reverse pass, which frees each as it goes; a
 forward-only unroll drops each tape when its network pass returns, so
 inference holds one tape whatever K is.
+
+Training raises TrainingDiverged, carrying the log so far, when a sample's loss or
+gradient or the validation loss is not finite, or when numpy reports an overflow or
+invalid value anywhere in an epoch: one np.errstate guard covers every sample loss,
+Adam step (a finite gradient whose square overflows included) and validation loss.
+The explicit checks stay, as an overflow in a BLAS thread sets no numpy flag. Any
+other error, a ValueError included, surfaces as itself.
 """
 
 from __future__ import annotations
@@ -29,19 +36,8 @@ from .encoding import KtData, SamplingMask, adjoint, check_image_shape
 from .numerics import check_fields, dft2, is_real, norm, re_dot
 from .net import AdamState, NetConfig, NetworkParams, adam_step, init_params, net_backward, net_forward
 
-__all__ = [
-    "ModlConfig",
-    "SecretConfig",
-    "TrainLog",
-    "TrainingDiverged",
-    "DcInfo",
-    "dc_solve",
-    "modl_forward",
-    "modl_train",
-    "secret_loss",
-    "secret_train",
-    "secret_infer",
-]
+__all__ = ["ModlConfig", "SecretConfig", "TrainLog", "TrainingDiverged", "DcInfo", "dc_solve", "modl_forward",
+           "modl_train", "secret_loss", "secret_train", "secret_infer"]
 
 
 class TrainingDiverged(RuntimeError):
@@ -212,9 +208,7 @@ def _fit(dataset, cfg, net_cfg: NetConfig, val_dataset, K: int, lam: float):
     rng = np.random.default_rng(cfg.seed)
     log = TrainLog()
     best_params, best_val = None, np.inf  # params would pin the initial vector for a run without validation
-    # one guard over every sample loss, Adam step and validation loss; the explicit checks
-    # stay, as an overflow in a BLAS thread sets no numpy flag
-    try:
+    try:  # the divergence guard of the module docstring
         with np.errstate(over="raise", invalid="raise"):
             for _ in range(cfg.epochs):
                 t_start = time.perf_counter()

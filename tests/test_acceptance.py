@@ -296,7 +296,7 @@ def test_criterion_9_pipeline_determinism(tmp_path):
 
 @pytest.mark.parametrize("method", ["secret", "modl"])
 def test_criterion_9_learned_pipeline_determinism(tmp_path, monkeypatch, method):
-    from ktsecret.cli import run_pipeline
+    from ktsecret.pipeline import run_pipeline
     from ktsecret.container import save_params
 
     monkeypatch.setenv("KTSECRET_THREADS", "2")  # both accelerations on the worker pool at once

@@ -13,19 +13,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ktsecret import cli
-from ktsecret.cli import (
-    METRICS_HEADER,
-    ConfigError,
-    build_parser,
-    load_mask,
-    main,
-    save_mask,
-    run_pipeline,
-    worker_count,
-    write_csv,
-    write_pgm,
-)
+from ktsecret import cli, pipeline
+from ktsecret import cs as cs_module
+from ktsecret.cli import build_parser, main
+from ktsecret.container import load_mask, save_mask, write_csv, write_pgm
+from ktsecret.pipeline import METRICS_HEADER, ConfigError, run_pipeline, worker_count
 from ktsecret.cs import CsConfig, cs_reconstruct
 from ktsecret.recon import ModlConfig, SecretConfig
 from ktsecret.container import load_tensor, save_params, save_tensor
@@ -91,23 +83,23 @@ def test_recon_cs_writes_convergence(tmp_path):
 def _stub_cs_reconstruct(stalled: bool):
     """A cs_reconstruct that returns the zero-filled image and a fixed log."""
     def cs_reconstruct(d_u, cfg, threads=1):
-        log = cli.cs_mod.ConvergenceLog(objective=[2.0, 1.0], backtracks=[3], line_search_failed=stalled)
+        log = cs_module.ConvergenceLog(objective=[2.0, 1.0], backtracks=[3], line_search_failed=stalled)
         return adjoint(d_u), log
     return cs_reconstruct
 
 
 def _warnings(caplog) -> list:
-    return [r.getMessage() for r in caplog.records if r.name == "ktsecret.cli" and r.levelno == logging.WARNING]
+    return [r.getMessage() for r in caplog.records if r.name == "ktsecret.pipeline" and r.levelno == logging.WARNING]
 
 
 def test_pipeline_logs_stalled_line_search_per_accel(tmp_path, monkeypatch, caplog):
     written = {}
     for stalled in (False, True):
-        monkeypatch.setattr(cli.cs_mod, "cs_reconstruct", _stub_cs_reconstruct(stalled))
+        monkeypatch.setattr(cs_module, "cs_reconstruct", _stub_cs_reconstruct(stalled))
         (tmp_path / str(stalled)).mkdir()
         config, out = _pipeline_config(tmp_path / str(stalled), "cs", [4.0, 6.0])
         caplog.clear()
-        with caplog.at_level(logging.WARNING, logger="ktsecret.cli"):
+        with caplog.at_level(logging.WARNING, logger="ktsecret.pipeline"):
             assert run("pipeline", "--config", config) == 0
         warnings = _warnings(caplog)
         if stalled:
@@ -124,18 +116,40 @@ def test_recon_cs_logs_stalled_line_search(tmp_path, monkeypatch, caplog):
     truth = synthesize(PhantomSpec(h=16, w=16, t=8, seed=1))
     d = corrupt(truth, make_radial_mask(8, 16, 16, 4.0, seed=0), 0.0, seed=0)
     monkeypatch.setattr(cli, "load_ktdata", lambda data, mask: d)
-    monkeypatch.setattr(cli.cs_mod, "cs_reconstruct", _stub_cs_reconstruct(True))
-    with caplog.at_level(logging.WARNING, logger="ktsecret.cli"):
+    monkeypatch.setattr(cs_module, "cs_reconstruct", _stub_cs_reconstruct(True))
+    with caplog.at_level(logging.WARNING, logger="ktsecret.pipeline"):
         assert run("recon-cs", "--data", "d", "--mask", "m", "--out", tmp_path / "cs.ktsr") == 0
     warnings = _warnings(caplog)
     assert len(warnings) == 1 and str(tmp_path / "cs.convergence.csv") in warnings[0]
+
+
+def test_recon_cs_writes_the_files_of_the_pipeline_acceleration(tmp_path):
+    """recon-cs on a pipeline's R6 data and mask, at the same iterations, writes the
+    pipeline's recon.ktsr and convergence.csv byte for byte."""
+    config, out = _pipeline_config(tmp_path, "cs", [4, 6], iters=20)
+    assert run("pipeline", "--config", config) == 0
+    r6 = out / "R6"
+    assert run("recon-cs", "--data", r6 / "data.ktsr", "--mask", r6 / "mask.ktsr",
+               "--out", tmp_path / "cs.ktsr", "--iters", 20) == 0
+    assert (tmp_path / "cs.ktsr").read_bytes() == (r6 / "recon.ktsr").read_bytes()
+    assert (tmp_path / "cs.convergence.csv").read_bytes() == (r6 / "convergence.csv").read_bytes()
+
+
+def test_zf_pipeline_takes_one_adjoint_per_acceleration(tmp_path, monkeypatch):
+    calls, adjoint_fn = [], pipeline.adjoint
+    monkeypatch.setattr(pipeline, "adjoint", lambda d_u: calls.append(d_u) or adjoint_fn(d_u))
+    assert run_pipeline(_valid_config(tmp_path)) == 0
+    assert len(calls) == 2
+    for sub in ("R3", "R4"):
+        out = tmp_path / "out" / sub
+        assert (out / "recon.ktsr").read_bytes() == (out / "recon_zf.ktsr").read_bytes()
 
 
 def test_convergence_csv_lists_backtracks_per_accepted_step(tmp_path):
     truth = synthesize(PhantomSpec(h=16, w=16, t=8, seed=1))
     d = corrupt(truth, make_radial_mask(8, 16, 16, 4.0, seed=0), 0.0, seed=0)
     _, log = cs_reconstruct(d, CsConfig(max_iters=10))
-    cli.write_convergence(tmp_path / "c.csv", log)
+    pipeline.write_convergence(tmp_path / "c.csv", log)
     with open(tmp_path / "c.csv", newline="") as f:
         rows = list(csv.DictReader(f))
     assert [float(r["objective"]) for r in rows] == log.objective
@@ -171,9 +185,9 @@ def _stub_recon_nn(monkeypatch, seen):
     truth = synthesize(PhantomSpec(h=16, w=16, t=8, seed=1))
     d = corrupt(truth, make_radial_mask(8, 16, 16, 4.0, seed=0), 0.0, seed=0)
     monkeypatch.setattr(cli, "load_ktdata", lambda data, mask: d)
-    monkeypatch.setattr(cli, "load_params", lambda path: NetworkParams(NetConfig(frames=8)))
-    monkeypatch.setattr(cli, "secret_infer", lambda d_u, params, net_cfg: adjoint(d_u))
-    monkeypatch.setattr(cli, "modl_forward", lambda s_u, d_u, params, cfg, net_cfg: seen.append(cfg) or s_u)
+    monkeypatch.setattr(pipeline, "load_params", lambda path: NetworkParams(NetConfig(frames=8)))
+    monkeypatch.setattr(pipeline, "secret_infer", lambda d_u, params, net_cfg: adjoint(d_u))
+    monkeypatch.setattr(pipeline, "modl_forward", lambda s_u, d_u, params, cfg, net_cfg: seen.append(cfg) or s_u)
 
 
 def test_recon_nn_rejects_negative_K(tmp_path, monkeypatch, capsys):
@@ -293,6 +307,22 @@ def test_write_csv_replaces_a_file_unless_appending(tmp_path):
     assert path.read_bytes() == b"c\r\n4\r\n"
 
 
+def test_evaluate_refuses_to_append_under_another_header(tmp_path, capsys):
+    series = np.ones((4, 8, 8))
+    save_tensor(tmp_path / "s.ktsr", series)
+    out = tmp_path / "other.csv"
+    out.write_text("a,b\n1,2\n")
+    assert run("evaluate", "--recon", tmp_path / "s.ktsr", "--ref", tmp_path / "s.ktsr", "--out", out) == 1
+    assert str(out) in capsys.readouterr().err
+    assert out.read_text() == "a,b\n1,2\n"
+    with pytest.raises(ValueError, match=re.escape(f"{out}: its first row is not the header method,")):
+        write_csv(out, METRICS_HEADER, [], append=True)
+    empty = tmp_path / "empty.csv"
+    empty.touch()  # an empty file is new: it gets the header
+    write_csv(empty, ["a"], [[1]], append=True)
+    assert empty.read_bytes() == b"a\r\n1\r\n"
+
+
 def test_profile_refuses_a_non_finite_pixel(tmp_path, capsys):
     from ktsecret.container import save_tensor
     series = np.ones((4, 8, 8))
@@ -383,7 +413,7 @@ def test_config_dataclasses_reject_non_integer_ints(cls, kwargs):
         cls(**kwargs)
     # the range check's ValueError, so the pipeline boundary reports it as a ConfigError
     with pytest.raises(ConfigError, match="integer"):
-        cli._build(cls, {}, "config", **kwargs)
+        pipeline._build(cls, {}, "config", **kwargs)
 
 
 @pytest.mark.parametrize("kwargs", [dict(dt=10 ** 5000), dict(ktrans_range=(0.1, 10 ** 5000))],
@@ -584,12 +614,12 @@ def test_pipeline_rejects_bad_method_param_values(tmp_path, method, params):
 
 
 def test_method_configs_take_dataclass_defaults_and_pipeline_epochs():
-    assert cli._method_config("cs", {}, 5) == (CsConfig(), None)
-    assert cli._method_config("cs", {"l1": 0.01, "iters": 7}, 5)[0] == CsConfig(lambda1=0.01, max_iters=7)
-    assert cli._method_config("secret", {}, 5) == (SecretConfig(epochs=30, seed=5), None)
-    assert cli._method_config("modl", {"lambda": 0.1, "K": 2, "weights": "w.ktsr"}, 7) == (
+    assert pipeline._method_config("cs", {}, 5) == (CsConfig(), None)
+    assert pipeline._method_config("cs", {"l1": 0.01, "iters": 7}, 5)[0] == CsConfig(lambda1=0.01, max_iters=7)
+    assert pipeline._method_config("secret", {}, 5) == (SecretConfig(epochs=30, seed=5), None)
+    assert pipeline._method_config("modl", {"lambda": 0.1, "K": 2, "weights": "w.ktsr"}, 7) == (
         ModlConfig(K=2, lam=0.1), "w.ktsr")
-    assert cli._method_config("zf", {}, 5) == (None, None)
+    assert pipeline._method_config("zf", {}, 5) == (None, None)
 
 
 def test_cli_defaults_come_from_config_dataclasses():
@@ -626,9 +656,9 @@ def test_options_reach_config(tmp_path, monkeypatch, argv, expected):
     seen = []
     monkeypatch.setattr(cli, "_train", lambda args, train_fn, cfg, supervised: seen.append(cfg) or 0)
     monkeypatch.setattr(cli, "load_ktdata", lambda data, mask: None)
-    monkeypatch.setattr(cli.cs_mod, "cs_reconstruct",
+    monkeypatch.setattr(cs_module, "cs_reconstruct",
                         lambda d_u, cfg, threads=1: seen.append(cfg) or (np.zeros((8, 4, 4)),
-                                                                         cli.cs_mod.ConvergenceLog()))
+                                                                         cs_module.ConvergenceLog()))
     monkeypatch.chdir(tmp_path)
     assert run(*argv) == 0
     assert seen == [expected]
@@ -732,9 +762,9 @@ def blas_threads(monkeypatch):
 
 
 def _record_blas_threads(monkeypatch, get, fail=False):
-    """Replaces cli._reconstruct by one that records the count in the worker."""
+    """Replaces pipeline._reconstruct by one that records the count in the worker."""
     seen = []
-    reconstruct = cli._reconstruct
+    reconstruct = pipeline._reconstruct
 
     def recording(*args):
         seen.append(get())
@@ -742,7 +772,7 @@ def _record_blas_threads(monkeypatch, get, fail=False):
             raise RuntimeError("worker failed")
         return reconstruct(*args)
 
-    monkeypatch.setattr(cli, "_reconstruct", recording)
+    monkeypatch.setattr(pipeline, "_reconstruct", recording)
     return seen
 
 
@@ -778,7 +808,7 @@ def test_pipeline_hands_the_core_of_a_finished_job_to_a_running_solve(tmp_path, 
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     before = blas_threads()
     calls, both_running, seen = itertools.count(), threading.Barrier(2, timeout=30), []
-    solve = cli.cs_mod.cs_reconstruct
+    solve = cs_module.cs_reconstruct
 
     def recording(d_u, cfg, threads=1):
         seen.append(blas_threads())
@@ -790,7 +820,7 @@ def test_pipeline_hands_the_core_of_a_finished_job_to_a_running_solve(tmp_path, 
             threads.release()
         return solve(d_u, cfg, threads=threads)
 
-    monkeypatch.setattr(cli.cs_mod, "cs_reconstruct", recording)
+    monkeypatch.setattr(cs_module, "cs_reconstruct", recording)
     assert run_pipeline(_three_accelerations(tmp_path, "cs", iters=2)) == 0
     assert seen == [max(1, min(before, 1))] * 3
     assert blas_threads() == before
@@ -811,9 +841,9 @@ def test_pipeline_spare_cores_stay_counted_with_more_workers_than_cores(tmp_path
         seen.append(held)
         for _ in range(held):
             threads.release()
-        return adjoint(d_u), cli.cs_mod.ConvergenceLog(objective=[2.0, 1.0], backtracks=[0])
+        return adjoint(d_u), cs_module.ConvergenceLog(objective=[2.0, 1.0], backtracks=[0])
 
-    monkeypatch.setattr(cli.cs_mod, "cs_reconstruct", solve)
+    monkeypatch.setattr(cs_module, "cs_reconstruct", solve)
     config = _valid_config(tmp_path, "cs")
     config["mask"]["accel"] = [2, 3, 4, 5, 6, 8]
     interval = sys.getswitchinterval()
@@ -831,16 +861,16 @@ def test_pipeline_spare_cores_stay_counted_with_more_workers_than_cores(tmp_path
 def test_recon_cs_solves_on_every_core(tmp_path, monkeypatch):
     seen = []
     monkeypatch.setattr(cli, "load_ktdata", lambda data, mask: None)
-    monkeypatch.setattr(cli.cs_mod, "cs_reconstruct",
+    monkeypatch.setattr(cs_module, "cs_reconstruct",
                         lambda d_u, cfg, threads=1: seen.append(threads) or (np.zeros((8, 4, 4)),
-                                                                             cli.cs_mod.ConvergenceLog()))
+                                                                             cs_module.ConvergenceLog()))
     assert run("recon-cs", "--data", "d", "--mask", "m", "--out", tmp_path / "cs.ktsr") == 0
     assert seen == [max(1, os.cpu_count())]
 
 
 def test_pipeline_restores_blas_threads_when_a_later_job_raises(tmp_path, monkeypatch, blas_threads):
     before = blas_threads()
-    seen, reconstruct = [], cli._reconstruct
+    seen, reconstruct = [], pipeline._reconstruct
 
     def third_fails(*args):
         seen.append(blas_threads())
@@ -848,7 +878,7 @@ def test_pipeline_restores_blas_threads_when_a_later_job_raises(tmp_path, monkey
             raise RuntimeError("the third job failed")
         return reconstruct(*args)
 
-    monkeypatch.setattr(cli, "_reconstruct", third_fails)
+    monkeypatch.setattr(pipeline, "_reconstruct", third_fails)
     with pytest.raises(RuntimeError, match="the third job failed"):
         run_pipeline(_three_accelerations(tmp_path))
     assert len(seen) == 3 and blas_threads() == before
@@ -875,7 +905,7 @@ def test_blas_cap_is_a_no_op_without_the_bundled_openblas(tmp_path, monkeypatch,
 
     monkeypatch.setattr(ctypes, "CDLL", OtherBlas)
     before = blas_threads()
-    with cli._blas_threads_per_worker(2):
+    with pipeline._blas_threads_per_worker(2):
         assert blas_threads() == before
     assert len(loaded) == 1
     seen = _record_blas_threads(monkeypatch, blas_threads)
@@ -983,8 +1013,8 @@ def test_pipeline_reconstruction_never_reads_the_reference(tmp_path, monkeypatch
     def synthesize_doubled(spec):
         truths.append(synthesize(spec))
         return dataclasses.replace(truths[-1], ref_images=2 * truths[-1].ref_images)
-    monkeypatch.setattr(cli, "synthesize", synthesize_doubled)
-    monkeypatch.setattr(cli, "corrupt", lambda truth, *args: corrupt(truths[-1], *args))
+    monkeypatch.setattr(pipeline, "synthesize", synthesize_doubled)
+    monkeypatch.setattr(pipeline, "corrupt", lambda truth, *args: corrupt(truths[-1], *args))
     doubled = run_into("doubled")
     # the scores did read the doubled reference
     assert (true / "metrics.csv").read_bytes() != (doubled / "metrics.csv").read_bytes()
@@ -994,8 +1024,8 @@ def test_pipeline_reconstruction_never_reads_the_reference(tmp_path, monkeypatch
 
 def test_pipeline_reads_pretrained_weights_once_per_sweep(tmp_path, monkeypatch):
     weights = _save_weights(tmp_path / "w.ktsr")
-    calls, load = [], cli.load_params
-    monkeypatch.setattr(cli, "load_params", lambda path: calls.append(path) or load(path))
+    calls, load = [], pipeline.load_params
+    monkeypatch.setattr(pipeline, "load_params", lambda path: calls.append(path) or load(path))
     cfg = _valid_config(tmp_path, "secret", weights=weights)
     assert len(cfg["mask"]["accel"]) == 2
     assert run_pipeline(cfg) == 0

@@ -1,12 +1,13 @@
 import json
+import re
 import struct
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ktsecret.cli import load_mask, load_phantom, save_mask, save_phantom
-from ktsecret.container import ContainerError, load_params, load_tensor, save_params, save_tensor
+from ktsecret.container import (ContainerError, load_mask, load_params, load_phantom, load_tensor, save_mask,
+                                save_params, save_phantom, save_tensor)
 from ktsecret.encoding import make_radial_mask
 from ktsecret.net import NetConfig, init_params
 from ktsecret.phantom import PhantomSpec, synthesize
@@ -216,6 +217,27 @@ def test_malformed_sidecar_raises_container_error(tmp_path, saved, load, edit):
     Path(str(path) + ".json").write_bytes(sidecar)
     with pytest.raises(ContainerError):
         load(path)
+
+
+def test_mask_sidecar_with_nan_accel_is_a_container_error(tmp_path):
+    path, meta = _saved_mask(tmp_path)
+    Path(str(path) + ".json").write_text(json.dumps({**meta, "accel": float("nan")}))
+    with pytest.raises(ContainerError, match=re.escape(f"{path}.json: 'accel' is missing or invalid: nan")):
+        load_mask(path)
+
+
+def test_phantom_spec_with_infinite_dt_is_a_container_error(tmp_path, capsys):
+    from ktsecret.cli import main
+
+    path, meta = _saved_phantom(tmp_path)
+    path.with_suffix(".json").write_text(json.dumps({**meta, "dt": float("inf")}))
+    with pytest.raises(ContainerError, match=re.escape(f"{path}.json: 'dt' is missing or invalid: inf")):
+        load_phantom(tmp_path)
+    save_mask(tmp_path / "m.ktsr", make_radial_mask(8, 8, 8, 2.0, seed=0), seed=0)
+    argv = ["corrupt", "--phantom", str(tmp_path), "--mask", str(tmp_path / "m.ktsr"), "--out", str(tmp_path / "d")]
+    assert main(argv) == 1
+    assert "'dt'" in capsys.readouterr().err
+    assert not (tmp_path / "d").exists()
 
 
 @pytest.mark.parametrize("version, code, message", [

@@ -1,9 +1,9 @@
 """The declared runtime dependencies are exactly the third-party imports; every
 import of the package is used, every __all__ name is defined and every
 private top-level helper is referenced. Only numerics.dft2 names numpy's
-transforms, only numerics.re_dot sums products and only cli.write_csv builds a
-CSV writer. Importing the CLI loads no scipy, which only the tests use.
-The README's method_params table lists the keys cli.METHOD_PARAMS accepts."""
+transforms, only numerics.re_dot sums products and only container.write_csv builds
+a CSV writer. Importing the CLI loads no scipy, which only the tests use.
+The README's method_params table lists the keys pipeline.METHOD_PARAMS accepts."""
 
 import ast
 import os
@@ -187,7 +187,7 @@ def _csv_writers(tree) -> list:
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_only_write_csv_builds_a_csv_writer(path):
-    # cli.write_csv holds the one newline and header rule of every CSV the package writes
+    # container.write_csv holds the one newline and header rule of every CSV the package writes
     assert _csv_writers(_parse(path)) == []
 
 
@@ -217,7 +217,7 @@ def _readme_method_keys(text: str) -> dict:
 
 
 def test_readme_method_params_table_matches_cli():
-    from ktsecret.cli import METHOD_PARAMS
+    from ktsecret.pipeline import METHOD_PARAMS
 
     expected = {method: list(names) for method, (_, names) in METHOD_PARAMS.items()}
     assert _readme_method_keys((ROOT / "README.md").read_text()) == expected

@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 import ktsecret
-from ktsecret import cli, numerics
-from ktsecret.cli import ConfigError
+from ktsecret import numerics, pipeline
+from ktsecret.pipeline import ConfigError
 from ktsecret.encoding import adjoint, make_radial_mask
 from ktsecret.kinetics import patlak_fit
 from ktsecret.phantom import PhantomSpec, corrupt, synthesize
@@ -67,10 +67,10 @@ def test_a_config_field_refuses_a_value_of_another_type(cls, name, value):
         cls(**kwargs)
     # fixed values reach the dataclass as they are; its ValueError becomes a ConfigError
     with pytest.raises(ConfigError, match=f"^config: {name} must be "):
-        cli._build(cls, {}, "config", **kwargs)
+        pipeline._build(cls, {}, "config", **kwargs)
     if not isinstance(value, list):  # a config gives a tuple as a list
         with pytest.raises(ConfigError, match=f"^config: {name} must be "):
-            cli._build(cls, {name: value}, "config", **REQUIRED.get(cls.__name__, {}))
+            pipeline._build(cls, {name: value}, "config", **REQUIRED.get(cls.__name__, {}))
 
 
 def test_config_fields_take_numpy_reals_and_integers_where_floats_are_due():
