@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import threading
 import time
 from dataclasses import fields
 from pathlib import Path
@@ -85,7 +86,8 @@ def cmd_recon_zf(args) -> int:
 
 def cmd_recon_cs(args) -> int:
     d_u = load_ktdata(args.data, args.mask)
-    s, log = cs_mod.cs_reconstruct(d_u, _options_config(args), threads=os.cpu_count() or 1)
+    spare = threading.Semaphore((os.cpu_count() or 1) - 1)  # see the ktsecret.pipeline docstring
+    s, log = cs_mod.cs_reconstruct(d_u, _options_config(args), spare=spare)
     save_tensor(args.out, s)
     write_convergence(Path(args.out).with_suffix(".convergence.csv"), log)
     return 0
@@ -110,6 +112,7 @@ def cmd_train_modl(args) -> int:
 
 
 def cmd_recon_nn(args) -> int:
+    """Weights that do not fit the data (pipeline._load_weights) are a ConfigError("recon-nn: …")."""
     lam = getattr(args, "lambda")
     if args.K < 0:
         raise ValueError(f"--K must be >= 0 (0 = single-pass SECRET inference), got {args.K}")
@@ -166,6 +169,7 @@ def cmd_profile(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
+    """A config file that is not a UTF-8 JSON object is a ConfigError naming it, before --seed applies."""
     try:
         config = read_json_object(args.config)
     except ContainerError as exc:

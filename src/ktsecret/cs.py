@@ -16,8 +16,8 @@ of a trial point s + a d are img(s) + a img(d) (the line search of Lustig,
 Donoho & Pauly's SparseMRI): an iteration encodes its search direction once
 (one forward DFT), scores every Armijo trial by one elementwise expression and
 takes the next gradient from the accepted trial's images (one inverse DFT),
-however many backtracks it needs. The ConvergenceLog records the objective
-after every accepted step and the backtracks it took.
+however many backtracks it needs. The ConvergenceLog, not a per-iteration
+callback, records the objective after every accepted step and its backtracks.
 
 cs_reconstruct allocates its workspace at entry: the direction d, the images
 of the point, of the direction and of the trial (the trial's residual slice
@@ -40,34 +40,32 @@ of grad_t's, ||g||^2 and the Armijo slope re_dot(g, d). A scalar is its
 blocks' partial sums added left to right in block order, so the objective is
 data + l1 tv_s + l2 tv_t; cs_objective takes the same sums.
 
-Threads. cs_reconstruct's threads are the threads it runs on, at most one
-per block: an integer, or a threading.Semaphore of spare cores (the pipeline
-passes its sweep's). The start (its cast, images, moduli and objective) runs
-on the caller's thread alone. Helper threads join at the top of an iteration,
-and only while the solve runs alone: for an integer, threads - 1 of them at
-the first; from a semaphore, one per core it acquires without waiting, at the
-first iteration that finds one. They start from that iteration's state (its
-index, ||g||^2, the objective, the first step, and which images buffer holds
-the point's), and the blocks are split again, each thread owning a contiguous
-run of them. Every thread runs the same control flow: both DFTs, the mask,
-the spatial differences, and the trial, moduli and update passes are each one
-call over its own frames, and the partial sums of its blocks go into a shared
-list. The threads meet only at barriers, about five per iteration:
-- after each reduction (||g||^2, the slope, each Armijo trial's value), every
-  thread adds all the blocks' sums in block order, so every thread takes the
-  same branch. Two lists of sums are used in turn, so one is rewritten only
-  after the barrier that follows its reading;
-- grad_t and its adjoint read one edge frame of the neighbouring block, so
-  they run after a barrier: the direction's grad_t after the slope's (a
-  restart on steepest descent adds one), the adjoint after one that follows
-  the TV weights.
+Threads. cs_reconstruct's spare is None or a threading.Semaphore of spare cores
+(the pipeline passes its sweep's; recon-cs one of cpu_count - 1). The start (its
+cast, images, moduli and objective) runs on the caller's thread alone. While the
+solve runs alone, the top of each iteration tries to acquire one spare core
+without waiting; with it, the solve starts its one helper thread (two blocks
+allow no more), which owns the second block from then on, from that iteration's
+state: its index, ||g||^2, the objective, the first step, and which images
+buffer holds the point's. Both threads run the same control flow: both DFTs,
+the mask, the spatial differences, and the trial, moduli and update passes are
+each one call over its own frames, and the partial sums of its block go into a
+shared list. The threads meet only at barriers, about five per iteration:
+- after each reduction (||g||^2, the slope, each Armijo trial's value), each
+  thread adds both blocks' sums in block order, so both take the same branch.
+  Two lists of sums are used in turn, so one is rewritten only after the
+  barrier that follows its reading;
+- grad_t and its adjoint read one edge frame of the other block, so they run
+  after a barrier: the direction's grad_t after the slope's (a restart on
+  steepest descent adds one), the adjoint after one that follows the TV
+  weights.
 The blocks do not depend on the threads, and the elementwise passes and
 per-frame DFTs give the same bits however the frames are split, so neither
-the image nor the log depends on how many threads join, or when. Each helper
+the image nor the log depends on whether the helper joins, or when. The helper
 enters the caller's np.errstate (thread-local in numpy 2). An exception in
-one thread aborts the barrier, so the others stop at their next one; the
-helpers are joined and the cores given back before cs_reconstruct returns,
-and the first exception that is not the barrier's own surfaces as itself.
+either thread aborts the barrier, so the other stops at its next one; the
+helper is joined and its core given back before cs_reconstruct returns, and
+the first exception that is not the barrier's own surfaces as itself.
 
 Precision is mixed, set by the module constant WORK_DTYPE (complex64). In
 WORK_DTYPE run the workspace: the images of the point, of the direction and of
@@ -107,7 +105,6 @@ from .numerics import (
     grad_spatial_adjoint,
     grad_temporal,
     grad_temporal_adjoint,
-    is_int,
     re_dot,
 )
 
@@ -247,16 +244,15 @@ def cs_gradient(s: np.ndarray, d_u: KtData, cfg: CsConfig) -> np.ndarray:
                      np.empty(shape, np.complex128), whole)
 
 
-def cs_reconstruct(d_u: KtData, cfg: CsConfig | None = None, threads: int | threading.Semaphore = 1):
+def cs_reconstruct(d_u: KtData, cfg: CsConfig | None = None, spare: threading.Semaphore | None = None):
     """Nonlinear CG (Fletcher-Reeves) from the zero-filled start.
 
-    threads is the threads it runs on, at most one per frame block: an
-    integer >= 1, or a threading.Semaphore of spare cores, of which it takes
-    what it can get while it runs alone and gives each back when it returns;
-    anything else raises ValueError. See the module docstring.
+    spare is None or a threading.Semaphore of spare cores, of which the solve
+    takes one for a helper thread while it runs alone, and gives it back when
+    it returns; anything else raises ValueError. See the module docstring.
 
     Returns (reconstruction, ConvergenceLog), the reconstruction complex128
-    whatever WORK_DTYPE is; neither depends on the threads. The logged
+    whatever WORK_DTYPE is; neither depends on the helper. The logged
     objective sequence is non-increasing; if the Armijo search fails 50
     backtracks in a row the current iterate is returned with the warning flag
     set. A starting objective that is not finite raises FloatingPointError.
@@ -264,20 +260,15 @@ def cs_reconstruct(d_u: KtData, cfg: CsConfig | None = None, threads: int | thre
     encoded straight into the workspace, so nothing is re-validated per
     iteration.
     """
-    if isinstance(threads, threading.Semaphore):
-        spare, wanted = threads, 0
-    elif is_int(threads) and threads >= 1:
-        spare, wanted = None, threads - 1
-    else:
-        raise ValueError(f"threads must be an integer >= 1 or a threading.Semaphore, got {threads!r}")
-    solve = _Solve(d_u, cfg or CsConfig(), spare, wanted)
+    if spare is not None and not isinstance(spare, threading.Semaphore):
+        raise ValueError(f"spare must be None or a threading.Semaphore, got {spare!r}")
+    solve = _Solve(d_u, cfg or CsConfig(), spare)
     try:
         solve.run(0)
     finally:
-        for helper in solve.helpers:
-            if helper.ident is not None:
-                helper.join()
-        for _ in range(solve.taken):
+        if solve.helper is not None:
+            if solve.helper.ident is not None:
+                solve.helper.join()
             spare.release()
     if solve.errors:
         raise next((e for e in solve.errors if not isinstance(e, threading.BrokenBarrierError)), solve.errors[0])
@@ -286,10 +277,10 @@ def cs_reconstruct(d_u: KtData, cfg: CsConfig | None = None, threads: int | thre
 
 class _Solve:
     """One cs_reconstruct: the workspace its threads share, and the control
-    flow each runs over its own run of blocks (see the module docstring)."""
+    flow each runs over its own blocks (see the module docstring)."""
 
-    def __init__(self, d_u: KtData, cfg: CsConfig, spare, wanted: int):
-        self.d_u, self.cfg, self.spare, self.wanted = d_u, cfg, spare, wanted
+    def __init__(self, d_u: KtData, cfg: CsConfig, spare):
+        self.d_u, self.cfg, self.spare = d_u, cfg, spare
         self.s = adjoint(d_u)  # the iterate, complex128, updated in place and returned
         # the workspace, in WORK_DTYPE: every step below writes into these buffers
         shape = self.s.shape
@@ -299,7 +290,7 @@ class _Solve:
         self.moduli = np.empty((3, *shape), np.finfo(WORK_DTYPE).dtype)
         self.blocks = _blocks(shape[0])
         self.sums = [[None] * len(self.blocks) for _ in range(2)]  # two lists, used in turn
-        self.threads, self.barrier, self.helpers, self.taken = 1, None, [], 0
+        self.barrier = self.helper = None
         self.errstate = np.geterr()
         self.log = ConvergenceLog()
         self.errors = []
@@ -331,28 +322,22 @@ class _Solve:
         return 0, None, obj, 1.0, img, self.images[2]
 
     def _share(self, j: int) -> tuple:
-        """Thread j's barrier, blocks and frames at the current thread count."""
-        n, k = len(self.blocks), self.threads
+        """Thread j's barrier, blocks and frames: every block while the solve
+        runs alone, else half of them each."""
+        n, k = len(self.blocks), 1 if self.helper is None else 2
         own = range(n * j // k, n * (j + 1) // k)
         frames = slice(self.blocks[own.start].start, self.blocks[own.stop - 1].stop)
-        return (self.barrier.wait if k > 1 else _alone), own, frames
+        return (_alone if k == 1 else self.barrier.wait), own, frames
 
-    def _take_helpers(self, *state) -> bool:
-        """While the solve runs alone, at the top of an iteration: starts its
-        helpers from that iteration's state, at most one thread per block; the
-        wanted ones once, for an integer thread count, else one per spare core
-        it acquires without waiting. Whether it started any."""
-        n = min(self.wanted, len(self.blocks) - 1)
-        self.wanted = 0
-        while self.spare is not None and n < len(self.blocks) - 1 and self.spare.acquire(blocking=False):
-            n += 1
-            self.taken += 1
-        if n == 0:
+    def _take_helper(self, *state) -> bool:
+        """While the solve runs alone, at the top of an iteration: starts the
+        helper from that iteration's state if there are two blocks and a spare
+        core it acquires without waiting. Whether it started it."""
+        if self.spare is None or len(self.blocks) < 2 or not self.spare.acquire(blocking=False):
             return False
-        self.threads, self.barrier = 1 + n, threading.Barrier(1 + n)
-        for j in range(1, 1 + n):
-            self.helpers.append(threading.Thread(target=self.run, args=(j, *state), name=f"cs_reconstruct-{j}"))
-            self.helpers[-1].start()
+        self.barrier = threading.Barrier(2)
+        self.helper = threading.Thread(target=self.run, args=(1, *state), name="cs_reconstruct-helper")
+        self.helper.start()
         return True
 
     def _iterate(self, j: int, it: int, gg, obj: float, step0: float, img: np.ndarray, trial: np.ndarray) -> None:
@@ -373,7 +358,7 @@ class _Solve:
             return list(sums)
 
         for it in range(it, cfg.max_iters):
-            if j == 0 and self.threads == 1 and self._take_helpers(it, gg, obj, step0, img, trial):
+            if j == 0 and self.helper is None and self._take_helper(it, gg, obj, step0, img, trial):
                 (sync, own, f), slot = self._share(0), 0
             # moduli holds the point's; the trial's and direction's images are scratch
             g = trial[0]

@@ -146,7 +146,9 @@ def make_radial_mask(t: int, h: int, w: int, accel: float, seed: int) -> Samplin
 
 def check_image_shape(image, mask: SamplingMask, what: str = "image") -> None:
     """Raises ValueError naming both shapes unless image has the mask's [T,H,W]
-    shape; an image of one frame is not broadcast over the mask's frames."""
+    shape; an image of one frame is not broadcast over the mask's frames. The one
+    shape check of KtData, encode, normal_op, cs_objective, cs_gradient, dc_solve,
+    modl_forward and corrupt."""
     if np.shape(image) != mask.shape:
         raise ValueError(f"{what} shape {np.shape(image)} != mask shape {mask.shape}")
 

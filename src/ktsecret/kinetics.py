@@ -160,8 +160,8 @@ def ssim(x: np.ndarray, ref: np.ndarray, data_range: float | None = None) -> flo
     of a [T,H,W] series or one [H,W] frame.
 
     data_range defaults to max |ref|, which must be positive and finite even
-    when data_range is given; pass a shared positive constant to make the
-    measure symmetric in its arguments.
+    when data_range is given, as must a given data_range; pass a shared positive
+    constant to make the measure symmetric in its arguments.
     """
     x, ref = _magnitudes(x, ref)
     if x.ndim == 2:

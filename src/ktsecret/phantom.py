@@ -24,6 +24,7 @@ CONTRAST_PER_MM = 0.1  # intensity per mM of contrast agent, pre-normalization
 
 @dataclass(frozen=True)
 class PhantomSpec:
+    """What synthesize draws; h and w are powers of two of at least 8."""
     h: int = 64
     w: int = 64
     t: int = 16

@@ -10,11 +10,12 @@ threads (at least 1), so pool and BLAS threads together do not oversubscribe the
 cores; a user-set OPENBLAS_NUM_THREADS or OMP_NUM_THREADS wins, and the previous count
 is restored when the sweep ends. The cores no busy worker holds are spare: cpu_count -
 workers at the start (none if negative), then one more each time a job ends with no
-job left for its worker and no more workers busy than cores. A CS solve takes spare
-cores as helper threads (cs_reconstruct's threads is the sweep's semaphore of them)
-at the top of an iteration while it runs alone, and gives them back when it returns.
+job left for its worker and no more workers busy than cores. A CS solve takes one
+spare core for its one helper thread (cs_reconstruct's spare is the sweep's semaphore)
+at the top of an iteration while it runs alone, and gives it back when it returns.
 So a freed core starts the next job at once, and once no job is left it joins a
-running solve; recon-cs solves on cpu_count threads. No output depends on these counts.
+running solve. recon-cs offers its solve cpu_count - 1 spare cores, so it solves on
+two threads given two cores or more, else on one. No output depends on these counts.
 """
 
 from __future__ import annotations
@@ -158,7 +159,7 @@ def _build(cls, values, where: str, names=None, **fixed):
 
 
 def _synthesize(spec: PhantomSpec) -> PhantomTruth:
-    """synthesize(spec), its ValueError (a spec it cannot draw) a ConfigError."""
+    """synthesize(spec), its ValueError (a spec it cannot draw) a ConfigError("phantom: …")."""
     try:
         return synthesize(spec)
     except ValueError as exc:
@@ -197,8 +198,10 @@ def _load_weights(path, shape, where: str):
 
 
 def _parse_config(config):
-    """Checks a run config, and loads its pretrained weights; returns (PhantomSpec,
-    accels, method config, NetworkParams or None)."""
+    """Checks a run config, and loads its pretrained weights, before anything is written; returns
+    (PhantomSpec, accels, method config, NetworkParams or None). A missing or unknown key, a value of
+    the wrong type or range, two accelerations that name one directory ([4, 4.0]), an acceleration
+    radial_budget refuses, or weights that do not load or fit are a ConfigError naming the key."""
     _check_keys(config, "config", RUN_KEYS, RUN_KEYS[:-1])
     _check(is_int(config["seed"]) and config["seed"] >= 0, "seed", config["seed"])
     _check(isinstance(config["output_dir"], str), "output_dir", config["output_dir"])
@@ -221,12 +224,12 @@ def _parse_config(config):
     return spec, accels, cfg, None if weights is None else _load_weights(weights, shape, "method_params.weights")
 
 
-def _reconstruct(method: str, d_u: KtData, cfg, params, threads=1):
-    """(reconstruction, CS ConvergenceLog or None); threads is cs_reconstruct's."""
+def _reconstruct(method: str, d_u: KtData, cfg, params, spare=None):
+    """(reconstruction, CS ConvergenceLog or None); spare is cs_reconstruct's."""
     if method == "zf":
         return adjoint(d_u), None
     if method == "cs":
-        return cs_mod.cs_reconstruct(d_u, cfg, threads=threads)
+        return cs_mod.cs_reconstruct(d_u, cfg, spare=spare)
     if method == "modl":  # _load_weights has loaded its params
         return modl_forward(adjoint(d_u), d_u, params, cfg, params.cfg), None
     if params is None:  # scan-specific SECRET: trains on the measurement alone

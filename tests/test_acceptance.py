@@ -330,8 +330,10 @@ def test_criterion_9_learned_pipeline_determinism(tmp_path, monkeypatch, method)
 def test_criterion_10_seed_swept_scoreboard(secret_setup):
     """The paper's comparison on six held-out phantoms at 6x and 10x, noiseless.
 
-    Each cell is the median [min, max] over the seeds. Only the orderings that
-    hold on every seed are asserted: CS and SECRET each beat zero-filled.
+    Each cell is the median [min, max] over the seeds. The last column is the
+    paper's speed claim: for each learned method, the smallest CS max_iters in
+    1...20 whose median gain reaches the method's. Only the orderings that hold
+    on every seed are asserted: CS and SECRET each beat zero-filled.
     """
     st = secret_setup
     methods = {
@@ -340,30 +342,43 @@ def test_criterion_10_seed_swept_scoreboard(secret_setup):
         "SECRET + one DC step": lambda d: dc_solve(secret_infer(d, st["params"], st["net_cfg"]), d, 1e-6)[0],
         "CS (defaults)": lambda d: cs_reconstruct(d, CsConfig())[0],
     }
-    accels = (6, 10)
+    learned, accels = ("SECRET", "SECRET + one DC step"), (6, 10)
     gain = {(m, a): [] for m in methods for a in accels}
     ktrans = {(m, a): [] for m in methods for a in accels}
+    problems = {a: [] for a in accels}  # (measurement, reference, zero-filled PSNR) per seed
     for s in range(106, 112):
         truth = synthesize(PhantomSpec(h=32, w=32, t=8, dt=4.0, seed=s))
         roi = truth.tissue_roi
         for a in accels:
             d = corrupt(truth, make_radial_mask(8, 32, 32, a, seed=s + a), 0.0, seed=s)
             zf_psnr = psnr(adjoint(d), truth.ref_images)
+            problems[a].append((d, truth.ref_images, zf_psnr))
             for m, recon_fn in methods.items():
                 recon = recon_fn(d)
                 gain[m, a].append(psnr(recon, truth.ref_images) - zf_psnr)
                 pm = patlak_fit(recon, truth.aif_signal, truth.dt, roi)
                 ktrans[m, a].append(np.linalg.norm(pm.ktrans[roi] - truth.ktrans_map[roi])
                                     / np.linalg.norm(truth.ktrans_map[roi]))
+    iters_to_match = {}
+    for a in accels:
+        for k in range(1, 21):
+            cs_gain = np.median([psnr(cs_reconstruct(d, CsConfig(max_iters=k))[0], ref) - zf_psnr
+                                 for d, ref, zf_psnr in problems[a]])
+            for m in learned:
+                if cs_gain >= np.median(gain[m, a]):
+                    iters_to_match.setdefault((m, a), k)
+            if all((m, a) in iters_to_match for m in learned):
+                break
 
     def cell(values, digits):
         return f"{np.median(values):.{digits}f} [{min(values):.{digits}f}, {max(values):.{digits}f}]"
 
-    lines = ["| method | 6×: gain over ZF, dB | 6×: K^Trans NRMSE | 10×: gain, dB | 10×: K^Trans NRMSE |",
-             "|---|---|---|---|---|"]
+    lines = ["| method | 6×: gain over ZF, dB | 6×: K^Trans NRMSE | 10×: gain, dB | 10×: K^Trans NRMSE "
+             "| CS iterations to match, 6× / 10× |", "|---|---|---|---|---|---|"]
     for m in methods:
         row = [f"{'—' if m == 'zero-filled' else cell(gain[m, a], 2)} | {cell(ktrans[m, a], 3)}" for a in accels]
-        lines.append(f"| {m} | {' | '.join(row)} |")
+        match = " / ".join(str(iters_to_match.get((m, a), "> 20")) for a in accels) if m in learned else "—"
+        lines.append(f"| {m} | {' | '.join(row)} | {match} |")
     print("\n" + "\n".join(lines))
     for a in accels:
         assert min(gain["CS (defaults)", a]) > 0.0

@@ -82,7 +82,7 @@ def test_recon_cs_writes_convergence(tmp_path):
 
 def _stub_cs_reconstruct(stalled: bool):
     """A cs_reconstruct that returns the zero-filled image and a fixed log."""
-    def cs_reconstruct(d_u, cfg, threads=1):
+    def cs_reconstruct(d_u, cfg, spare=None):
         log = cs_module.ConvergenceLog(objective=[2.0, 1.0], backtracks=[3], line_search_failed=stalled)
         return adjoint(d_u), log
     return cs_reconstruct
@@ -657,8 +657,8 @@ def test_options_reach_config(tmp_path, monkeypatch, argv, expected):
     monkeypatch.setattr(cli, "_train", lambda args, train_fn, cfg, supervised: seen.append(cfg) or 0)
     monkeypatch.setattr(cli, "load_ktdata", lambda data, mask: None)
     monkeypatch.setattr(cs_module, "cs_reconstruct",
-                        lambda d_u, cfg, threads=1: seen.append(cfg) or (np.zeros((8, 4, 4)),
-                                                                         cs_module.ConvergenceLog()))
+                        lambda d_u, cfg, spare=None: seen.append(cfg) or (np.zeros((8, 4, 4)),
+                                                                          cs_module.ConvergenceLog()))
     monkeypatch.chdir(tmp_path)
     assert run(*argv) == 0
     assert seen == [expected]
@@ -802,7 +802,7 @@ def _three_accelerations(tmp_path, method="zf", **params):
 def test_pipeline_hands_the_core_of_a_finished_job_to_a_running_solve(tmp_path, monkeypatch, blas_threads):
     """Three accelerations on two workers and two cores: while the first two
     jobs run no core is spare; the third job's solve gets the core of the one
-    that ends last, through the semaphore it is given as its threads. The BLAS
+    that ends last, through the semaphore it is given as its spare. The BLAS
     cap stays cpu_count // workers throughout."""
     monkeypatch.setenv("KTSECRET_THREADS", "2")
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
@@ -810,15 +810,15 @@ def test_pipeline_hands_the_core_of_a_finished_job_to_a_running_solve(tmp_path, 
     calls, both_running, seen = itertools.count(), threading.Barrier(2, timeout=30), []
     solve = cs_module.cs_reconstruct
 
-    def recording(d_u, cfg, threads=1):
+    def recording(d_u, cfg, spare=None):
         seen.append(blas_threads())
         if next(calls) < 2:
             both_running.wait()
-            assert not threads.acquire(blocking=False), "a spare core while both workers are busy"
+            assert not spare.acquire(blocking=False), "a spare core while both workers are busy"
         else:
-            assert threads.acquire(timeout=30), "no core freed for the last solve"
-            threads.release()
-        return solve(d_u, cfg, threads=threads)
+            assert spare.acquire(timeout=30), "no core freed for the last solve"
+            spare.release()
+        return solve(d_u, cfg, spare=spare)
 
     monkeypatch.setattr(cs_module, "cs_reconstruct", recording)
     assert run_pipeline(_three_accelerations(tmp_path, "cs", iters=2)) == 0
@@ -833,14 +833,14 @@ def test_pipeline_spare_cores_stay_counted_with_more_workers_than_cores(tmp_path
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     spares, seen = {}, []
 
-    def solve(d_u, cfg, threads=1):
-        spares[id(threads)] = threads
+    def solve(d_u, cfg, spare=None):
+        spares[id(spare)] = spare
         held = 0
-        while threads.acquire(blocking=False):
+        while spare.acquire(blocking=False):
             held += 1
         seen.append(held)
         for _ in range(held):
-            threads.release()
+            spare.release()
         return adjoint(d_u), cs_module.ConvergenceLog(objective=[2.0, 1.0], backtracks=[0])
 
     monkeypatch.setattr(cs_module, "cs_reconstruct", solve)
@@ -858,14 +858,33 @@ def test_pipeline_spare_cores_stay_counted_with_more_workers_than_cores(tmp_path
         assert [spare.acquire(blocking=False) for _ in range(3)] == [True, True, False]
 
 
-def test_recon_cs_solves_on_every_core(tmp_path, monkeypatch):
-    seen = []
-    monkeypatch.setattr(cli, "load_ktdata", lambda data, mask: None)
-    monkeypatch.setattr(cs_module, "cs_reconstruct",
-                        lambda d_u, cfg, threads=1: seen.append(threads) or (np.zeros((8, 4, 4)),
-                                                                             cs_module.ConvergenceLog()))
-    assert run("recon-cs", "--data", "d", "--mask", "m", "--out", tmp_path / "cs.ktsr") == 0
-    assert seen == [max(1, os.cpu_count())]
+def test_recon_cs_output_does_not_depend_on_the_core_count(tmp_path, monkeypatch):
+    """recon-cs offers its solve every other core as spare, and writes the same
+    bytes on one core, where the solve runs alone, and on four, where its helper
+    joins."""
+    ph = tmp_path / "ph"
+    run("phantom", "--out", ph, "--h", 16, "--w", 16, "--t", 8, "--regions", 1, "--seed", 1)
+    run("mask", "--out", tmp_path / "m.ktsr", "--t", 8, "--h", 16, "--w", 16, "--accel", 4, "--seed", 0)
+    run("corrupt", "--phantom", ph, "--mask", tmp_path / "m.ktsr", "--out", tmp_path / "d.ktsr")
+    permits, solve = [], cs_module.cs_reconstruct
+
+    def recording(d_u, cfg, spare=None):
+        held = 0
+        while spare.acquire(blocking=False):
+            held += 1
+        permits.append(held)
+        for _ in range(held):
+            spare.release()
+        return solve(d_u, cfg, spare=spare)
+
+    monkeypatch.setattr(cs_module, "cs_reconstruct", recording)
+    for cores in (1, 4):
+        monkeypatch.setattr(os, "cpu_count", lambda: cores)
+        assert run("recon-cs", "--data", tmp_path / "d.ktsr", "--mask", tmp_path / "m.ktsr",
+                   "--out", tmp_path / f"cs{cores}.ktsr", "--iters", 10) == 0
+    assert permits == [0, 3]
+    for suffix in (".ktsr", ".convergence.csv"):
+        assert (tmp_path / f"cs1{suffix}").read_bytes() == (tmp_path / f"cs4{suffix}").read_bytes()
 
 
 def test_pipeline_restores_blas_threads_when_a_later_job_raises(tmp_path, monkeypatch, blas_threads):

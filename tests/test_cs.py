@@ -1,3 +1,4 @@
+import re
 import threading
 import tracemalloc
 import warnings
@@ -246,10 +247,10 @@ SOLVE_CASES = pytest.mark.parametrize("accel,seed,cfg,stops_on_tol", [
 
 
 def _assert_bit_identical_to_allocating_reference(d, cfg):
-    """Solves d both ways in the workspace dtype, the solver on one thread and
-    on two; returns the reference's log."""
+    """Solves d both ways in the workspace dtype, the solver alone and with a
+    spare core for its helper; returns the reference's log."""
     s, log = cs_reconstruct(d, cfg)
-    s_threaded, log_threaded = cs_reconstruct(d, cfg, threads=2)
+    s_threaded, log_threaded = cs_reconstruct(d, cfg, spare=threading.Semaphore(1))
     assert s.tobytes() == s_threaded.tobytes() and log == log_threaded
     s_ref, objective, backtracks = _allocating_nlcg(d, cfg, cs_module.WORK_DTYPE)
     assert np.array_equal(s, s_ref)
@@ -308,27 +309,46 @@ def test_frame_blocks_split_at_half_and_shrink_to_the_frame_count():
     assert cs_module._blocks(1) == [slice(0, 1)]
 
 
-@pytest.mark.parametrize("threads", [True, 0, -1, 2.0])
-def test_solver_refuses_a_thread_count_that_is_not_a_positive_integer(threads):
+@pytest.mark.parametrize("spare", [2, True, 2.0, 0, -1, pytest.param(threading.Lock(), id="Lock")])
+def test_solver_refuses_a_spare_that_is_not_a_semaphore(spare):
     _, d = _random_problem(7)
-    with pytest.raises(ValueError, match="threads must be an integer >= 1"):
-        cs_reconstruct(d, CsConfig(max_iters=2), threads=threads)
+    with pytest.raises(ValueError, match=re.escape(f"got {spare!r}")):
+        cs_reconstruct(d, CsConfig(max_iters=2), spare=spare)
+
+
+class _CountedSemaphore(threading.Semaphore):
+    """A semaphore that counts the permits taken from it and given back."""
+
+    def __init__(self, value):
+        super().__init__(value)
+        self.taken = self.returned = 0
+
+    def acquire(self, *args, **kwargs):
+        got = super().acquire(*args, **kwargs)
+        self.taken += got
+        return got
+
+    def release(self, n=1):
+        super().release(n)
+        self.returned += n
 
 
 def test_solver_clamps_its_threads_to_the_frame_blocks_before_starting_any(monkeypatch):
+    """However many cores are spare, two blocks take one helper, and its
+    core comes back."""
     started = []
 
     class CountedThread(threading.Thread):
         def start(self):
             started.append(self)
-            # refuse, rather than start, a helper past the blocks' count
-            assert len(started) < cs_module.FRAME_BLOCKS, "a helper thread per further block at most"
+            # refuse, rather than start, a second helper
+            assert len(started) == 1, "one helper thread at most"
             super().start()
 
     monkeypatch.setattr(threading, "Thread", CountedThread)
-    d, cfg = _phantom_problem(6.0, 3), CsConfig(max_iters=5)
-    s, log = cs_reconstruct(d, cfg, threads=10 ** 6)
-    assert len(started) == cs_module.FRAME_BLOCKS - 1
+    d, cfg, spare = _phantom_problem(6.0, 3), CsConfig(max_iters=5), _CountedSemaphore(10 ** 6)
+    s, log = cs_reconstruct(d, cfg, spare=spare)
+    assert len(started) == 1 and spare.taken == spare.returned == 1
     s_one, log_one = cs_reconstruct(d, cfg)
     assert s.tobytes() == s_one.tobytes() and log == log_one
 
@@ -336,11 +356,11 @@ def test_solver_clamps_its_threads_to_the_frame_blocks_before_starting_any(monke
 @pytest.mark.parametrize("failing_block", [0, 1])
 def test_an_exception_in_one_block_surfaces_as_itself_and_leaves_no_thread(monkeypatch, failing_block):
     """Block 0 is the calling thread's, block 1 the helper's; the other thread
-    is waiting at a barrier or about to, and must not be left there. The start
-    transforms the whole volume on the caller's thread alone; a block's DFT
-    fails."""
+    is waiting at a barrier or about to, and must not be left there, nor the
+    helper's core held. The start transforms the whole volume on the caller's
+    thread alone; a block's DFT fails."""
     d, error = _phantom_problem(6.0, 3), ZeroDivisionError(f"a DFT of block {failing_block}")
-    caller, raised = [], []
+    caller, raised, spare = [], [], _CountedSemaphore(1)
 
     def failing_dft2(x, direction, **kwargs):
         if len(x) < len(d.samples) and (threading.get_ident() == caller[0]) == (failing_block == 0):
@@ -350,7 +370,7 @@ def test_an_exception_in_one_block_surfaces_as_itself_and_leaves_no_thread(monke
     def solve():
         caller.append(threading.get_ident())
         try:
-            cs_reconstruct(d, CsConfig(max_iters=5), threads=2)
+            cs_reconstruct(d, CsConfig(max_iters=5), spare=spare)
         except BaseException as exc:  # handed to the test's thread
             raised.append(exc)
 
@@ -361,6 +381,7 @@ def test_an_exception_in_one_block_surfaces_as_itself_and_leaves_no_thread(monke
     runner.join(timeout=60)
     assert not runner.is_alive(), "the solve hangs"
     assert len(raised) == 1 and raised[0] is error
+    assert spare.taken == spare.returned == 1
     assert set(threading.enumerate()) <= before
 
 
@@ -380,10 +401,9 @@ def _cores_held(spare):
 ])
 def test_solver_takes_spare_cores_while_alone_and_gives_them_back(monkeypatch, spare_cores, frees_at_dft,
                                                                   helpers):
-    """Given a semaphore of spare cores, the solve starts a helper at the top of
-    an iteration once it can acquire one, at most one per further block; the
-    image and the log are those of a one-thread solve, and every core it took
-    is back when it returns."""
+    """Given a semaphore of spare cores, the solve starts its helper at the top
+    of an iteration once it can acquire one; the image and the log are those of
+    a lone solve, and the core it took is back when it returns."""
     d, cfg = _phantom_problem(6.0, 3), CsConfig(max_iters=10)
     s_one, log_one = cs_reconstruct(d, cfg)
     spare, started, dfts = threading.Semaphore(spare_cores), [], []
@@ -401,7 +421,7 @@ def test_solver_takes_spare_cores_while_alone_and_gives_them_back(monkeypatch, s
 
     monkeypatch.setattr(threading, "Thread", CountedThread)
     monkeypatch.setattr(cs_module, "dft2", freeing_dft2)
-    s, log = cs_reconstruct(d, cfg, threads=spare)
+    s, log = cs_reconstruct(d, cfg, spare=spare)
     assert len(started) == helpers
     assert s.tobytes() == s_one.tobytes() and log == log_one
     assert _cores_held(spare) == spare_cores + (frees_at_dft is not None)
@@ -468,11 +488,11 @@ def test_solver_refuses_samples_past_the_float32_range_before_the_first_iteratio
         raise AssertionError("an iteration started")
 
     monkeypatch.setattr(cs_module, "_gradient", no_gradient)
-    for threads in (1, 2):  # each thread enters the solve's errstate, which is thread-local
+    for spare in (None, threading.Semaphore(1)):  # a helper enters the solve's errstate too
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(FloatingPointError, match="starting objective"):
-                cs_reconstruct(huge, CsConfig(max_iters=3), threads=threads)
+                cs_reconstruct(huge, CsConfig(max_iters=3), spare=spare)
 
 
 def _solve_peak_bytes(d, iters):
