@@ -41,31 +41,24 @@ blocks' partial sums added left to right in block order, so the objective is
 data + l1 tv_s + l2 tv_t; cs_objective takes the same sums.
 
 Threads. cs_reconstruct's spare is None or a threading.Semaphore of spare cores
-(the pipeline passes its sweep's; recon-cs one of cpu_count - 1). The start (its
-cast, images, moduli and objective) runs on the caller's thread alone. While the
-solve runs alone, the top of each iteration tries to acquire one spare core
-without waiting; with it, the solve starts its one helper thread (two blocks
-allow no more), which owns the second block from then on, from that iteration's
-state: its index, ||g||^2, the objective, the first step, and which images
-buffer holds the point's. Both threads run the same control flow: both DFTs,
-the mask, the spatial differences, and the trial, moduli and update passes are
-each one call over its own frames, and the partial sums of its block go into a
-shared list. The threads meet only at barriers, about five per iteration:
-- after each reduction (||g||^2, the slope, each Armijo trial's value), each
-  thread adds both blocks' sums in block order, so both take the same branch.
-  Two lists of sums are used in turn, so one is rewritten only after the
-  barrier that follows its reading;
-- grad_t and its adjoint read one edge frame of the other block, so they run
-  after a barrier: the direction's grad_t after the slope's (a restart on
-  steepest descent adds one), the adjoint after one that follows the TV
-  weights.
-The blocks do not depend on the threads, and the elementwise passes and
-per-frame DFTs give the same bits however the frames are split, so neither
-the image nor the log depends on whether the helper joins, or when. The helper
-enters the caller's np.errstate (thread-local in numpy 2). An exception in
-either thread aborts the barrier, so the other stops at its next one; the
-helper is joined and its core given back before cs_reconstruct returns, and
-the first exception that is not the barrier's own surfaces as itself.
+(the pipeline passes its sweep's; recon-cs one of cpu_count - 1). The caller's
+thread runs the whole solve: the start, every reduction's total, the direction
+coefficient, the line search, the log and the stopping rule. Each frame-local
+pass is a step, a function of its frames and blocks that returns their partial
+sums. While the solve runs alone, a step runs once over every frame; the top of
+each iteration tries to acquire one spare core without waiting, and with it
+starts the solve's one helper thread (two blocks allow no more). From then on
+each step is put on the helper's queue, and the caller runs block 0 and waits
+for block 1's sums. An iteration hands off the TV weights, the gradient, the
+direction (a restart on steepest descent adds one), each Armijo trial (the
+first with the direction's images) and s += a d: grad_t and its adjoint read an
+edge frame of the other block, so the weights and the direction end a step.
+Neither the image nor the log depends on whether the helper joins, or when: the
+blocks do not depend on the threads, and the elementwise passes and per-frame
+DFTs give the same bits however the frames are split. The helper enters the
+caller's np.errstate (thread-local in numpy 2). A step's exception in either
+block is raised as itself on the caller's thread; the helper finishes its step,
+is joined and its core given back before cs_reconstruct returns.
 
 Precision is mixed, set by the module constant WORK_DTYPE (complex64). In
 WORK_DTYPE run the workspace: the images of the point, of the direction and of
@@ -91,6 +84,7 @@ WORK_DTYPE = complex128 runs the whole solve in double precision.
 
 from __future__ import annotations
 
+import queue
 import threading
 from dataclasses import dataclass, field
 
@@ -148,10 +142,6 @@ def _in_block_order(values) -> float:
     for value in values:
         total += value
     return total
-
-
-def _alone() -> None:
-    """A one-thread solve's barrier: there is no one to wait for."""
 
 
 def _images(x: np.ndarray, mask, samples, out: np.ndarray, f: slice) -> np.ndarray:
@@ -262,143 +252,148 @@ def cs_reconstruct(d_u: KtData, cfg: CsConfig | None = None, spare: threading.Se
     """
     if spare is not None and not isinstance(spare, threading.Semaphore):
         raise ValueError(f"spare must be None or a threading.Semaphore, got {spare!r}")
-    solve = _Solve(d_u, cfg or CsConfig(), spare)
-    try:
-        solve.run(0)
-    finally:
-        if solve.helper is not None:
-            if solve.helper.ident is not None:
-                solve.helper.join()
-            spare.release()
-    if solve.errors:
-        raise next((e for e in solve.errors if not isinstance(e, threading.BrokenBarrierError)), solve.errors[0])
-    return solve.s, solve.log
+    cfg, mask = cfg or CsConfig(), d_u.mask
+    s = adjoint(d_u)  # the iterate, complex128, updated in place and returned
+    # the workspace, in WORK_DTYPE: every step below writes into these buffers
+    d = np.empty(s.shape, WORK_DTYPE)
+    # the point's, the direction's and the trial's images
+    img, img_d, trial = (np.empty((4, *s.shape), WORK_DTYPE) for _ in range(3))
+    w = np.empty((3, *s.shape), np.finfo(WORK_DTYPE).dtype)
+    blocks, whole = _blocks(len(s)), slice(0, len(s))
+    with np.errstate(over="ignore", invalid="ignore"):  # reported just below
+        np.copyto(d, s)  # the start in WORK_DTYPE, the direction's buffer as scratch
+        _images(d, mask, d_u.samples, img, whole)
+        _moduli(img, w, whole)
+        obj = _value([_block_sums(img, w, b) for b in blocks], cfg)
+    if not np.isfinite(obj):
+        raise FloatingPointError(f"the starting objective is {obj}: the samples are too large")
+    log = ConvergenceLog(objective=[obj])
+    gg, step0 = None, 1.0
 
+    # The frame-local steps: each writes frames f and returns the partial sums
+    # of its blocks own. w holds the point's moduli; the trial's and direction's
+    # images are scratch, the trial's residual slice the gradient g.
+    def weights(f, own) -> list:
+        _weights(img, w, trial[1:], f)
+        return []
 
-class _Solve:
-    """One cs_reconstruct: the workspace its threads share, and the control
-    flow each runs over its own blocks (see the module docstring)."""
+    def gradient(f, own) -> list:  # grad_t's adjoint reads the previous block's last frame
+        _gradient(img, trial[1:], cfg, g, img_d[0], img_d[1], f)
+        return [re_dot(g[b], g[b]) for b in own]
 
-    def __init__(self, d_u: KtData, cfg: CsConfig, spare):
-        self.d_u, self.cfg, self.spare = d_u, cfg, spare
-        self.s = adjoint(d_u)  # the iterate, complex128, updated in place and returned
-        # the workspace, in WORK_DTYPE: every step below writes into these buffers
-        shape = self.s.shape
-        self.d = np.empty(shape, WORK_DTYPE)
-        # the point's, the direction's and the trial's images
-        self.images = [np.empty((4, *shape), WORK_DTYPE) for _ in range(3)]
-        self.moduli = np.empty((3, *shape), np.finfo(WORK_DTYPE).dtype)
-        self.blocks = _blocks(shape[0])
-        self.sums = [[None] * len(self.blocks) for _ in range(2)]  # two lists, used in turn
-        self.barrier = self.helper = None
-        self.errstate = np.geterr()
-        self.log = ConvergenceLog()
-        self.errors = []
+    def direction(f, own) -> list:  # Fletcher-Reeves -g + (gg / gg_prev) d; the first one is -g
+        if it == 0:
+            np.negative(g[f], out=d[f])
+        else:
+            np.subtract(np.multiply(gg / gg_prev, d[f], out=d[f]), g[f], out=d[f])
+        return [re_dot(g[b], d[b]) for b in own]
 
-    def run(self, j: int, *state) -> None:
-        """Thread j's share of the solve from an iteration's state, the caller's
-        (j = 0) from the start; an exception is kept for the caller, and the
-        barrier aborted so that no other thread waits for this one."""
-        try:
-            with np.errstate(**self.errstate):
-                self._iterate(j, *(state or self._start()))
-        except BaseException as exc:
-            self.errors.append(exc)
-            if self.barrier is not None:
-                self.barrier.abort()
+    def restart(f, own) -> list:
+        np.negative(g[f], out=d[f])
+        return []
 
-    def _start(self) -> tuple:
-        """The start's images, moduli and objective, on the caller's thread
-        alone; returns the state of the first iteration."""
-        img, whole = self.images[0], slice(0, len(self.s))
-        with np.errstate(over="ignore", invalid="ignore"):  # reported just below
-            np.copyto(self.d, self.s)  # the start in WORK_DTYPE, the direction's buffer as scratch
-            _images(self.d, self.d_u.mask, self.d_u.samples, img, whole)
-            _moduli(img, self.moduli, whole)
-            obj = _value([_block_sums(img, self.moduli, b) for b in self.blocks], self.cfg)
-        if not np.isfinite(obj):
-            raise FloatingPointError(f"the starting objective is {obj}: the samples are too large")
-        self.log.objective.append(obj)
-        return 0, None, obj, 1.0, img, self.images[2]
+    def score(f, own) -> list:
+        np.add(img[:, f], np.multiply(a, img_d[:, f], out=trial[:, f]), out=trial[:, f])
+        _moduli(trial, w, f)
+        return [_block_sums(trial, w, b) for b in own]
 
-    def _share(self, j: int) -> tuple:
-        """Thread j's barrier, blocks and frames: every block while the solve
-        runs alone, else half of them each."""
-        n, k = len(self.blocks), 1 if self.helper is None else 2
-        own = range(n * j // k, n * (j + 1) // k)
-        frames = slice(self.blocks[own.start].start, self.blocks[own.stop - 1].stop)
-        return (_alone if k == 1 else self.barrier.wait), own, frames
+    def encode_and_score(f, own) -> list:  # grad_t reads the next block's first frame of d
+        _images(d, mask, None, img_d, f)
+        return score(f, own)
 
-    def _take_helper(self, *state) -> bool:
-        """While the solve runs alone, at the top of an iteration: starts the
-        helper from that iteration's state if there are two blocks and a spare
-        core it acquires without waiting. Whether it started it."""
-        if self.spare is None or len(self.blocks) < 2 or not self.spare.acquire(blocking=False):
-            return False
-        self.barrier = threading.Barrier(2)
-        self.helper = threading.Thread(target=self.run, args=(1, *state), name="cs_reconstruct-helper")
-        self.helper.start()
-        return True
+    def advance(f, own) -> list:
+        np.add(s[f], np.multiply(a, d[f], out=img_d[0, f]), out=s[f])
+        return []
 
-    def _iterate(self, j: int, it: int, gg, obj: float, step0: float, img: np.ndarray, trial: np.ndarray) -> None:
-        cfg, mask, s, d, w, img_d = self.cfg, self.d_u.mask, self.s, self.d, self.moduli, self.images[1]
-        log = self.log if j == 0 else ConvergenceLog()  # a helper's is dropped
-        sync, own, f = self._share(j)
-        slot = 0
-
-        def reduced(block_sum) -> list:
-            """block_sum(b) of every block b in block order, once each thread
-            has stored those of its own blocks."""
-            nonlocal slot
-            sums = self.sums[slot]
-            for k in own:
-                sums[k] = block_sum(self.blocks[k])
-            sync()
-            slot ^= 1
-            return list(sums)
-
-        for it in range(it, cfg.max_iters):
-            if j == 0 and self.helper is None and self._take_helper(it, gg, obj, step0, img, trial):
-                (sync, own, f), slot = self._share(0), 0
-            # moduli holds the point's; the trial's and direction's images are scratch
+    with _Runner(blocks, spare) as run:
+        for it in range(cfg.max_iters):
+            run.take_helper()
             g = trial[0]
-            _weights(img, w, trial[1:], f)
-            sync()  # grad_t's adjoint reads the previous block's last frame
-            _gradient(img, trial[1:], cfg, g, img_d[0], img_d[1], f)
-            gg_prev, gg = gg, _in_block_order(reduced(lambda b: re_dot(g[b], g[b])))
+            run(weights)
+            gg_prev, gg = gg, _in_block_order(run(gradient))
             if gg < 1e-30:
                 break
-            # Fletcher-Reeves direction -g + (gg / gg_prev) d; the first one is steepest descent
-            if it == 0:
-                np.negative(g[f], out=d[f])
-            else:
-                np.subtract(np.multiply(gg / gg_prev, d[f], out=d[f]), g[f], out=d[f])
-            # Armijo backtracking: f(s + a d) <= f + c a Re<g, d>; the slope's barrier
-            # also lets grad_t read the next block's first frame of d
-            slope = _in_block_order(reduced(lambda b: re_dot(g[b], d[b])))
+            # Armijo backtracking: f(s + a d) <= f + c a Re<g, d>
+            slope = _in_block_order(run(direction))
             if slope >= 0:  # not a descent direction; restart on steepest descent
-                np.negative(g[f], out=d[f])
+                run(restart)
                 slope = -gg
-                sync()  # grad_t reads the next block's first frame of d
-            _images(d, mask, None, img_d, f)
-            a = step0
+            a, step = step0, encode_and_score
             for rejected in range(50):
-                np.add(img[:, f], np.multiply(a, img_d[:, f], out=trial[:, f]), out=trial[:, f])
-                _moduli(trial, w, f)
-                obj_new = _value(reduced(lambda b: _block_sums(trial, w, b)), cfg)
+                obj_new = _value(run(step), cfg)
                 if obj_new <= obj + 1e-4 * a * slope:
                     break
-                a *= 0.5
+                a, step = a * 0.5, score
             else:
                 log.line_search_failed = True
                 break
             # the last trial scored is the new point: its images rotate in and
             # moduli already holds its moduli
             img, trial = trial, img
-            np.add(s[f], np.multiply(a, d[f], out=img_d[0, f]), out=s[f])
+            run(advance)
             log.backtracks.append(rejected)
             step0 = min(1.0, a * 2.0)
             obj_prev, obj = obj, obj_new
             log.objective.append(obj)
             if abs(obj_prev - obj) <= cfg.tol * max(abs(obj_prev), 1e-30):
                 break
+    return s, log
+
+
+class _Runner:
+    """Runs a frame-local step of one cs_reconstruct: once over every block
+    while the solve runs alone, else the caller's half of the blocks on its
+    thread and the other half on the helper's (see the module docstring)."""
+
+    def __init__(self, blocks: list, spare):
+        self.blocks, self.spare, self.helper = blocks, spare, None
+        self.shares = [_share(blocks)]  # each thread's frames and blocks, the caller's first
+
+    def take_helper(self) -> None:
+        """While the solve runs alone, starts the helper if there are two blocks
+        and a spare core it acquires without waiting."""
+        if (self.helper is not None or self.spare is None or len(self.blocks) < 2
+                or not self.spare.acquire(blocking=False)):
+            return
+        half = len(self.blocks) // 2
+        self.shares = [_share(self.blocks[:half]), _share(self.blocks[half:])]
+        self.tasks, self.results = queue.SimpleQueue(), queue.SimpleQueue()
+        self.helper = threading.Thread(target=self._serve, args=(np.geterr(),), name="cs_reconstruct-helper")
+        self.helper.start()
+
+    def __call__(self, step) -> list:
+        """step's partial sums of every block, in block order; an exception in
+        either share is raised here."""
+        if self.helper is None:
+            return step(*self.shares[0])
+        self.tasks.put(step)
+        mine, theirs = step(*self.shares[0]), self.results.get()
+        if isinstance(theirs, BaseException):
+            raise theirs
+        return mine + theirs
+
+    def _serve(self, errstate: dict) -> None:
+        """The helper: runs each step it is handed over its share, under the
+        caller's np.errstate, until it is handed None."""
+        with np.errstate(**errstate):
+            for step in iter(self.tasks.get, None):
+                try:
+                    self.results.put(step(*self.shares[1]))
+                except BaseException as exc:
+                    self.results.put(exc)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        """Stops and joins the helper, if one started, and gives its core back."""
+        if self.helper is not None:
+            if self.helper.ident is not None:
+                self.tasks.put(None)
+                self.helper.join()
+            self.spare.release()
+
+
+def _share(blocks: list) -> tuple:
+    """The frames spanned by consecutive blocks, and the blocks."""
+    return slice(blocks[0].start, blocks[-1].stop), blocks

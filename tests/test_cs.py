@@ -353,18 +353,21 @@ def test_solver_clamps_its_threads_to_the_frame_blocks_before_starting_any(monke
     assert s.tobytes() == s_one.tobytes() and log == log_one
 
 
-@pytest.mark.parametrize("failing_block", [0, 1])
+@pytest.mark.parametrize("failing_block", [0, 1, "both"])
 def test_an_exception_in_one_block_surfaces_as_itself_and_leaves_no_thread(monkeypatch, failing_block):
-    """Block 0 is the calling thread's, block 1 the helper's; the other thread
-    is waiting at a barrier or about to, and must not be left there, nor the
-    helper's core held. The start transforms the whole volume on the caller's
-    thread alone; a block's DFT fails."""
-    d, error = _phantom_problem(6.0, 3), ZeroDivisionError(f"a DFT of block {failing_block}")
+    """Block 0 is the calling thread's, block 1 the helper's; whichever fails,
+    the solve must neither hang nor leave the helper running or its core held.
+    The start transforms the whole volume on the caller's thread alone; a
+    block's DFT fails, or both blocks' DFTs of one step, and then one of the
+    two errors surfaces."""
+    d = _phantom_problem(6.0, 3)
+    errors = [ZeroDivisionError(f"a DFT of block {block}") for block in (0, 1)]
     caller, raised, spare = [], [], _CountedSemaphore(1)
 
     def failing_dft2(x, direction, **kwargs):
-        if len(x) < len(d.samples) and (threading.get_ident() == caller[0]) == (failing_block == 0):
-            raise error
+        block = 0 if threading.get_ident() == caller[0] else 1
+        if len(x) < len(d.samples) and failing_block in (block, "both"):
+            raise errors[block]
         return dft2(x, direction, **kwargs)
 
     def solve():
@@ -380,9 +383,46 @@ def test_an_exception_in_one_block_surfaces_as_itself_and_leaves_no_thread(monke
     runner.start()
     runner.join(timeout=60)
     assert not runner.is_alive(), "the solve hangs"
-    assert len(raised) == 1 and raised[0] is error
+    failed = errors if failing_block == "both" else [errors[failing_block]]
+    assert len(raised) == 1 and any(raised[0] is error for error in failed)
     assert spare.taken == spare.returned == 1
     assert set(threading.enumerate()) <= before
+
+
+def test_a_helper_that_fails_to_start_surfaces_its_error_and_gives_its_core_back(monkeypatch):
+    """Thread.start can raise (the process has no thread left to give); the
+    helper never ran, so there is nothing to join, but its core comes back."""
+    error = RuntimeError("can't start new thread")
+
+    class FailingThread(threading.Thread):
+        def start(self):
+            raise error
+
+    monkeypatch.setattr(threading, "Thread", FailingThread)
+    spare, before = _CountedSemaphore(1), set(threading.enumerate())
+    with pytest.raises(RuntimeError) as caught:
+        cs_reconstruct(_phantom_problem(6.0, 3), CsConfig(max_iters=5), spare=spare)
+    assert caught.value is error
+    assert spare.taken == spare.returned == 1
+    assert set(threading.enumerate()) <= before
+
+
+def test_every_thread_of_a_two_thread_solve_runs_under_the_callers_errstate(monkeypatch):
+    """numpy's error state is thread-local; the helper enters the caller's."""
+    d, moduli, seen = _phantom_problem(6.0, 3), cs_module._moduli, []
+
+    def recording_moduli(images, w, f):
+        if f != slice(0, len(d.samples)):  # a block's: the start runs alone, in an errstate of its own
+            seen.append((threading.get_ident(), np.geterr()))
+        return moduli(images, w, f)
+
+    monkeypatch.setattr(cs_module, "_moduli", recording_moduli)
+    with np.errstate(divide="ignore", over="raise"):
+        errstate = np.geterr()
+        cs_reconstruct(d, CsConfig(max_iters=5), spare=threading.Semaphore(1))
+    assert errstate != np.geterr()
+    assert len({ident for ident, _ in seen}) == 2
+    assert all(err == errstate for _, err in seen)
 
 
 def _cores_held(spare):
@@ -488,7 +528,8 @@ def test_solver_refuses_samples_past_the_float32_range_before_the_first_iteratio
         raise AssertionError("an iteration started")
 
     monkeypatch.setattr(cs_module, "_gradient", no_gradient)
-    for spare in (None, threading.Semaphore(1)):  # a helper enters the solve's errstate too
+    # the start raises before the first iteration, so no helper is ever taken
+    for spare in (None, threading.Semaphore(1)):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(FloatingPointError, match="starting objective"):
